@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 
 from .census import census_report, keller_identity_check
@@ -66,13 +67,9 @@ def _ints_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _coeff_strings(coeffs) -> list[str]:
-    out = [int(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    if not out:
-        return ["0"]
-    return [str(c) for c in out]
+def _poly_result(rp):
+    text = rp.text()
+    return {"poly": text.split(",")}, text, 0
 
 
 def _bool_result(value: bool):
@@ -83,8 +80,7 @@ def _bool_result(value: bool):
 
 
 def _cmd_reduce(args):
-    rp = reduce(args.poly, _context(args.n))
-    return {"poly": _coeff_strings(rp.coeffs)}, rp.text(), 0
+    return _poly_result(reduce(args.poly, _context(args.n)))
 
 
 def _cmd_eval(args):
@@ -105,32 +101,28 @@ def _cmd_rivest(args):
 
 
 def _cmd_interp(args):
-    rp = interpolate(args.values, _context(args.n))
-    return {"poly": _coeff_strings(rp.coeffs)}, rp.text(), 0
+    return _poly_result(interpolate(args.values, _context(args.n)))
 
 
 def _cmd_interp_nodes(args):
     fits = interpolate_at_nodes(
         args.nodes, args.values, _context(args.n), max_solutions=args.limit
     )
-    payload = {"polys": [_coeff_strings(rp.coeffs) for rp in fits]}
+    payload = {"polys": [rp.text().split(",") for rp in fits]}
     return payload, [rp.text() for rp in fits], 0
 
 
 def _cmd_invert(args):
-    rp = invert_permutation(args.poly, _context(args.n))
-    return {"poly": _coeff_strings(rp.coeffs)}, rp.text(), 0
+    return _poly_result(invert_permutation(args.poly, _context(args.n)))
 
 
 def _cmd_mulinv(args):
-    rp = multiplicative_inverse(args.poly, _context(args.n))
-    return {"poly": _coeff_strings(rp.coeffs)}, rp.text(), 0
+    return _poly_result(multiplicative_inverse(args.poly, _context(args.n)))
 
 
 def _cmd_mul(args):
     ctx = _context(args.n)
-    product = multiply_reduced(reduce(args.poly, ctx), reduce(args.by, ctx), ctx)
-    return {"poly": _coeff_strings(product.coeffs)}, product.text(), 0
+    return _poly_result(multiply_reduced(reduce(args.poly, ctx), reduce(args.by, ctx), ctx))
 
 
 def _cmd_hensel_roots(args):
@@ -188,8 +180,6 @@ def _cmd_qg_check(args):
 
 
 def _cmd_qg_random(args):
-    import random
-
     ctx = _context(args.n)
     spec = QuasigroupSpec.random(ctx, args.k, args.mode.upper(), random.Random(args.seed))
     data = spec.to_dict()
@@ -327,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("interp-nodes", _cmd_interp_nodes, "all canonical fits through arbitrary odd nodes")
     p.add_argument("--nodes", type=_ints_arg, required=True)
     p.add_argument("--values", type=_ints_arg, required=True)
-    p.add_argument("--limit", type=int, default=None, help="cap on the solution count")
+    p.add_argument("--limit", type=int, default=1 << 12, help="cap on the solution count (default 4096)")
 
     p = command("invert", _cmd_invert, "inverse of a permutation of the odd residues")
     p.add_argument("--poly", type=_poly_arg, required=True)

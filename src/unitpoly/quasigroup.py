@@ -17,7 +17,7 @@ import random
 from enum import Enum
 
 from .context import Context, DEFAULT_MAX_N
-from .errors import BudgetExceeded, CarrierError
+from .errors import BudgetExceeded, CarrierError, NotAPermutation
 from .poly import ReducedPoly, evaluate, induces_permutation_on_units
 from .residue import unit_inverse
 from .solve import invert_permutation
@@ -83,8 +83,6 @@ class QuasigroupSpec:
         )
 
     def _validate_polys(self, polys, label):
-        from .errors import NotAPermutation
-
         for idx, p in enumerate(polys):
             if not isinstance(p, ReducedPoly):
                 raise ValueError(f"{label}[{idx}] must be a canonical polynomial")
@@ -155,13 +153,12 @@ class QuasigroupSpec:
         target = args[idx]
         mask = self.ctx.mask
         if self.mode is Mode.UNIT_PRODUCT:
-            # strip the left factors in descending order, then the right ones
-            acc = 1
-            for j in range(idx - 1, -1, -1):
-                acc = (acc * unit_inverse(evaluate(self.p_polys[j], args[j], self.ctx), self.n)) & mask
-            acc = (acc * target) & mask
-            for j in range(self.k - 1, idx, -1):
-                acc = (acc * unit_inverse(evaluate(self.p_polys[j], args[j], self.ctx), self.n)) & mask
+            # the unit group is abelian: divide by the product of the other factors
+            others = 1
+            for j in range(self.k):
+                if j != idx:
+                    others = (others * evaluate(self.p_polys[j], args[j], self.ctx)) & mask
+            acc = (target * unit_inverse(others, self.n)) & mask
             return evaluate(self._p_inv[idx], acc, self.ctx)
         acc = target
         for j in range(self.k):

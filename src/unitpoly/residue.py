@@ -1,9 +1,9 @@
-"""Unit-group arithmetic modulo 2**n by bit-by-bit lifting.
+"""Unit-group arithmetic modulo 2**n.
 
-A root of a polynomial modulo 2**(k+1) restricts to a root modulo 2**k,
-so roots can be grown one bit at a time. Inversion of an odd residue is
-the special case P(x) = a*x - 1, where each bit is forced and the search
-never branches.
+Inverses of odd residues come from Newton iteration, which doubles the
+number of correct low bits per step. Roots of general polynomials are
+grown one bit at a time instead: a root modulo 2**(k+1) restricts to a
+root modulo 2**k, and the derivative may vanish, so the search branches.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ def _coeff_list(poly) -> list[int]:
 def unit_inverse(a: int, n: int) -> int:
     """Multiplicative inverse of an odd residue modulo 2**n.
 
-    Bit k of the inverse is set exactly when the running product
-    disagrees with 1 modulo 2**(k+1); adding a << k then fixes that bit
-    without disturbing the lower ones. Runs in n steps, no branching.
+    Every odd a satisfies a*a == 1 modulo 8, so a is its own inverse to
+    three bits; the step x <- x*(2 - a*x) doubles the bits that are right.
+    That makes about log2(n/3) steps of two n-bit products each.
     """
     if n < 1:
         raise ValueError("modulus exponent must be positive")
@@ -32,12 +32,11 @@ def unit_inverse(a: int, n: int) -> int:
     a = int(a) & mask
     if a & 1 == 0:
         raise ValueError("only odd residues are invertible modulo 2**n")
-    inv = 1
-    prod = a  # invariant: prod == a * inv mod 2**n, and prod == 1 mod 2**(k)
-    for k in range(1, n):
-        if (prod >> k) & 1:
-            inv |= 1 << k
-            prod = (prod + (a << k)) & mask
+    inv = a
+    bits = 3
+    while bits < n:
+        inv = (inv * (2 - a * inv)) & mask
+        bits *= 2
     return inv
 
 

@@ -1,13 +1,19 @@
-"""Linear solving modulo 2**n: interpolation and both kinds of inversion.
+"""Interpolation and both kinds of inversion modulo 2**n.
 
-Two is a zero divisor modulo 2**n, so Gaussian elimination cannot divide
-freely. Rows are combined using only three moves that preserve the
-solution set exactly: adding an integer multiple of one row to another,
-swapping rows, and rescaling a row by an odd unit. Picking the pivot of
-minimal two-adic valuation in each column and normalizing away its odd
-part leaves a pure power of two on the diagonal; for Vandermonde systems
-over odd nodes that power in column i is exactly 2**(i + t_i), so each
-back-substitution step is a single exact shift.
+Each problem shape has one solver. At the standard nodes 1, 3, ..., 2d+1
+the k-th step-2 forward difference of a polynomial's values is
+2**(k + t_k) * odd(k!) times its k-th Newton coefficient, so a difference
+table gives every coefficient with one exact shift, or shows that none
+exists. Inverse permutations find their node values by two-adic Newton
+iteration and then interpolate.
+
+Arbitrary nodes can leave the system underdetermined, so they go through
+row reduction. Two is a zero divisor modulo 2**n, so Gaussian elimination
+cannot divide freely. Rows are combined using only three moves that
+preserve the solution set exactly: adding an integer multiple of one row
+to another, swapping rows, and rescaling a row by an odd unit. Picking
+the pivot of minimal two-adic valuation in each column and normalizing
+away its odd part leaves a pure power of two on the diagonal.
 """
 
 from __future__ import annotations
@@ -88,47 +94,15 @@ def _echelon(rows: list[list[int]], rhs: list[int], ctx: Context) -> list[tuple[
     return pivots
 
 
-def _solve_triangular(rows, rhs, pivots, ctx: Context) -> list[int]:
-    """Back-substitute a fully pivoted square system.
-
-    Each pivot equation reads 2**e * a_col = remainder; the low e bits of
-    the remainder must vanish, and the shifted value is the unique
-    solution below 2**(n-e).
-    """
-    mask = ctx.mask
-    width = len(rows[0])
-    coeffs = [0] * width
-    for row, col, exponent in reversed(pivots):
-        acc = rhs[row]
-        line = rows[row]
-        for k in range(col + 1, width):
-            acc = (acc - line[k] * coeffs[k]) & mask
-        if acc & ((1 << exponent) - 1):
-            raise InconsistentTable(
-                f"no polynomial function fits: 2**{exponent} does not divide "
-                f"{acc} at degree {col}"
-            )
-        coeffs[col] = acc >> exponent
-    return coeffs
-
-
-def _solve_unique(rows, rhs, ctx: Context) -> list[int]:
-    pivots = _echelon(rows, rhs, ctx)
-    expected = [(i, i, i + ctx.t[i]) for i in range(len(rows[0]))]
-    if pivots != expected:
-        raise RuntimeError(
-            "row reduction did not reach the expected triangular form; "
-            f"pivots {pivots}"
-        )
-    return _solve_triangular(rows, rhs, pivots, ctx)
-
-
 def interpolate(values, ctx: Context) -> ReducedPoly:
     """The canonical polynomial taking the given values at 1, 3, ..., 2d+1.
 
     The d+1 values must be odd residues. Exactly one canonical polynomial
     fits any value table that comes from a polynomial function, and the
     table determines the function everywhere else on the odd residues.
+    The Newton coefficients come from a step-2 difference table; Horner's
+    rule turns them into monomial coefficients, which reduce folds into
+    their ranges.
 
     Raises:
         InconsistentTable: no polynomial function takes these values.
@@ -137,9 +111,27 @@ def interpolate(values, ctx: Context) -> ReducedPoly:
     vals = [ctx.check_unit(v) for v in values]
     if len(vals) != ctx.d + 1:
         raise ValueError(f"need exactly {ctx.d + 1} values for n={ctx.n}, got {len(vals)}")
-    rows = _vandermonde_rows(ctx.interpolation_nodes, ctx.d + 1, ctx)
-    coeffs = _solve_unique(rows, vals, ctx)
-    return ReducedPoly(tuple(coeffs), ctx.n)
+    mask = ctx.mask
+    newton = []
+    odd_factorial = 1
+    for k in range(ctx.d + 1):
+        exponent = k + ctx.t[k]
+        diff = vals[0]
+        if diff & ((1 << exponent) - 1):
+            raise InconsistentTable(
+                f"no polynomial function fits: 2**{exponent} does not divide "
+                f"{diff} at degree {k}"
+            )
+        if k:
+            odd_factorial = (odd_factorial * (k >> ((k & -k).bit_length() - 1))) & mask
+        newton.append(((diff >> exponent) * unit_inverse(odd_factorial, ctx.n)) & mask)
+        vals = [(b - a) & mask for a, b in zip(vals, vals[1:])]
+    coeffs = [newton[-1]]
+    for k in range(ctx.d - 1, -1, -1):
+        # coeffs <- coeffs * (x - (2k+1)) + newton[k]
+        root = 2 * k + 1
+        coeffs = [(lo - root * hi) & mask for lo, hi in zip([newton[k]] + coeffs, coeffs + [0])]
+    return reduce(coeffs, ctx)
 
 
 def interpolate_at_nodes(nodes, values, ctx: Context, *, max_solutions: int | None = None) -> list[ReducedPoly]:
@@ -173,33 +165,35 @@ def interpolate_at_nodes(nodes, values, ctx: Context, *, max_solutions: int | No
     solutions: list[ReducedPoly] = []
     assignment = [0] * width
 
-    def sweep(col: int) -> None:
-        if col < 0:
-            solutions.append(ReducedPoly(tuple(assignment), ctx.n))
-            if max_solutions is not None and len(solutions) > max_solutions:
-                raise BudgetExceeded(f"more than {max_solutions} polynomials fit the table")
-            return
+    def candidates(col: int) -> range:
+        # values of coefficient col consistent with the ones above it
         bound = 1 << ctx.coeff_bits[col]
         if col not in pivot_for_col:
-            for v in range(bound):
-                assignment[col] = v
-                sweep(col - 1)
-            return
+            return range(bound)
         row, exponent = pivot_for_col[col]
         acc = rhs[row]
         line = rows[row]
         for k in range(col + 1, width):
             acc = (acc - line[k] * assignment[k]) & mask
         if acc & ((1 << exponent) - 1):
-            return
-        candidate = acc >> exponent
-        step = 1 << (ctx.n - exponent)
-        while candidate < bound:
-            assignment[col] = candidate
-            sweep(col - 1)
-            candidate += step
+            return range(0)
+        return range(acc >> exponent, bound, 1 << (ctx.n - exponent))
 
-    sweep(width - 1)
+    # depth-first over the columns, highest first; stack[i] feeds column width-1-i
+    stack = [iter(candidates(width - 1))]
+    while stack:
+        col = width - len(stack)
+        value = next(stack[-1], None)
+        if value is None:
+            stack.pop()
+            continue
+        assignment[col] = value
+        if col:
+            stack.append(iter(candidates(col - 1)))
+            continue
+        solutions.append(ReducedPoly(tuple(assignment), ctx.n))
+        if max_solutions is not None and len(solutions) > max_solutions:
+            raise BudgetExceeded(f"more than {max_solutions} polynomials fit the table")
     solutions.sort(key=lambda r: r.coeffs)
     return solutions
 
@@ -207,11 +201,10 @@ def interpolate_at_nodes(nodes, values, ctx: Context, *, max_solutions: int | No
 def invert_permutation(poly, ctx: Context) -> ReducedPoly:
     """Canonical polynomial inducing the inverse permutation.
 
-    Evaluates the permutation at the d+1 standard nodes, then solves the
-    Vandermonde system whose nodes are those images and whose right side
-    is the original nodes. Images of distinct odd points differ by an odd
-    multiple of the point difference, so the system reduces to the same
-    triangular shape as the standard one; this is asserted at run time,
+    Finds the preimage of each standard node c by two-adic Newton
+    iteration x <- x - (p(x) - c) / p'(x), starting from x = c. The
+    permutation test makes p' odd at every odd x, so each step doubles
+    the number of correct low bits. The preimages are then interpolated,
     and the result is checked by composition at the nodes.
 
     Raises:
@@ -219,11 +212,22 @@ def invert_permutation(poly, ctx: Context) -> ReducedPoly:
     """
     if not induces_permutation_on_units(poly):
         raise NotAPermutation("polynomial does not permute the odd residues")
-    nodes = list(ctx.interpolation_nodes)
-    images = [evaluate(poly, x, ctx) for x in nodes]
-    rows = _vandermonde_rows(images, ctx.d + 1, ctx)
-    coeffs = _solve_unique(rows, list(nodes), ctx)
-    inverse = ReducedPoly(tuple(coeffs), ctx.n)
+    coeffs = _as_coeffs(poly)[::-1]
+    nodes = ctx.interpolation_nodes
+    preimages = []
+    for c in nodes:
+        x = c
+        precision = 1  # p(x) == c modulo 2**precision; p(c) and c are both odd
+        while precision < ctx.n:
+            precision = min(2 * precision, ctx.n)
+            mask = (1 << precision) - 1
+            value = slope = 0
+            for a in coeffs:
+                slope = (slope * x + value) & mask
+                value = (value * x + a) & mask
+            x = (x - (value - c) * unit_inverse(slope, precision)) & mask
+        preimages.append(x)
+    inverse = interpolate(preimages, ctx)
     for x in nodes:
         if evaluate(poly, evaluate(inverse, x, ctx), ctx) != x:
             raise RuntimeError("inverse failed its composition check")

@@ -65,6 +65,21 @@ def test_interp_nodes_lists_every_fit(capsys):
     assert out == "2,6,1\n5,4\n6,2,1\n9\n"
 
 
+def test_interp_nodes_has_a_default_budget(capsys):
+    # 2**1073 canonical polynomials take the value 1 at x = 1 when n = 64
+    code, out, err = invoke(capsys, "interp-nodes", "--n", "64", "--nodes", "1", "--values", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: BudgetExceeded:")
+
+
+def test_interp_nodes_budget_at_large_n(capsys):
+    # d = 1024 free coefficients: the enumeration must not recurse per degree
+    code, out, _ = invoke(capsys, "interp-nodes", "--n", "2048", "--nodes", "1", "--values", "1",
+                          "--limit", "1", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "BudgetExceeded"
+
+
 def test_invert(capsys):
     code, out, _ = invoke(capsys, "invert", "--n", "4", "--poly", "5,1,1")
     assert (code, out) == (0, "13,5,1\n")

@@ -22,6 +22,13 @@ def test_unit_inverse_exhaustive(n):
         assert (a * inv) % mod == 1
 
 
+@pytest.mark.parametrize("n", [1, 3, 1000, 4096])
+def test_unit_inverse_large_n(n, rng):
+    mod = 1 << n
+    for a in (1, mod - 1, *(rng.randrange(1, mod, 2) for _ in range(20))):
+        assert (a * unit_inverse(a, n)) % mod == 1
+
+
 def test_unit_inverse_reduces_argument_first():
     assert unit_inverse(17, 4) == 1
     assert unit_inverse(-1, 4) == 15

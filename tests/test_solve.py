@@ -1,10 +1,13 @@
 """Interpolation, inversion, and the canonical-form product."""
 
+import itertools
+
 import pytest
 
 from unitpoly import (
     Context,
     ReducedPoly,
+    evaluate,
     interpolate,
     interpolate_at_nodes,
     invert_permutation,
@@ -63,6 +66,39 @@ def test_interpolate_detects_impossible_table():
     # second difference 2 is not divisible by 8, so no polynomial fits
     with pytest.raises(InconsistentTable):
         interpolate((1, 1, 3), Context(4))
+
+
+def _assert_agrees_with_general_solver(values, ctx):
+    # the standard nodes are a special case of arbitrary nodes
+    fits = interpolate_at_nodes(ctx.interpolation_nodes, values, ctx)
+    assert len(fits) <= 1
+    if fits:
+        assert interpolate(values, ctx) == fits[0]
+    else:
+        with pytest.raises(InconsistentTable):
+            interpolate(values, ctx)
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_interpolate_agrees_with_general_solver_on_every_table(n):
+    ctx = Context(n)
+    for values in itertools.product(ctx.units(), repeat=ctx.d + 1):
+        _assert_agrees_with_general_solver(values, ctx)
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_interpolate_agrees_with_general_solver_on_random_tables(n, rng):
+    ctx = Context(n)
+    for _ in range(20):
+        coeffs = [rng.randrange(1 << n) for _ in range(ctx.d + 1)]
+        coeffs[0] ^= ~sum(coeffs) & 1  # odd coefficient sum: odd values
+        values = [evaluate(coeffs, x, ctx) for x in ctx.interpolation_nodes]
+        _assert_agrees_with_general_solver(values, ctx)
+        corrupted = list(values)
+        corrupted[rng.randrange(len(values))] ^= 1 << rng.randrange(1, n)
+        _assert_agrees_with_general_solver(corrupted, ctx)
+        random_table = [rng.randrange(1, 1 << n, 2) for _ in values]
+        _assert_agrees_with_general_solver(random_table, ctx)
 
 
 # -- interpolation at arbitrary nodes -----------------------------------------
@@ -135,6 +171,22 @@ def test_invert_composes_to_identity(n, rng):
         forward = dict(zip(ctx.units(), oracle_function_of(p, n).values))
         backward = dict(zip(ctx.units(), oracle_function_of(r, n).values))
         assert all(backward[forward[x]] == x for x in ctx.units())
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_invert_matches_oracle_inverse(n, rng):
+    # inputs above the degree cap, with coefficients outside [0, 2**n)
+    ctx = Context(n)
+    for _ in range(10):
+        while True:
+            p = [rng.randrange(-(1 << (n + 2)), 1 << (n + 2)) for _ in range(ctx.d + 4)]
+            if sum(p) & 1 and sum(p[1::2]) & 1:
+                break
+        forward = oracle_function_of(p, n).values
+        expected = [0] * len(forward)
+        for x, y in zip(ctx.units(), forward):
+            expected[y >> 1] = x
+        assert oracle_function_of(invert_permutation(p, ctx), n).values == tuple(expected)
 
 
 def test_invert_rejects_non_permutations():
