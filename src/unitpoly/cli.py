@@ -11,6 +11,7 @@ var UNITPOLY_MAX_N overrides the default ceiling on n.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -276,6 +277,7 @@ def _cmd_selftest(args):
 # -- parser ------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(

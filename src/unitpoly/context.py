@@ -2,8 +2,8 @@
 
 Everything downstream keys off two integer tables: t_i, the two-adic
 valuation of i!, and d_n, the largest degree a canonical polynomial can
-need modulo 2**n. A Context bundles those tables with the modulus so
-they are computed once per n.
+need modulo 2**n; coeff_widths turns them into the slot widths of a
+canonical coefficient vector. A Context bundles those with the modulus.
 """
 
 from __future__ import annotations
@@ -46,6 +46,15 @@ def max_reduced_degree(n: int) -> int:
     return i
 
 
+@functools.lru_cache(maxsize=None)
+def coeff_widths(n: int) -> tuple[int, ...]:
+    """Widths n - i - t_i, i <= d_n: canonical coefficient i modulo 2**n
+    lies in [0, 2**coeff_widths(n)[i])."""
+    return tuple(
+        n - i - two_adic_factorial_valuation(i) for i in range(max_reduced_degree(n) + 1)
+    )
+
+
 class Context:
     """Precomputed tables for one modulus 2**n.
 
@@ -57,9 +66,8 @@ class Context:
         modulus: 2**n.
         mask: 2**n - 1, used to reduce with a single AND.
         d: the degree cap d_n for canonical polynomials.
-        t: tuple of factorial valuations t_0 .. t_{d+1}.
-        coeff_bits: coefficient i of a canonical polynomial lies in
-            [0, 2**coeff_bits[i]).
+        coeff_bits: coeff_widths(n); coefficient i of a canonical
+            polynomial lies in [0, 2**coeff_bits[i]).
         max_n: the configured ceiling this context was checked against.
     """
 
@@ -72,9 +80,8 @@ class Context:
         self.max_n = max_n
         self.modulus = 1 << n
         self.mask = self.modulus - 1
-        self.d = max_reduced_degree(n)
-        self.t = tuple(two_adic_factorial_valuation(i) for i in range(self.d + 2))
-        self.coeff_bits = tuple(n - i - self.t[i] for i in range(self.d + 1))
+        self.coeff_bits = coeff_widths(n)
+        self.d = len(self.coeff_bits) - 1
         self._generator_cache = None  # filled lazily by poly.ideal_generators
 
     def units(self) -> range:

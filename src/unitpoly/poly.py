@@ -15,8 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .context import Context, max_reduced_degree, two_adic_factorial_valuation
-from .errors import NotAPermutation
+from .context import Context, coeff_widths
+from .errors import BudgetExceeded, NotAPermutation
+
+INDICATOR_BUDGET = 1 << 20  # largest unit-indicator exponent that gluing will build
+
+
+def _trimmed(coeffs: Sequence[int]) -> Sequence[int]:
+    """The coefficients without their trailing zeros: one scan, one slice."""
+    end = len(coeffs)
+    while end and coeffs[end - 1] == 0:
+        end -= 1
+    return coeffs[:end]
 
 
 @dataclass(frozen=True)
@@ -30,10 +40,7 @@ class IntPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _trimmed(tuple(int(c) for c in self.coeffs)))
 
     @property
     def degree(self) -> int | None:
@@ -131,31 +138,25 @@ class ReducedPoly:
         n = int(self.n)
         if n < 2:
             raise ValueError(f"modulus exponent must be at least 2, got {n}")
-        width = max_reduced_degree(n) + 1
-        coeffs = tuple(int(c) for c in self.coeffs)
-        trimmed = coeffs
-        while trimmed and trimmed[-1] == 0:
-            trimmed = trimmed[:-1]
-        if len(trimmed) > width:
+        widths = coeff_widths(n)
+        coeffs = _trimmed(tuple(int(c) for c in self.coeffs))
+        if len(coeffs) > len(widths):
             raise ValueError(
-                f"degree {len(trimmed) - 1} exceeds the cap {width - 1} for n={n}"
+                f"degree {len(coeffs) - 1} exceeds the cap {len(widths) - 1} for n={n}"
             )
-        coeffs = trimmed + (0,) * (width - len(trimmed))
-        for i, c in enumerate(coeffs):
-            bound = 1 << (n - i - two_adic_factorial_valuation(i))
-            if not 0 <= c < bound:
+        coeffs += (0,) * (len(widths) - len(coeffs))
+        for i, (c, bits) in enumerate(zip(coeffs, widths)):
+            if not 0 <= c < 1 << bits:
                 raise ValueError(
-                    f"coefficient {c} at degree {i} is outside [0, {bound}) for n={n}"
+                    f"coefficient {c} at degree {i} is outside [0, {1 << bits}) for n={n}"
                 )
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "n", n)
 
     @property
     def degree(self) -> int | None:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return None
+        trimmed = _trimmed(self.coeffs)
+        return len(trimmed) - 1 if trimmed else None
 
     def as_int_poly(self) -> IntPoly:
         return IntPoly(self.coeffs)
@@ -191,9 +192,7 @@ def parse_poly(text: str) -> IntPoly:
 
 def format_poly(coeffs: Iterable[int]) -> str:
     """Comma-separated decimal coefficients, trailing zeros trimmed."""
-    out = [int(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
+    out = _trimmed([int(c) for c in coeffs])
     if not out:
         return "0"
     return ",".join(str(c) for c in out)
@@ -216,12 +215,16 @@ def _pretty(coeffs) -> str:
 def evaluate(poly, a: int, ctx: Context) -> int:
     """Value of the induced function at a, by Horner's rule modulo 2**n."""
     a = ctx.check_residue(a)
-    mask = ctx.mask
     if isinstance(poly, ReducedPoly) and poly.n != ctx.n:
         raise ValueError(f"polynomial is canonical for n={poly.n}, context has n={ctx.n}")
+    return _eval_masked(_as_coeffs(poly), a, ctx.mask)
+
+
+def _eval_masked(coeffs: Sequence[int], x: int, mask: int) -> int:
+    """Horner's rule with every partial value reduced by mask."""
     value = 0
-    for c in reversed(_as_coeffs(poly)):
-        value = (value * a + c) & mask
+    for c in reversed(coeffs):
+        value = (value * x + c) & mask
     return value
 
 
@@ -252,10 +255,7 @@ def rivest_permutes_ring(poly) -> bool:
     and zero polynomials are rejected as arguments.
     """
     coeffs = _as_coeffs(poly)
-    trimmed = len(coeffs)
-    while trimmed and coeffs[trimmed - 1] == 0:
-        trimmed -= 1
-    if trimmed < 2:
+    if len(_trimmed(coeffs)) < 2:
         raise ValueError("the ring permutation test needs degree at least 1")
     return (
         coeffs[1] & 1 == 1
@@ -305,9 +305,7 @@ def reduce(poly, ctx: Context) -> ReducedPoly:
     """
     mask = ctx.mask
     d = ctx.d
-    coeffs = [c & mask for c in _as_coeffs(poly)]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = _trimmed([c & mask for c in _as_coeffs(poly)])
     gens = ideal_generators(ctx)
     monic = gens[d + 1].coeffs
     while len(coeffs) - 1 > d:
@@ -353,16 +351,21 @@ def _indicator_exponent(n: int) -> int:
         return 2
     if n == 3:
         return 4
-    return 1 << (n - 2)
+    e = 1 << (n - 2)
+    if e > INDICATOR_BUDGET:
+        raise BudgetExceeded(
+            f"the unit indicator x**(2**{n - 2}) exceeds the degree budget {INDICATOR_BUDGET}"
+        )
+    return e
 
 
 def indicator_polys(ctx: Context) -> tuple[IntPoly, IntPoly]:
     """The pair (v0, v1): v0 is 1 on odd residues and 0 on even ones,
     v1 = 1 - v0 is its complement. v0 is the single monomial x**e with
     e the exponent of the unit group (odd residues power to 1, even ones
-    power to 0 because e >= n)."""
-    e = _indicator_exponent(ctx.n)
-    v0 = IntPoly((0,) * e + (1,))
+    power to 0 because e >= n). Raises BudgetExceeded when e = 2**(n-2)
+    is above INDICATOR_BUDGET."""
+    v0 = IntPoly((0,) * _indicator_exponent(ctx.n) + (1,))
     return v0, IntPoly((1,)) - v0
 
 
@@ -373,15 +376,17 @@ def glue_polynomial(p, h, ctx: Context) -> IntPoly:
     Built as h' + (p - h') * v0 where h' = h(x+1) - 1 and v0 is the unit
     indicator: at odd x the indicator is 1 and the value is p(x), at even
     x it is 0 and the value is h'(x). Since v0 is a monomial the product
-    is just a shift.
+    is just a shift. Raises BudgetExceeded when 2**(n-2) is above
+    INDICATOR_BUDGET.
     """
+    e = _indicator_exponent(ctx.n)
     if not induces_permutation_on_units(p):
         raise NotAPermutation("first argument does not permute the odd residues")
     if not induces_permutation_on_units(h):
         raise NotAPermutation("second argument does not permute the odd residues")
     hp = conjugate_to_nonunits(h)
     diff = IntPoly(_as_coeffs(p)) - hp
-    return hp + diff.shifted(_indicator_exponent(ctx.n))
+    return hp + diff.shifted(e)
 
 
 def bivariate_quasigroup_check(coeff_matrix: Sequence[Sequence[int]], n: int) -> bool:

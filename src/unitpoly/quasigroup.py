@@ -76,11 +76,12 @@ class QuasigroupSpec:
                 raise ValueError(f"mode {self.mode.value} does not take h polynomials")
             self.h_polys = None
         self._p_inv = tuple(invert_permutation(p, ctx) for p in self.p_polys)
-        self._h_inv = (
-            tuple(invert_permutation(h, ctx) for h in self.h_polys)
-            if self.h_polys is not None
-            else None
-        )
+        # the even half conjugates h by x+1; RING_ADDITIVE is RING_GLUED with h = p
+        if self.h_polys is None:
+            self._h, self._h_inv = self.p_polys, self._p_inv
+        else:
+            self._h = self.h_polys
+            self._h_inv = tuple(invert_permutation(h, ctx) for h in self.h_polys)
 
     def _validate_polys(self, polys, label):
         for idx, p in enumerate(polys):
@@ -112,18 +113,12 @@ class QuasigroupSpec:
 
     # -- the operation and its adjoints -------------------------------------
 
-    def _piece_value(self, idx: int, a: int) -> int:
-        # value of coordinate idx's ring permutation at a (RING modes)
+    def _glued(self, odd, even, a: int) -> int:
+        # the ring permutation acting as odd on odd a and as even, conjugated
+        # by x+1, on even a (RING modes; inverses glue the same way)
         if a & 1:
-            return evaluate(self.p_polys[idx], a, self.ctx)
-        base = self.p_polys[idx] if self.mode is Mode.RING_ADDITIVE else self.h_polys[idx]
-        return (evaluate(base, a + 1, self.ctx) - 1) & self.ctx.mask
-
-    def _piece_inverse(self, idx: int, c: int) -> int:
-        if c & 1:
-            return evaluate(self._p_inv[idx], c, self.ctx)
-        base = self._p_inv[idx] if self.mode is Mode.RING_ADDITIVE else self._h_inv[idx]
-        return (evaluate(base, c + 1, self.ctx) - 1) & self.ctx.mask
+            return evaluate(odd, a, self.ctx)
+        return (evaluate(even, a + 1, self.ctx) - 1) & self.ctx.mask
 
     def apply(self, args) -> int:
         """The quasigroup operation on a full argument tuple."""
@@ -136,7 +131,7 @@ class QuasigroupSpec:
             return out
         total = 0
         for idx, a in enumerate(args):
-            total = (total + self._piece_value(idx, a)) & mask
+            total = (total + self._glued(self.p_polys[idx], self._h[idx], a)) & mask
         return total
 
     def adjoint(self, i: int, args) -> int:
@@ -163,8 +158,8 @@ class QuasigroupSpec:
         acc = target
         for j in range(self.k):
             if j != idx:
-                acc = (acc - self._piece_value(j, args[j])) & mask
-        return self._piece_inverse(idx, acc)
+                acc = (acc - self._glued(self.p_polys[j], self._h[j], args[j])) & mask
+        return self._glued(self._p_inv[idx], self._h_inv[idx], acc)
 
     # -- verification --------------------------------------------------------
 

@@ -11,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
+from .poly import _as_coeffs, _eval_masked
 
 DEFAULT_BRANCH_LIMIT = 1 << 20
-
-
-def _coeff_list(poly) -> list[int]:
-    return [int(c) for c in getattr(poly, "coeffs", poly)]
 
 
 def unit_inverse(a: int, n: int) -> int:
@@ -40,13 +37,6 @@ def unit_inverse(a: int, n: int) -> int:
     return inv
 
 
-def _eval_masked(coeffs: list[int], x: int, mask: int) -> int:
-    value = 0
-    for c in reversed(coeffs):
-        value = (value * x + c) & mask
-    return value
-
-
 def hensel_roots(poly, n: int, *, branch_limit: int = DEFAULT_BRANCH_LIMIT) -> list[int]:
     """All roots of the polynomial modulo 2**n, ascending.
 
@@ -65,7 +55,7 @@ def hensel_roots(poly, n: int, *, branch_limit: int = DEFAULT_BRANCH_LIMIT) -> l
     if n < 1:
         raise ValueError("modulus exponent must be positive")
     full_mask = (1 << n) - 1
-    coeffs = [c & full_mask for c in _coeff_list(poly)]
+    coeffs = [c & full_mask for c in _as_coeffs(poly)]
     frontier = [0]
     for k in range(n):
         step_mask = (2 << k) - 1

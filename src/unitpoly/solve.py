@@ -115,7 +115,7 @@ def interpolate(values, ctx: Context) -> ReducedPoly:
     newton = []
     odd_factorial = 1
     for k in range(ctx.d + 1):
-        exponent = k + ctx.t[k]
+        exponent = ctx.n - ctx.coeff_bits[k]  # k + t_k
         diff = vals[0]
         if diff & ((1 << exponent) - 1):
             raise InconsistentTable(
@@ -162,7 +162,7 @@ def interpolate_at_nodes(nodes, values, ctx: Context, *, max_solutions: int | No
             return []
     pivot_for_col = {col: (row, exponent) for row, col, exponent in pivots}
     mask = ctx.mask
-    solutions: list[ReducedPoly] = []
+    solutions: list[tuple[int, ...]] = []
     assignment = [0] * width
 
     def candidates(col: int) -> range:
@@ -191,11 +191,11 @@ def interpolate_at_nodes(nodes, values, ctx: Context, *, max_solutions: int | No
         if col:
             stack.append(iter(candidates(col - 1)))
             continue
-        solutions.append(ReducedPoly(tuple(assignment), ctx.n))
+        solutions.append(tuple(assignment))
         if max_solutions is not None and len(solutions) > max_solutions:
             raise BudgetExceeded(f"more than {max_solutions} polynomials fit the table")
-    solutions.sort(key=lambda r: r.coeffs)
-    return solutions
+    solutions.sort()
+    return [ReducedPoly(coeffs, ctx.n) for coeffs in solutions]
 
 
 def invert_permutation(poly, ctx: Context) -> ReducedPoly:

@@ -34,6 +34,15 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
+def test_usage_error_then_valid_command(capsys):
+    code, out, err = invoke(capsys, "reduce", "--n", "5")
+    assert (code, out) == (2, "") and "--poly" in err
+    code, _, _ = invoke(capsys, "reduce", "--n", "5", "--poly", "1,0,0,0,0,3",
+                        "--format", "json")
+    assert code == 0
+    assert invoke(capsys, "reduce", "--n", "5", "--poly", "1,0,0,0,0,3") == (0, "31,3,2\n", "")
+
+
 def test_eval(capsys):
     code, out, _ = invoke(capsys, "eval", "--n", "4", "--poly", "5,1,1", "--at", "3")
     assert (code, out) == (0, "1\n")

@@ -20,7 +20,7 @@ from unitpoly import (
     reduce,
     rivest_permutes_ring,
 )
-from unitpoly.errors import NotAPermutation
+from unitpoly.errors import BudgetExceeded, NotAPermutation
 from unitpoly.quasigroup import random_permutational_poly
 from unitpoly.oracle import (
     oracle_bivariate_table,
@@ -281,6 +281,16 @@ def test_glue_requires_permutations():
         glue_polynomial((4, 4, 1), (2, 1), ctx)
     with pytest.raises(NotAPermutation):
         glue_polynomial((2, 1), (4, 4, 1), ctx)
+
+
+@pytest.mark.parametrize("n", [23, 64])
+def test_glue_budget(n):
+    # the indicator x**(2**(n-2)) has more than 2**20 coefficients from n = 23 on
+    ctx = Context(n)
+    with pytest.raises(BudgetExceeded):
+        indicator_polys(ctx)
+    with pytest.raises(BudgetExceeded):
+        glue_polynomial((2, 1), (2, 1), ctx)
 
 
 # -- bivariate quasigroup test ------------------------------------------------

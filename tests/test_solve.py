@@ -152,6 +152,17 @@ def test_interp_nodes_solution_cap():
     assert len(fits) == 4
 
 
+@pytest.mark.parametrize("nodes, values", [((1,), (5,)), ((1, 3), (5, 7)), ((3, 7), (9, 1))])
+def test_interp_nodes_cap_at_the_count_returns_the_uncapped_list(nodes, values):
+    ctx = Context(6)
+    fits = interpolate_at_nodes(nodes, values, ctx)
+    assert len(fits) > 1
+    assert [rp.coeffs for rp in fits] == sorted(rp.coeffs for rp in fits)
+    assert interpolate_at_nodes(nodes, values, ctx, max_solutions=len(fits)) == fits
+    with pytest.raises(BudgetExceeded):
+        interpolate_at_nodes(nodes, values, ctx, max_solutions=len(fits) - 1)
+
+
 # -- functional inverse -------------------------------------------------------
 
 
