@@ -6,6 +6,13 @@ first. JSON mode wraps results as {"ok": ...} and failures as
 {"error": {"type": ..., "message": ...}}; big integers travel as decimal
 strings. Exit codes: 0 success, 1 domain error, 2 usage error. The env
 var UNITPOLY_MAX_N overrides the default ceiling on n.
+
+Each subcommand is one row of _COMMANDS: name, help text, flag names
+(every flag's argparse spec is declared once, in _FLAGS) and a handler.
+run() turns --n into args.ctx, checked against the ceiling, for every
+command that takes --n, and _render() prints a result by its type.
+Handlers call library functions by their module-level names when they
+run, so a wrapper installed on those names sees every call.
 """
 
 from __future__ import annotations
@@ -16,11 +23,14 @@ import json
 import os
 import random
 import sys
+from collections.abc import Callable, Mapping
+from typing import NamedTuple
 
 from .census import census_report, keller_identity_check
 from .context import DEFAULT_MAX_N, Context
 from .errors import UnitPolyError
 from .poly import (
+    ReducedPoly,
     evaluate,
     ideal_generators,
     induces_function_on_units,
@@ -50,10 +60,6 @@ def _max_n() -> int:
         raise ValueError(f"UNITPOLY_MAX_N must be an integer, got {raw!r}") from None
 
 
-def _context(n: int) -> Context:
-    return Context(n, max_n=_max_n())
-
-
 def _poly_arg(text: str):
     try:
         return parse_poly(text)
@@ -68,62 +74,25 @@ def _ints_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _poly_result(rp):
-    text = rp.text()
-    return {"poly": text.split(",")}, text, 0
+def _render(result):
+    """(payload, text, exit code) for a handler's result, by its type."""
+    if isinstance(result, ReducedPoly):
+        text = result.text()
+        return {"poly": text.split(",")}, text, 0
+    if isinstance(result, bool):  # before int: bool is a subclass of int
+        return {"result": result}, "true" if result else "false", 0
+    if isinstance(result, int):
+        return {"value": str(result)}, str(result), 0
+    return result  # already (payload, text, exit code)
 
 
-def _bool_result(value: bool):
-    return {"result": bool(value)}, "true" if value else "false", 0
-
-
-# -- handlers ----------------------------------------------------------------
-
-
-def _cmd_reduce(args):
-    return _poly_result(reduce(args.poly, _context(args.n)))
-
-
-def _cmd_eval(args):
-    value = evaluate(args.poly, args.at, _context(args.n))
-    return {"value": str(value)}, str(value), 0
-
-
-def _cmd_member(args):
-    return _bool_result(induces_function_on_units(args.poly))
-
-
-def _cmd_perm(args):
-    return _bool_result(induces_permutation_on_units(args.poly))
-
-
-def _cmd_rivest(args):
-    return _bool_result(rivest_permutes_ring(args.poly))
-
-
-def _cmd_interp(args):
-    return _poly_result(interpolate(args.values, _context(args.n)))
+# -- handlers with their own output shape ------------------------------------
 
 
 def _cmd_interp_nodes(args):
-    fits = interpolate_at_nodes(
-        args.nodes, args.values, _context(args.n), max_solutions=args.limit
-    )
+    fits = interpolate_at_nodes(args.nodes, args.values, args.ctx, max_solutions=args.limit)
     payload = {"polys": [rp.text().split(",") for rp in fits]}
     return payload, [rp.text() for rp in fits], 0
-
-
-def _cmd_invert(args):
-    return _poly_result(invert_permutation(args.poly, _context(args.n)))
-
-
-def _cmd_mulinv(args):
-    return _poly_result(multiplicative_inverse(args.poly, _context(args.n)))
-
-
-def _cmd_mul(args):
-    ctx = _context(args.n)
-    return _poly_result(multiply_reduced(reduce(args.poly, ctx), reduce(args.by, ctx), ctx))
 
 
 def _cmd_hensel_roots(args):
@@ -131,26 +100,9 @@ def _cmd_hensel_roots(args):
     return {"roots": [str(r) for r in roots]}, ",".join(str(r) for r in roots), 0
 
 
-def _cmd_unit_inv(args):
-    _context(args.n)  # enforce the same n ceiling as every other command
-    value = unit_inverse(args.value, args.n)
-    return {"value": str(value)}, str(value), 0
-
-
 def _cmd_count(args):
-    _context(args.n)
     report = census_report(args.n).to_dict()
-    lines = []
-    for key, value in report.items():
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key} = {value}")
-    return report, lines, 0
-
-
-def _cmd_keller(args):
-    _context(args.n)
-    return _bool_result(keller_identity_check(args.n))
+    return report, [f"{key} = {_render(value)[1]}" for key, value in report.items()], 0
 
 
 def _load_spec(args) -> QuasigroupSpec:
@@ -165,24 +117,8 @@ def _load_spec(args) -> QuasigroupSpec:
     return QuasigroupSpec.from_json(text, max_n=_max_n())
 
 
-def _cmd_qg_apply(args):
-    value = _load_spec(args).apply(args.args)
-    return {"value": str(value)}, str(value), 0
-
-
-def _cmd_qg_adjoint(args):
-    value = _load_spec(args).adjoint(args.coord, args.args)
-    return {"value": str(value)}, str(value), 0
-
-
-def _cmd_qg_check(args):
-    ok = _load_spec(args).latin_check(budget=args.budget)
-    return _bool_result(ok)
-
-
 def _cmd_qg_random(args):
-    ctx = _context(args.n)
-    spec = QuasigroupSpec.random(ctx, args.k, args.mode.upper(), random.Random(args.seed))
+    spec = QuasigroupSpec.random(args.ctx, args.k, args.mode.upper(), random.Random(args.seed))
     data = spec.to_dict()
     return {"spec": data}, json.dumps(data, sort_keys=True), 0
 
@@ -274,103 +210,101 @@ def _cmd_selftest(args):
     return payload, lines, 0 if failed == 0 else 1
 
 
-# -- parser ------------------------------------------------------------------
+# -- the command table -------------------------------------------------------
+
+
+_FLAGS = {
+    "format": {"choices": ("text", "json"), "default": "text", "help": "output format"},
+    "n": {"type": int, "required": True, "help": "modulus exponent"},
+    "poly": {"type": _poly_arg, "required": True},
+    "by": {"type": _poly_arg, "required": True},
+    "at": {"type": int, "required": True},
+    "values": {"type": _ints_arg, "required": True},
+    "nodes": {"type": _ints_arg, "required": True},
+    "limit": {"type": int, "default": 1 << 12, "help": "cap on the solution count (default 4096)"},
+    "branch-limit": {"type": int, "default": 1 << 20},
+    "value": {"type": int, "required": True},
+    "spec": {"required": True, "help": "spec JSON file, or - for stdin"},
+    "args": {"type": _ints_arg, "required": True},
+    "coord": {"type": int, "required": True, "help": "coordinate to solve for, 1-based"},
+    "budget": {"type": int, "default": 1 << 20},
+    "k": {"type": int, "required": True},
+    "mode": {"choices": ("unit_product", "ring_additive", "ring_glued"), "required": True},
+    "seed": {"type": int, "required": True},
+}
+
+
+class _Command(NamedTuple):
+    name: str
+    help: str
+    flags: tuple[str, ...] = ()
+    handler: Callable | None = None  # None: a group of subcommands
+    flag_help: Mapping[str, str | None] = {}  # this command's help for a flag
+
+
+_COMMANDS = (
+    _Command("reduce", "canonical form of a polynomial", ("n", "poly"),
+             lambda a: reduce(a.poly, a.ctx)),
+    _Command("eval", "evaluate at a point", ("n", "poly", "at"),
+             lambda a: evaluate(a.poly, a.at, a.ctx)),
+    _Command("member", "does it map odd residues to odd residues?", ("poly",),
+             lambda a: induces_function_on_units(a.poly)),
+    _Command("perm", "does it permute the odd residues?", ("poly",),
+             lambda a: induces_permutation_on_units(a.poly)),
+    _Command("rivest", "does it permute the whole ring?", ("poly",),
+             lambda a: rivest_permutes_ring(a.poly)),
+    _Command("interp", "interpolate values at the standard odd nodes", ("n", "values"),
+             lambda a: interpolate(a.values, a.ctx)),
+    _Command("interp-nodes", "all canonical fits through arbitrary odd nodes",
+             ("n", "nodes", "values", "limit"), _cmd_interp_nodes),
+    _Command("invert", "inverse of a permutation of the odd residues", ("n", "poly"),
+             lambda a: invert_permutation(a.poly, a.ctx)),
+    _Command("mulinv", "pointwise multiplicative inverse", ("n", "poly"),
+             lambda a: multiplicative_inverse(a.poly, a.ctx)),
+    _Command("mul", "product of two canonical forms", ("n", "poly", "by"),
+             lambda a: multiply_reduced(reduce(a.poly, a.ctx), reduce(a.by, a.ctx), a.ctx)),
+    _Command("hensel-roots", "all roots modulo 2**n", ("n", "poly", "branch-limit"),
+             _cmd_hensel_roots),
+    _Command("unit-inv", "inverse of an odd residue", ("n", "value"),
+             lambda a: unit_inverse(a.ctx.check_unit(a.value), a.n)),
+    _Command("count", "function counts as log2 exponents", ("n",), _cmd_count),
+    _Command("keller", "check the counting identity at one n", ("n",),
+             lambda a: keller_identity_check(a.n)),
+    _Command("qg", "k-ary quasigroup operations"),
+    _Command("qg apply", "apply the operation", ("spec", "args"),
+             lambda a: _load_spec(a).apply(a.args)),
+    _Command("qg adjoint", "solve for one argument", ("spec", "coord", "args"),
+             lambda a: _load_spec(a).adjoint(a.coord, a.args),
+             {"args": "argument tuple with the target value in the solved position"}),
+    _Command("qg check", "exhaustive quasigroup verification", ("spec", "budget"),
+             lambda a: _load_spec(a).latin_check(budget=a.budget)),
+    _Command("qg random", "seeded random spec", ("n", "k", "mode", "seed"), _cmd_qg_random,
+             {"n": None}),
+    _Command("selftest", "run the built-in worked examples", (), _cmd_selftest),
+)
 
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-
     parser = argparse.ArgumentParser(
         prog="unitpoly",
         description="Polynomial functions on the odd residues modulo 2**n.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help_text, need_n=True):
-        p = sub.add_parser(name, parents=[shared], help=help_text)
-        if need_n:
-            p.add_argument("--n", type=int, required=True, help="modulus exponent")
-        p.set_defaults(handler=handler)
-        return p
-
-    p = command("reduce", _cmd_reduce, "canonical form of a polynomial")
-    p.add_argument("--poly", type=_poly_arg, required=True)
-
-    p = command("eval", _cmd_eval, "evaluate at a point")
-    p.add_argument("--poly", type=_poly_arg, required=True)
-    p.add_argument("--at", type=int, required=True)
-
-    p = command("member", _cmd_member, "does it map odd residues to odd residues?", need_n=False)
-    p.add_argument("--poly", type=_poly_arg, required=True)
-
-    p = command("perm", _cmd_perm, "does it permute the odd residues?", need_n=False)
-    p.add_argument("--poly", type=_poly_arg, required=True)
-
-    p = command("rivest", _cmd_rivest, "does it permute the whole ring?", need_n=False)
-    p.add_argument("--poly", type=_poly_arg, required=True)
-
-    p = command("interp", _cmd_interp, "interpolate values at the standard odd nodes")
-    p.add_argument("--values", type=_ints_arg, required=True)
-
-    p = command("interp-nodes", _cmd_interp_nodes, "all canonical fits through arbitrary odd nodes")
-    p.add_argument("--nodes", type=_ints_arg, required=True)
-    p.add_argument("--values", type=_ints_arg, required=True)
-    p.add_argument("--limit", type=int, default=1 << 12, help="cap on the solution count (default 4096)")
-
-    p = command("invert", _cmd_invert, "inverse of a permutation of the odd residues")
-    p.add_argument("--poly", type=_poly_arg, required=True)
-
-    p = command("mulinv", _cmd_mulinv, "pointwise multiplicative inverse")
-    p.add_argument("--poly", type=_poly_arg, required=True)
-
-    p = command("mul", _cmd_mul, "product of two canonical forms")
-    p.add_argument("--poly", type=_poly_arg, required=True)
-    p.add_argument("--by", type=_poly_arg, required=True)
-
-    p = command("hensel-roots", _cmd_hensel_roots, "all roots modulo 2**n")
-    p.add_argument("--poly", type=_poly_arg, required=True)
-    p.add_argument("--branch-limit", type=int, default=1 << 20)
-
-    p = command("unit-inv", _cmd_unit_inv, "inverse of an odd residue")
-    p.add_argument("--value", type=int, required=True)
-
-    command("count", _cmd_count, "function counts as log2 exponents")
-    command("keller", _cmd_keller, "check the counting identity at one n")
-
-    qg = sub.add_parser("qg", help="k-ary quasigroup operations")
-    qg_sub = qg.add_subparsers(dest="qg_command", required=True)
-
-    p = qg_sub.add_parser("apply", parents=[shared], help="apply the operation")
-    p.add_argument("--spec", required=True, help="spec JSON file, or - for stdin")
-    p.add_argument("--args", type=_ints_arg, required=True)
-    p.set_defaults(handler=_cmd_qg_apply)
-
-    p = qg_sub.add_parser("adjoint", parents=[shared], help="solve for one argument")
-    p.add_argument("--spec", required=True, help="spec JSON file, or - for stdin")
-    p.add_argument("--coord", type=int, required=True, help="coordinate to solve for, 1-based")
-    p.add_argument("--args", type=_ints_arg, required=True,
-                   help="argument tuple with the target value in the solved position")
-    p.set_defaults(handler=_cmd_qg_adjoint)
-
-    p = qg_sub.add_parser("check", parents=[shared], help="exhaustive quasigroup verification")
-    p.add_argument("--spec", required=True, help="spec JSON file, or - for stdin")
-    p.add_argument("--budget", type=int, default=1 << 20)
-    p.set_defaults(handler=_cmd_qg_check)
-
-    p = qg_sub.add_parser("random", parents=[shared], help="seeded random spec")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=("unit_product", "ring_additive", "ring_glued"),
-                   required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(handler=_cmd_qg_random)
-
-    command("selftest", _cmd_selftest, "run the built-in worked examples", need_n=False)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for row in _COMMANDS:
+        group, _, name = row.name.rpartition(" ")
+        if row.handler is None:
+            groups[name] = groups[group].add_parser(name, help=row.help).add_subparsers(
+                dest=f"{name}_command", required=True
+            )
+            continue
+        p = groups[group].add_parser(name, help=row.help)
+        for flag in ("format", *row.flags):
+            spec = _FLAGS[flag]
+            if flag in row.flag_help:
+                spec = {**spec, "help": row.flag_help[flag]}
+            p.add_argument(f"--{flag}", **spec)
+        p.set_defaults(handler=row.handler)
     return parser
 
 
@@ -381,7 +315,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload, text, code = args.handler(args)
+        if "n" in args:  # the one ceiling check, for every command with --n
+            args.ctx = Context(args.n, max_n=_max_n())
+        payload, text, code = _render(args.handler(args))
     except (UnitPolyError, ValueError) as exc:
         if args.format == "json":
             print(json.dumps(
@@ -393,12 +329,11 @@ def run(argv=None) -> int:
         return 1
     if args.format == "json":
         print(json.dumps({"ok": payload}, sort_keys=True))
+    elif isinstance(text, list):
+        for line in text:
+            print(line)
     else:
-        if isinstance(text, list):
-            for line in text:
-                print(line)
-        elif text is not None:
-            print(text)
+        print(text)
     return code
 
 

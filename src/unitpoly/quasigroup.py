@@ -215,18 +215,24 @@ class QuasigroupSpec:
 
     @classmethod
     def from_dict(cls, data: dict, max_n: int = DEFAULT_MAX_N) -> "QuasigroupSpec":
+        """The spec a document describes; ValueError if it is malformed."""
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"malformed quasigroup document: expected an object, got {type(data).__name__}"
+            )
         try:
             n = int(data["n"])
             k = int(data["k"])
             mode = Mode(str(data["mode"]).upper())
-            p_arrays = data["p"]
-        except (KeyError, ValueError) as exc:
+            p_rows = [tuple(int(c) for c in arr) for arr in data["p"]]
+            h_rows = data.get("h")
+            if h_rows is not None:
+                h_rows = [tuple(int(c) for c in arr) for arr in h_rows]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed quasigroup document: {exc}") from None
         ctx = Context(n, max_n=max_n)
-        p_polys = [ReducedPoly(tuple(int(c) for c in arr), n) for arr in p_arrays]
-        h_polys = None
-        if data.get("h") is not None:
-            h_polys = [ReducedPoly(tuple(int(c) for c in arr), n) for arr in data["h"]]
+        p_polys = [ReducedPoly(row, n) for row in p_rows]
+        h_polys = None if h_rows is None else [ReducedPoly(row, n) for row in h_rows]
         spec = cls(ctx, mode, p_polys, h_polys)
         if spec.k != k:
             raise ValueError(f"document says k={k} but carries {spec.k} polynomials")
@@ -236,7 +242,7 @@ class QuasigroupSpec:
     def from_json(cls, text: str, max_n: int = DEFAULT_MAX_N) -> "QuasigroupSpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax, too long a number, too deep
             raise ValueError(f"malformed quasigroup document: {exc}") from None
         return cls.from_dict(data, max_n=max_n)
 

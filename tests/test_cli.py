@@ -137,6 +137,27 @@ def test_keller(capsys):
     assert (code, out) == (0, "true\n")
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["eval", "--n", "4", "--poly", "5,1,1", "--at", "3"], '{"ok": {"value": "1"}}'),
+        (["unit-inv", "--n", "4", "--value", "3"], '{"ok": {"value": "11"}}'),
+        (["qg", "apply", "--spec", "{spec}", "--args", "3,5"], '{"ok": {"value": "31"}}'),
+        (["member", "--poly", "2,1"], '{"ok": {"result": true}}'),
+        (["perm", "--poly", "4,4,1"], '{"ok": {"result": false}}'),
+        (["keller", "--n", "1024"], '{"ok": {"result": true}}'),
+        (["qg", "check", "--spec", "{spec}"], '{"ok": {"result": true}}'),
+        (["interp", "--n", "4", "--values", "9,5,9"], '{"ok": {"poly": ["6", "2", "1"]}}'),
+        (["interp-nodes", "--n", "4", "--nodes", "1,5,9", "--values", "9,9,9"],
+         '{"ok": {"polys": [["2", "6", "1"], ["5", "4"], ["6", "2", "1"], ["9"]]}}'),
+        (["hensel-roots", "--n", "4", "--poly=-1,0,1"], '{"ok": {"roots": ["1", "7", "9", "15"]}}'),
+    ],
+)
+def test_json_shape_of_each_result_type(capsys, spec_file, argv, expected):
+    argv = [str(spec_file) if arg == "{spec}" else arg for arg in argv]
+    assert invoke(capsys, *argv, "--format", "json") == (0, expected + "\n", "")
+
+
 # -- exit codes and error shapes ----------------------------------------------
 
 
@@ -164,6 +185,21 @@ def test_domain_error_exits_1_json(capsys):
     assert "divide" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["unit-inv", "--n", "8", "--value", "-1"],
+        ["unit-inv", "--n", "8", "--value", "1001"],
+        ["hensel-roots", "--n", "1", "--poly", "0,1"],
+    ],
+    ids=["unit-inv-negative", "unit-inv-past-modulus", "hensel-roots-n-1"],
+)
+def test_out_of_range_input_is_a_domain_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ValueError:")
+
+
 def test_not_a_permutation_error_type(capsys):
     code, out, _ = invoke(capsys, "invert", "--n", "4", "--poly", "4,4,1",
                           "--format", "json")
@@ -180,6 +216,9 @@ def test_max_n_env_override(capsys, monkeypatch):
     code, _, err = invoke(capsys, "reduce", "--n", "9", "--poly", "1")
     assert code == 1
     assert "9" in err
+    code, out, err = invoke(capsys, "hensel-roots", "--n", "9", "--poly", "0,1")
+    assert (code, out) == (1, "")
+    assert "ceiling" in err
 
 
 def test_max_n_env_must_be_integer(capsys, monkeypatch):
@@ -253,13 +292,28 @@ def test_qg_missing_file_is_domain_error(capsys):
     assert "cannot read spec file" in err
 
 
-def test_qg_malformed_spec_json_error(capsys, tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"n": 6}')
-    code, out, _ = invoke(capsys, "qg", "apply", "--spec", str(path),
-                          "--args", "1", "--format", "json")
-    assert code == 1
-    assert "malformed" in json.loads(out)["error"]["message"]
+@pytest.mark.parametrize(
+    "document",
+    [
+        '{"n": 6}',
+        "[1,2]",
+        "null",
+        '{"n":6,"k":1,"mode":"UNIT_PRODUCT","p":5}',
+        '{"n":6,"k":1,"mode":"UNIT_PRODUCT","p":[[null]]}',
+        '{"n":6,"k":1,"mode":"UNIT_PRODUCT","p":[["1","1"]],"h":7}',
+        '{"n":1e400,"k":1,"mode":"UNIT_PRODUCT","p":[["1","1"]]}',
+        "[" * 100_000,
+    ],
+    ids=["missing-keys", "list", "null", "p-int", "p-null", "h-int", "n-inf", "too-deep"],
+)
+def test_qg_malformed_spec_json_error(capsys, monkeypatch, document):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(document))
+    code, out, err = invoke(capsys, "qg", "apply", "--spec", "-", "--args", "3",
+                            "--format", "json")
+    assert (code, err) == (1, "")
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("malformed quasigroup document:")
 
 
 # -- selftest -------------------------------------------------------------------

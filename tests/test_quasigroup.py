@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitpoly import (
     BudgetExceeded,
@@ -13,6 +15,7 @@ from unitpoly import (
     NotAPermutation,
     QuasigroupSpec,
     ReducedPoly,
+    UnitPolyError,
     random_permutational_poly,
     reduce,
 )
@@ -220,6 +223,50 @@ def test_malformed_documents_rejected(mutate):
 def test_from_json_rejects_bad_text():
     with pytest.raises(ValueError):
         QuasigroupSpec.from_json("not json at all")
+
+
+# Documents arrive from outside (a file or stdin): whatever the text, from_json
+# returns a spec or raises a domain error, never TypeError or OverflowError.
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# anything int() accepts here is at most 8, so a well-formed document stays cheap to build
+_SMALL_N = (
+    st.integers(max_value=8)
+    | st.floats(max_value=8)
+    | st.sampled_from([float("inf"), float("nan"), None, True, [6], {"n": 6}])
+    | st.text(st.characters(blacklist_categories=("Nd",)), max_size=4)
+)
+_ROWS = st.lists(
+    st.lists(st.integers(-300, 300) | st.from_regex(r"-?[0-9]{1,3}", fullmatch=True) | _JSON,
+             max_size=5),
+    max_size=3,
+)
+
+
+@st.composite
+def _documents(draw):
+    """A valid spec's document with up to three of its keys replaced by junk."""
+    n, k, mode = draw(st.integers(2, 8)), draw(st.integers(1, 3)), draw(st.sampled_from(Mode))
+    spec = QuasigroupSpec.random(Context(n), k, mode, random.Random(draw(st.integers(0, 99))))
+    data = spec.to_dict()
+    keys = st.sampled_from(["n", "k", "mode", "p", "h", "extra"])
+    for key in draw(st.lists(keys, max_size=3, unique=True)):
+        data[key] = draw(_SMALL_N if key == "n" else _JSON | _ROWS)
+    return data
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text() | _JSON.map(json.dumps) | _documents().map(json.dumps))
+def test_any_json_text_is_a_spec_or_a_domain_error(text):
+    try:
+        spec = QuasigroupSpec.from_json(text)
+    except (ValueError, UnitPolyError):
+        return
+    assert QuasigroupSpec.from_json(spec.to_json()).to_dict() == spec.to_dict()
 
 
 def test_random_spec_is_deterministic():
