@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .context import max_reduced_degree, two_adic_factorial_valuation
+from .context import coeff_widths, two_adic_factorial_valuation
 
 
 def _require(n: int) -> None:
@@ -16,15 +16,15 @@ def _require(n: int) -> None:
         raise ValueError(f"modulus exponent must be at least 2, got {n}")
 
 
-def _valuation_sum(d: int) -> int:
-    return sum(two_adic_factorial_valuation(i) for i in range(d + 1))
-
-
 def count_reduced(n: int) -> int:
-    """log2 of the number of polynomial functions on the odd residues."""
+    """log2 of the number of polynomial functions on the odd residues.
+
+    Slot i of a canonical polynomial takes 2**coeff_widths(n)[i] values,
+    less one bit for the parity that keeps odd residues odd.
+    """
     _require(n)
-    d = max_reduced_degree(n)
-    return ((2 * n - d) * (d + 1)) // 2 - 1 - _valuation_sum(d)
+    # uncached, so a sweep over many n leaves the width cache to Contexts
+    return sum(coeff_widths.__wrapped__(n)) - 1
 
 
 def count_permutational(n: int) -> int:
@@ -56,9 +56,12 @@ def keller_beta(j: int) -> int:
     return s
 
 
-def _beta_sum(n: int) -> int:
+def keller_exponent(n: int) -> int:
+    """Exponent of the classical factorial-threshold count, 3 + sum of
+    keller_beta(j) for 3 <= j <= n (empty sum at n = 2)."""
+    _require(n)
     # t_s is non-decreasing, so one upward scan crosses each threshold once
-    total = 0
+    total = 3
     s = 1
     for j in range(3, n + 1):
         while two_adic_factorial_valuation(s) < j:
@@ -67,23 +70,10 @@ def _beta_sum(n: int) -> int:
     return total
 
 
-def keller_exponent(n: int) -> int:
-    """Exponent of the classical factorial-threshold count, 3 + sum of
-    keller_beta(j) for 3 <= j <= n (empty sum at n = 2)."""
-    _require(n)
-    return 3 + _beta_sum(n)
-
-
 def keller_identity_check(n: int) -> bool:
-    """Cross-check the two counting routes for ring permutations.
-
-    Verifies 2 * sum(t_i, i <= d) + sum(beta_j, 3 <= j <= n)
-    == (2n - d)(d + 1) - 6, which says the factorial-threshold count
-    equals the count derived from canonical forms.
-    """
-    _require(n)
-    d = max_reduced_degree(n)
-    return 2 * _valuation_sum(d) + _beta_sum(n) == (2 * n - d) * (d + 1) - 6
+    """Cross-check the two counting routes for ring permutations: the
+    factorial-threshold count equals the count derived from canonical forms."""
+    return keller_exponent(n) == count_ring_permutational(n)
 
 
 @dataclass(frozen=True)
@@ -102,11 +92,12 @@ class CensusReport:
 
 
 def census_report(n: int) -> CensusReport:
+    keller, ring = keller_exponent(n), count_ring_permutational(n)
     return CensusReport(
         n=n,
         log2_reduced=count_reduced(n),
         log2_permutational=count_permutational(n),
-        log2_ring_permutational=count_ring_permutational(n),
-        keller_exponent=keller_exponent(n),
-        identity_ok=keller_identity_check(n),
+        log2_ring_permutational=ring,
+        keller_exponent=keller,
+        identity_ok=keller == ring,
     )

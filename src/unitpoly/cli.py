@@ -39,8 +39,8 @@ from .poly import (
     reduce,
     rivest_permutes_ring,
 )
-from .quasigroup import QuasigroupSpec
-from .residue import check_unit_group_structure, hensel_roots, unit_inverse
+from .quasigroup import DEFAULT_LATIN_BUDGET, QuasigroupSpec
+from .residue import DEFAULT_BRANCH_LIMIT, check_unit_group_structure, hensel_roots, unit_inverse
 from .solve import (
     interpolate,
     interpolate_at_nodes,
@@ -222,12 +222,12 @@ _FLAGS = {
     "values": {"type": _ints_arg, "required": True},
     "nodes": {"type": _ints_arg, "required": True},
     "limit": {"type": int, "default": 1 << 12, "help": "cap on the solution count (default 4096)"},
-    "branch-limit": {"type": int, "default": 1 << 20},
+    "branch-limit": {"type": int, "default": DEFAULT_BRANCH_LIMIT},
     "value": {"type": int, "required": True},
     "spec": {"required": True, "help": "spec JSON file, or - for stdin"},
     "args": {"type": _ints_arg, "required": True},
     "coord": {"type": int, "required": True, "help": "coordinate to solve for, 1-based"},
-    "budget": {"type": int, "default": 1 << 20},
+    "budget": {"type": int, "default": DEFAULT_LATIN_BUDGET},
     "k": {"type": int, "required": True},
     "mode": {"choices": ("unit_product", "ring_additive", "ring_glued"), "required": True},
     "seed": {"type": int, "required": True},

@@ -1,58 +1,48 @@
 """Shared constants for arithmetic modulo 2**n.
 
-Everything downstream keys off two integer tables: t_i, the two-adic
-valuation of i!, and d_n, the largest degree a canonical polynomial can
-need modulo 2**n; coeff_widths turns them into the slot widths of a
-canonical coefficient vector. A Context bundles those with the modulus.
+Everything downstream keys off one integer table, coeff_widths(n): the
+slot widths n - i - t_i of a canonical coefficient vector, t_i being the
+two-adic valuation of i!. Its last index is d_n, the degree cap, and its
+sum counts the polynomial functions. A Context bundles it with the modulus.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 DEFAULT_MAX_N = 4096
 
 
-@functools.lru_cache(maxsize=None)
 def two_adic_factorial_valuation(i: int) -> int:
-    """Exponent of the largest power of two dividing i! (Legendre's sum).
+    """Exponent of the largest power of two dividing i! (Legendre's formula).
 
     Args:
         i: a non-negative integer.
 
     Returns:
-        The sum of floor(i / 2**k) over k >= 1.
+        The sum of floor(i / 2**k) over k >= 1, which in base two is i
+        minus the number of one bits of i.
     """
     if i < 0:
         raise ValueError("factorial valuation needs i >= 0")
-    total = 0
-    power = 2
-    while power <= i:
-        total += i // power
-        power *= 2
-    return total
+    return i - i.bit_count()
 
 
 def max_reduced_degree(n: int) -> int:
-    """Largest i with n - i - t_i > 0, the degree cap for canonical forms.
-
-    Since i + t_i is strictly increasing, a single upward scan finds it.
-    """
+    """Largest i with n - i - t_i > 0, the degree cap for canonical forms."""
     if n < 1:
         raise ValueError("modulus exponent must be positive")
-    i = 0
-    while (i + 1) + two_adic_factorial_valuation(i + 1) < n:
-        i += 1
-    return i
+    return len(coeff_widths(n)) - 1
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def coeff_widths(n: int) -> tuple[int, ...]:
     """Widths n - i - t_i, i <= d_n: canonical coefficient i modulo 2**n
-    lies in [0, 2**coeff_widths(n)[i])."""
-    return tuple(
-        n - i - two_adic_factorial_valuation(i) for i in range(max_reduced_degree(n) + 1)
-    )
+    lies in [0, 2**coeff_widths(n)[i]). i + t_i strictly increases, so the
+    widths are one upward scan, cut at the first that is not positive."""
+    scan = (n - i - two_adic_factorial_valuation(i) for i in itertools.count())
+    return tuple(itertools.takewhile(lambda width: width > 0, scan))
 
 
 class Context:

@@ -1,6 +1,7 @@
 """Counting formulas, all reported as base-2 exponents."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -33,6 +34,13 @@ def test_valuation_matches_oracle():
         assert two_adic_factorial_valuation(i) == oracle_factorial_valuation(i)
 
 
+@pytest.mark.parametrize(
+    "i, expected", [(1000, 994), (4096, 4095), (65535, 65519), (10**6, 999993)]
+)
+def test_valuation_landmarks(i, expected):
+    assert two_adic_factorial_valuation(i) == expected
+
+
 def test_valuation_rejects_negative():
     with pytest.raises(ValueError):
         two_adic_factorial_valuation(-1)
@@ -43,9 +51,24 @@ def test_degree_bound_matches_oracle():
         assert max_reduced_degree(n) == oracle_max_reduced_degree(n)
 
 
-@pytest.mark.parametrize("n, expected", [(1, 0), (4, 2), (64, 32), (128, 64), (512, 256)])
+@pytest.mark.parametrize(
+    "n, expected", [(1, 0), (4, 2), (64, 32), (128, 64), (512, 256), (4096, 2048)]
+)
 def test_degree_bound_landmarks(n, expected):
     assert max_reduced_degree(n) == expected
+
+
+def test_width_cache_is_bounded():
+    # one Context per n must not keep one width table per n alive
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(2, 1025):
+            Context(n)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 3 << 20
 
 
 def test_degree_bound_stays_below_half():
@@ -166,6 +189,21 @@ def test_report_shape():
         "log2_permutational": 10,
         "log2_ring_permutational": 21,
         "keller_exponent": 21,
+        "identity_ok": True,
+    }
+
+
+@pytest.mark.parametrize(
+    "n, reduced, ring",
+    [(64, 1136, 2271), (512, 66816, 133631), (1024, 264960, 529919), (4096, 4207616, 8415231)],
+)
+def test_report_at_large_n(n, reduced, ring):
+    assert census_report(n).to_dict() == {
+        "n": n,
+        "log2_reduced": reduced,
+        "log2_permutational": reduced - 1,
+        "log2_ring_permutational": ring,
+        "keller_exponent": ring,
         "identity_ok": True,
     }
 
