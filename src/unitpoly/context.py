@@ -4,6 +4,8 @@ Everything downstream keys off one integer table, coeff_widths(n): the
 slot widths n - i - t_i of a canonical coefficient vector, t_i being the
 two-adic valuation of i!. Its last index is d_n, the degree cap, and its
 sum counts the polynomial functions. A Context bundles it with the modulus.
+The inverse of an odd residue lives here too, below every module that
+needs it (residue re-exports it as its public home).
 """
 
 from __future__ import annotations
@@ -34,6 +36,27 @@ def max_reduced_degree(n: int) -> int:
     if n < 1:
         raise ValueError("modulus exponent must be positive")
     return len(coeff_widths(n)) - 1
+
+
+def unit_inverse(a: int, n: int) -> int:
+    """Multiplicative inverse of an odd residue modulo 2**n.
+
+    Every odd a satisfies a*a == 1 modulo 8, so a is its own inverse to
+    three bits; the step x <- x*(2 - a*x) doubles the bits that are right.
+    That makes about log2(n/3) steps of two n-bit products each.
+    """
+    if n < 1:
+        raise ValueError("modulus exponent must be positive")
+    mask = (1 << n) - 1
+    a = int(a) & mask
+    if a & 1 == 0:
+        raise ValueError("only odd residues are invertible modulo 2**n")
+    inv = a
+    bits = 3
+    while bits < n:
+        inv = (inv * (2 - a * inv)) & mask
+        bits *= 2
+    return inv
 
 
 @functools.lru_cache(maxsize=64)

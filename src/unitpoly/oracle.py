@@ -3,9 +3,11 @@
 Everything here recomputes results from first principles: factorials are
 built and factored literally, polynomial values accumulate term by term
 with plain powering and generic modulo (no Horner, no masking), and
-counting is done by exhaustive enumeration. Nothing calls the library's
-evaluation or rewriting code, so agreement between the two routes is
-meaningful evidence.
+counting is done by exhaustive enumeration. Canonical forms come from
+rewriting by the ideal generators, rebuilt on every call, where the
+library fits node values. Nothing calls the library's evaluation or
+rewriting code, so agreement between the two routes is meaningful
+evidence.
 """
 
 from __future__ import annotations
@@ -39,6 +41,37 @@ def oracle_max_reduced_degree(n: int) -> int:
         if n - i - oracle_factorial_valuation(i) > 0:
             best = i
     return best
+
+
+def oracle_reduce(poly, n: int) -> ReducedPoly:
+    """Canonical form by remainder, then fold, with freshly built generators.
+
+    B_i = (x+1)(x+3)...(x+2i-1) is multiplied out exactly for i <= d+1.
+    While the degree exceeds d, the leading term times the monic B_{d+1}
+    is subtracted; then a pass from d down to 1 subtracts the multiple of
+    2**(n-i-t_i) * B_i that brings slot i into its range. Each step takes
+    away a polynomial that vanishes on the odd residues modulo 2**n.
+    """
+    modulus = 2**n
+    d = oracle_max_reduced_degree(n)
+    products = [[1]]
+    for i in range(1, d + 2):
+        prev = [0] + products[-1] + [0]
+        products.append([lo * (2 * i - 1) + hi for lo, hi in zip(prev[1:], prev)])
+    coeffs = [int(c) % modulus for c in getattr(poly, "coeffs", poly)]
+    monic = products[d + 1]
+    while len(coeffs) > d + 1:
+        top = coeffs.pop()
+        offset = len(coeffs) - (d + 1)
+        for j in range(d + 1):
+            coeffs[offset + j] = (coeffs[offset + j] - top * monic[j]) % modulus
+    coeffs += [0] * (d + 1 - len(coeffs))
+    for i in range(d, 0, -1):
+        scale = 2 ** (n - i - oracle_factorial_valuation(i))
+        q = coeffs[i] // scale
+        for j in range(i + 1):
+            coeffs[j] = (coeffs[j] - q * scale * products[i][j]) % modulus
+    return ReducedPoly(tuple(coeffs), n)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,10 @@ A polynomial with integer coefficients induces a function on the odd
 residues by evaluation modulo 2**n. Among all polynomials inducing the
 same function there is exactly one with degree at most d_n whose i-th
 coefficient lies below 2**(n-i-t_i); that representative is ReducedPoly.
-This module holds the two polynomial types, the rewriting ideal and the
-reduction that produces canonical forms, the parity tests that classify
-what a polynomial does to the odd residues (or to the whole ring), and
-the gluing construction that welds two functions into one polynomial.
+This module holds the two polynomial types, the rewriting ideal, the
+node fit and fold that give canonical forms, parity tests for what a
+polynomial does to the odd residues (or the whole ring), and the gluing
+that welds two functions into one polynomial.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .context import Context, coeff_widths
-from .errors import BudgetExceeded, NotAPermutation
+from .context import Context, coeff_widths, unit_inverse
+from .errors import BudgetExceeded, InconsistentTable, NotAPermutation
 
 INDICATOR_BUDGET = 1 << 20  # largest unit-indicator exponent that gluing will build
 
@@ -270,7 +270,7 @@ def ideal_generators(ctx: Context) -> tuple[IntPoly, ...]:
     Index 0 holds the literal constant 2**n. Index i, for 1 <= i <= d,
     holds 2**(n-i-t_i) * (x+1)(x+3)...(x+2i-1) with coefficients reduced
     modulo 2**n. The last entry is the monic degree-(d+1) product, which
-    is what makes degree lowering possible.
+    vanishes on every odd residue; reduce folds with indices 1..d only.
     """
     if ctx._generator_cache is not None:
         return ctx._generator_cache
@@ -293,32 +293,52 @@ def ideal_generators(ctx: Context) -> tuple[IntPoly, ...]:
     return ctx._generator_cache
 
 
+def _fit_nodes(vals: list[int], ctx: Context) -> list[int]:
+    """Unfolded coefficients, degree <= d, taking the values vals at 1, 3, ..., 2d+1.
+
+    The k-th step-2 difference at 1 is 2**(k + t_k) * odd(k!) times the
+    k-th Newton coefficient, or InconsistentTable is raised; Horner's rule
+    then converts the Newton form to monomials."""
+    mask = ctx.mask
+    newton = []
+    odd_factorial = 1
+    for k in range(ctx.d + 1):
+        exponent = ctx.n - ctx.coeff_bits[k]  # k + t_k
+        diff = vals[0]
+        if diff & ((1 << exponent) - 1):
+            raise InconsistentTable(
+                f"no polynomial function fits: 2**{exponent} does not divide "
+                f"{diff} at degree {k}"
+            )
+        if k:
+            odd_factorial = (odd_factorial * (k >> ((k & -k).bit_length() - 1))) & mask
+        newton.append(((diff >> exponent) * unit_inverse(odd_factorial, ctx.n)) & mask)
+        vals = [(b - a) & mask for a, b in zip(vals, vals[1:])]
+    coeffs = [newton[-1]]
+    for k in range(ctx.d - 1, -1, -1):
+        # coeffs <- coeffs * (x - (2k+1)) + newton[k]
+        root = 2 * k + 1
+        coeffs = [(lo - root * hi) & mask for lo, hi in zip([newton[k]] + coeffs, coeffs + [0])]
+    return coeffs
+
+
 def reduce(poly, ctx: Context) -> ReducedPoly:
     """Canonical form of the function the polynomial induces modulo 2**n.
 
     Any integer polynomial is accepted; coefficients are first normalized
-    into [0, 2**n). While the degree exceeds d, the monic generator times
-    the leading term is subtracted, which strictly lowers the degree.
-    Then a single pass from index d down to 1 folds each coefficient into
-    its range by subtracting the matching scaled generator. Every step
-    subtracts an ideal member, so the induced function never changes.
+    into [0, 2**n). Above degree d it is replaced by the fit of its values
+    at the standard nodes, which fix the function on every odd residue.
+    A single pass from index d down to 1 then folds each coefficient into
+    its range by subtracting the matching scaled generator, an ideal
+    member, so the induced function never changes.
     """
     mask = ctx.mask
-    d = ctx.d
     coeffs = _trimmed([c & mask for c in _as_coeffs(poly)])
+    if len(coeffs) > ctx.d + 1:
+        coeffs = _fit_nodes([_eval_masked(coeffs, x, mask) for x in ctx.interpolation_nodes], ctx)
+    coeffs += [0] * (ctx.d + 1 - len(coeffs))
     gens = ideal_generators(ctx)
-    monic = gens[d + 1].coeffs
-    while len(coeffs) - 1 > d:
-        top = coeffs.pop()
-        if top == 0:
-            continue
-        offset = len(coeffs) - (d + 1)
-        for j in range(d + 1):
-            coeffs[offset + j] = (coeffs[offset + j] - top * monic[j]) & mask
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-    coeffs += [0] * (d + 1 - len(coeffs))
-    for i in range(d, 0, -1):
+    for i in range(ctx.d, 0, -1):
         q = coeffs[i] >> ctx.coeff_bits[i]
         if q:
             gen = gens[i].coeffs

@@ -23,6 +23,7 @@ from .residue import unit_inverse
 from .solve import invert_permutation
 
 DEFAULT_LATIN_BUDGET = 1 << 20
+RANDOM_ARITY_BUDGET = 1 << 10  # largest k that QuasigroupSpec.random will draw
 
 
 class Mode(Enum):
@@ -248,7 +249,15 @@ class QuasigroupSpec:
 
     @classmethod
     def random(cls, ctx: Context, k: int, mode, rng: random.Random) -> "QuasigroupSpec":
-        """Seeded uniform spec: every polynomial drawn by rejection sampling."""
+        """Seeded uniform spec: every polynomial drawn by rejection sampling.
+
+        Raises:
+            BudgetExceeded: k is above RANDOM_ARITY_BUDGET; nothing is drawn.
+        """
+        if k > RANDOM_ARITY_BUDGET:
+            raise BudgetExceeded(
+                f"arity {k} exceeds the random spec budget {RANDOM_ARITY_BUDGET}"
+            )
         mode = Mode(mode)
         p_polys = [random_permutational_poly(ctx, rng) for _ in range(k)]
         h_polys = (

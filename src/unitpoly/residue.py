@@ -1,40 +1,22 @@
 """Unit-group arithmetic modulo 2**n.
 
 Inverses of odd residues come from Newton iteration, which doubles the
-number of correct low bits per step. Roots of general polynomials are
-grown one bit at a time instead: a root modulo 2**(k+1) restricts to a
-root modulo 2**k, and the derivative may vanish, so the search branches.
+number of correct low bits per step (unit_inverse is defined in context,
+so that poly can use it too, and re-exported here). Roots of general
+polynomials are grown one bit at a time instead: a root modulo 2**(k+1)
+restricts to a root modulo 2**k, and the derivative may vanish, so the
+search branches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .context import unit_inverse  # re-exported: this is its public home
 from .errors import BudgetExceeded
 from .poly import _as_coeffs, _eval_masked
 
 DEFAULT_BRANCH_LIMIT = 1 << 20
-
-
-def unit_inverse(a: int, n: int) -> int:
-    """Multiplicative inverse of an odd residue modulo 2**n.
-
-    Every odd a satisfies a*a == 1 modulo 8, so a is its own inverse to
-    three bits; the step x <- x*(2 - a*x) doubles the bits that are right.
-    That makes about log2(n/3) steps of two n-bit products each.
-    """
-    if n < 1:
-        raise ValueError("modulus exponent must be positive")
-    mask = (1 << n) - 1
-    a = int(a) & mask
-    if a & 1 == 0:
-        raise ValueError("only odd residues are invertible modulo 2**n")
-    inv = a
-    bits = 3
-    while bits < n:
-        inv = (inv * (2 - a * inv)) & mask
-        bits *= 2
-    return inv
 
 
 def hensel_roots(poly, n: int, *, branch_limit: int = DEFAULT_BRANCH_LIMIT) -> list[int]:

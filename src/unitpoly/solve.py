@@ -1,11 +1,10 @@
 """Interpolation and both kinds of inversion modulo 2**n.
 
-Each problem shape has one solver. At the standard nodes 1, 3, ..., 2d+1
-the k-th step-2 forward difference of a polynomial's values is
-2**(k + t_k) * odd(k!) times its k-th Newton coefficient, so a difference
-table gives every coefficient with one exact shift, or shows that none
-exists. Inverse permutations find their node values by two-adic Newton
-iteration and then interpolate.
+Each problem shape has one solver. Value tables at the standard nodes
+1, 3, ..., 2d+1 are fitted by poly's difference table, the fit reduce
+also uses to reach degree d. Inverse permutations find their node values
+by two-adic Newton iteration; multiplicative inverses and products
+compute theirs pointwise.
 
 Arbitrary nodes can leave the system underdetermined, so they go through
 row reduction. Two is a zero divisor modulo 2**n, so Gaussian elimination
@@ -19,11 +18,12 @@ away its odd part leaves a pure power of two on the diagonal.
 from __future__ import annotations
 
 from .context import Context
-from .errors import BudgetExceeded, InconsistentTable, NotAPermutation, NotAUnitFunction
+from .errors import BudgetExceeded, NotAPermutation, NotAUnitFunction
 from .poly import (
-    IntPoly,
     ReducedPoly,
     _as_coeffs,
+    _eval_masked,
+    _fit_nodes,
     evaluate,
     induces_function_on_units,
     induces_permutation_on_units,
@@ -100,9 +100,6 @@ def interpolate(values, ctx: Context) -> ReducedPoly:
     The d+1 values must be odd residues. Exactly one canonical polynomial
     fits any value table that comes from a polynomial function, and the
     table determines the function everywhere else on the odd residues.
-    The Newton coefficients come from a step-2 difference table; Horner's
-    rule turns them into monomial coefficients, which reduce folds into
-    their ranges.
 
     Raises:
         InconsistentTable: no polynomial function takes these values.
@@ -111,27 +108,7 @@ def interpolate(values, ctx: Context) -> ReducedPoly:
     vals = [ctx.check_unit(v) for v in values]
     if len(vals) != ctx.d + 1:
         raise ValueError(f"need exactly {ctx.d + 1} values for n={ctx.n}, got {len(vals)}")
-    mask = ctx.mask
-    newton = []
-    odd_factorial = 1
-    for k in range(ctx.d + 1):
-        exponent = ctx.n - ctx.coeff_bits[k]  # k + t_k
-        diff = vals[0]
-        if diff & ((1 << exponent) - 1):
-            raise InconsistentTable(
-                f"no polynomial function fits: 2**{exponent} does not divide "
-                f"{diff} at degree {k}"
-            )
-        if k:
-            odd_factorial = (odd_factorial * (k >> ((k & -k).bit_length() - 1))) & mask
-        newton.append(((diff >> exponent) * unit_inverse(odd_factorial, ctx.n)) & mask)
-        vals = [(b - a) & mask for a, b in zip(vals, vals[1:])]
-    coeffs = [newton[-1]]
-    for k in range(ctx.d - 1, -1, -1):
-        # coeffs <- coeffs * (x - (2k+1)) + newton[k]
-        root = 2 * k + 1
-        coeffs = [(lo - root * hi) & mask for lo, hi in zip([newton[k]] + coeffs, coeffs + [0])]
-    return reduce(coeffs, ctx)
+    return reduce(_fit_nodes(vals, ctx), ctx)
 
 
 def interpolate_at_nodes(nodes, values, ctx: Context, *, max_solutions: int | None = None) -> list[ReducedPoly]:
@@ -253,10 +230,13 @@ def multiplicative_inverse(poly, ctx: Context) -> ReducedPoly:
 
 
 def multiply_reduced(p: ReducedPoly, s: ReducedPoly, ctx: Context) -> ReducedPoly:
-    """Product in the group of canonical forms: exact convolution, then reduce."""
+    """Product in the group of canonical forms: the pointwise product of
+    the operands' values at the standard nodes, fitted and reduced."""
     if not isinstance(p, ReducedPoly) or not isinstance(s, ReducedPoly):
         raise ValueError("multiply_reduced needs two canonical polynomials")
     if p.n != ctx.n or s.n != ctx.n:
         raise ValueError("operands and context must share the same n")
-    product = IntPoly(_as_coeffs(p)) * IntPoly(_as_coeffs(s))
-    return reduce(product, ctx)
+    mask = ctx.mask
+    values = [(_eval_masked(p.coeffs, x, mask) * _eval_masked(s.coeffs, x, mask)) & mask
+              for x in ctx.interpolation_nodes]
+    return reduce(_fit_nodes(values, ctx), ctx)

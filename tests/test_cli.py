@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from unitpoly.cli import run
+from unitpoly.quasigroup import RANDOM_ARITY_BUDGET
 
 
 def invoke(capsys, *argv):
@@ -185,6 +186,15 @@ def test_domain_error_exits_1_json(capsys):
     assert "divide" in doc["error"]["message"]
 
 
+def test_inconsistent_table_message_is_pinned(capsys):
+    message = "no polynomial function fits: 2**3 does not divide 2 at degree 2"
+    argv = ("interp", "--n", "8", "--values", "1,1,3,5,7")
+    assert invoke(capsys, *argv) == (1, "", f"error: InconsistentTable: {message}\n")
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"error": {"type": "InconsistentTable", "message": message}}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -255,6 +265,17 @@ def test_qg_random_is_seeded(capsys):
     c = invoke(capsys, "qg", "random", "--n", "6", "--k", "2",
                "--mode", "ring_glued", "--seed", "5")
     assert a != c
+
+
+def test_qg_random_arity_budget(capsys):
+    code, out, err = invoke(capsys, "qg", "random", "--n", "8", "--k",
+                            str(RANDOM_ARITY_BUDGET + 1), "--mode", "unit_product", "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err == (f"error: BudgetExceeded: arity {RANDOM_ARITY_BUDGET + 1} exceeds "
+                   f"the random spec budget {RANDOM_ARITY_BUDGET}\n")
+    code, out, _ = invoke(capsys, "qg", "random", "--n", "8", "--k",
+                          str(RANDOM_ARITY_BUDGET), "--mode", "unit_product", "--seed", "1")
+    assert code == 0 and json.loads(out)["k"] == RANDOM_ARITY_BUDGET
 
 
 def test_qg_random_requires_seed(capsys):

@@ -20,6 +20,7 @@ from unitpoly.oracle import (
     oracle_is_permutation,
     oracle_is_unit_valued,
     oracle_max_reduced_degree,
+    oracle_reduce,
 )
 
 
@@ -44,6 +45,15 @@ def test_factorial_valuation_definition():
 )
 def test_max_reduced_degree_table(n, expected):
     assert oracle_max_reduced_degree(n) == expected
+
+
+def test_reduce_worked_examples():
+    # 1 + 3x^5 is 31 + 3x + 2x^2 on the odd residues mod 32
+    assert oracle_reduce((1, 0, 0, 0, 0, 3), 5).coeffs == (31, 3, 2, 0)
+    # (x+1)(x+3)(x+5) vanishes on the odd residues mod 8; so does 8
+    assert oracle_reduce((15, 23, 9, 1), 3).coeffs == (0, 0)
+    assert oracle_reduce((-8,), 3).coeffs == (0, 0)
+    assert oracle_reduce((), 2).coeffs == (0, 0)
 
 
 def test_function_table_points():

@@ -1,6 +1,8 @@
 """Polynomial types, canonical reduction, and the parity predicates."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unitpoly import (
     Context,
@@ -16,6 +18,8 @@ from unitpoly import (
     indicator_polys,
     induces_function_on_units,
     induces_permutation_on_units,
+    max_reduced_degree,
+    multiply_reduced,
     parse_poly,
     reduce,
     rivest_permutes_ring,
@@ -28,6 +32,7 @@ from unitpoly.oracle import (
     oracle_is_latin_square,
     oracle_is_permutation,
     oracle_is_unit_valued,
+    oracle_reduce,
 )
 
 
@@ -227,6 +232,39 @@ def test_reduce_kills_generators(n):
     zero = ReducedPoly((0,), n)
     for gen in ideal_generators(ctx):
         assert reduce(gen, ctx) == zero
+
+
+@st.composite
+def _reduce_cases(draw):
+    """(n, coefficients, second operand): n in 2..64, a trimmed degree of
+    0..3d+2 with d and d+1 drawn often, or the zero polynomial; entries
+    may be negative or at least 2**n."""
+    n = draw(st.integers(2, 64))
+    d = max_reduced_degree(n)
+    entries = st.integers(-(1 << (n + 2)), 1 << (n + 2))
+    other = tuple(draw(st.lists(entries, max_size=d + 1)))
+    degree = draw(st.sampled_from((None, d, d + 1)) | st.integers(0, 3 * d + 2))
+    if degree is None:
+        return n, (), other
+    top = draw(entries.filter(lambda c: c % (1 << n)))  # keeps the degree after masking
+    return n, tuple(draw(st.lists(entries, min_size=degree, max_size=degree))) + (top,), other
+
+
+_D64 = max_reduced_degree(64)
+
+
+@settings(max_examples=200)
+@given(_reduce_cases())
+@example((2, (), ()))
+@example((64, (-1,) * (_D64 + 1), ((1 << 64) + 3,) * (_D64 + 1)))
+@example((64, (-(1 << 70) - 1,) * (_D64 + 2), (-5,)))
+@example((37, (3,) * (3 * max_reduced_degree(37) + 3), ()))
+def test_reduce_and_product_match_remainder_oracle(case):
+    n, coeffs, other = case
+    ctx = Context(n)
+    assert reduce(coeffs, ctx) == oracle_reduce(coeffs, n)
+    p, s = oracle_reduce(coeffs, n), oracle_reduce(other, n)
+    assert multiply_reduced(p, s, ctx) == oracle_reduce(p.as_int_poly() * s.as_int_poly(), n)
 
 
 def test_equivalent():

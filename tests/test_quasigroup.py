@@ -21,6 +21,7 @@ from unitpoly import (
 )
 from unitpoly import induces_permutation_on_units
 from unitpoly.oracle import oracle_is_latin_square
+from unitpoly.quasigroup import RANDOM_ARITY_BUDGET
 
 
 def _spec(n, mode, coeff_rows, h_rows=None):
@@ -259,7 +260,7 @@ def _documents(draw):
     return data
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.text() | _JSON.map(json.dumps) | _documents().map(json.dumps))
 def test_any_json_text_is_a_spec_or_a_domain_error(text):
     try:
@@ -267,6 +268,12 @@ def test_any_json_text_is_a_spec_or_a_domain_error(text):
     except (ValueError, UnitPolyError):
         return
     assert QuasigroupSpec.from_json(spec.to_json()).to_dict() == spec.to_dict()
+
+
+def test_random_arity_budget_is_checked_before_drawing():
+    # no generator at all: any draw would fail with AttributeError instead
+    with pytest.raises(BudgetExceeded):
+        QuasigroupSpec.random(Context(8), RANDOM_ARITY_BUDGET + 1, Mode.UNIT_PRODUCT, None)
 
 
 def test_random_spec_is_deterministic():

@@ -2,8 +2,14 @@
 
 import pytest
 
+import unitpoly
 from unitpoly import BudgetExceeded, check_unit_group_structure, hensel_roots, unit_inverse
 from unitpoly.oracle import oracle_function_of
+
+
+def test_unit_inverse_has_one_definition():
+    assert unitpoly.unit_inverse is unitpoly.residue.unit_inverse
+    assert unitpoly.residue.unit_inverse is unitpoly.context.unit_inverse
 
 
 def test_unit_inverse_small_values():
