@@ -6,7 +6,9 @@ the exponent, never the (possibly astronomical) count itself.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 from .context import coeff_widths, two_adic_factorial_valuation
 
@@ -46,28 +48,51 @@ def count_ring_permutational(n: int) -> int:
     return 2 * count_permutational(n) + 1
 
 
+def _keller_thresholds() -> Iterator[int]:
+    """keller_beta(1), keller_beta(2), ... in one upward scan: t_s is
+    non-decreasing, so the pointer s crosses each threshold once."""
+    s = 1
+    for j in itertools.count(1):
+        while two_adic_factorial_valuation(s) < j:
+            s += 1
+        yield s
+
+
 def keller_beta(j: int) -> int:
     """Smallest s with 2**j dividing s!."""
     if j < 1:
         raise ValueError("keller_beta needs j >= 1")
-    s = 1
-    while two_adic_factorial_valuation(s) < j:
-        s += 1
-    return s
+    return next(itertools.islice(_keller_thresholds(), j - 1, None))
 
 
 def keller_exponent(n: int) -> int:
     """Exponent of the classical factorial-threshold count, 3 + sum of
     keller_beta(j) for 3 <= j <= n (empty sum at n = 2)."""
     _require(n)
-    # t_s is non-decreasing, so one upward scan crosses each threshold once
-    total = 3
-    s = 1
-    for j in range(3, n + 1):
-        while two_adic_factorial_valuation(s) < j:
-            s += 1
-        total += s
-    return total
+    return 3 + sum(itertools.islice(_keller_thresholds(), 2, n))
+
+
+def identity_sweep(top: int) -> Iterator[tuple[int, int, int]]:
+    """(n, count_ring_permutational(n), keller_exponent(n)) for n = 2..top,
+    in one upward pass.
+
+    Slot i of a canonical form opens when n - i - t_i reaches 1 and every
+    open slot widens by one per step of n, so the width sum grows by the
+    number of open slots; the Keller sum grows by keller_beta(n).
+    """
+    _require(top)
+    opened = width_sum = 0
+    keller = 3
+    betas = itertools.islice(_keller_thresholds(), 2, None)  # keller_beta(3), ...
+    for n in range(1, top + 1):
+        while opened + two_adic_factorial_valuation(opened) < n:
+            opened += 1
+        width_sum += opened
+        if n > 2:
+            keller += next(betas)
+        if n > 1:
+            # count_reduced is width_sum - 1; see count_ring_permutational
+            yield n, 2 * (width_sum - 2) + 1, keller
 
 
 def keller_identity_check(n: int) -> bool:

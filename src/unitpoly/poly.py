@@ -4,18 +4,19 @@ A polynomial with integer coefficients induces a function on the odd
 residues by evaluation modulo 2**n. Among all polynomials inducing the
 same function there is exactly one with degree at most d_n whose i-th
 coefficient lies below 2**(n-i-t_i); that representative is ReducedPoly.
-This module holds the two polynomial types, the rewriting ideal, the
-node fit and fold that give canonical forms, parity tests for what a
-polynomial does to the odd residues (or the whole ring), and the gluing
-that welds two functions into one polynomial.
+This module holds the two polynomial types, the rewriting ideal, the one
+road from node values to canonical forms (_node_values, _fit_nodes),
+parity tests for what a polynomial does to the odd residues (or the
+whole ring), and the gluing that welds two functions into one polynomial.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .context import Context, coeff_widths, unit_inverse
+from .context import Context, coeff_widths, two_adic_factorial_valuation, unit_inverse
 from .errors import BudgetExceeded, InconsistentTable, NotAPermutation
 
 INDICATOR_BUDGET = 1 << 20  # largest unit-indicator exponent that gluing will build
@@ -212,12 +213,17 @@ def _pretty(coeffs) -> str:
     return " + ".join(terms) if terms else "0"
 
 
+def _coeffs_for(poly, ctx: Context) -> tuple[int, ...]:
+    """Coefficients of poly; a ReducedPoly canonical for another n is a ValueError."""
+    if isinstance(poly, ReducedPoly) and poly.n != ctx.n:
+        raise ValueError(f"polynomial is canonical for n={poly.n}, context has n={ctx.n}")
+    return _as_coeffs(poly)
+
+
 def evaluate(poly, a: int, ctx: Context) -> int:
     """Value of the induced function at a, by Horner's rule modulo 2**n."""
     a = ctx.check_residue(a)
-    if isinstance(poly, ReducedPoly) and poly.n != ctx.n:
-        raise ValueError(f"polynomial is canonical for n={poly.n}, context has n={ctx.n}")
-    return _eval_masked(_as_coeffs(poly), a, ctx.mask)
+    return _eval_masked(_coeffs_for(poly, ctx), a, ctx.mask)
 
 
 def _eval_masked(coeffs: Sequence[int], x: int, mask: int) -> int:
@@ -293,15 +299,20 @@ def ideal_generators(ctx: Context) -> tuple[IntPoly, ...]:
     return ctx._generator_cache
 
 
-def _fit_nodes(vals: list[int], ctx: Context) -> list[int]:
-    """Unfolded coefficients, degree <= d, taking the values vals at 1, 3, ..., 2d+1.
+def _node_values(poly, ctx: Context) -> list[int]:
+    """Values of the induced function at the standard nodes 1, 3, ..., 2d+1."""
+    coeffs = _coeffs_for(poly, ctx)
+    return [_eval_masked(coeffs, x, ctx.mask) for x in ctx.interpolation_nodes]
+
+
+def _fit_nodes(vals: list[int], ctx: Context) -> ReducedPoly:
+    """The canonical polynomial taking the values vals at 1, 3, ..., 2d+1.
 
     The k-th step-2 difference at 1 is 2**(k + t_k) * odd(k!) times the
     k-th Newton coefficient, or InconsistentTable is raised; Horner's rule
-    then converts the Newton form to monomials."""
+    then converts the Newton form to monomials, which are folded."""
     mask = ctx.mask
-    newton = []
-    odd_factorial = 1
+    scaled = []  # the k-th difference over 2**(k + t_k), that is odd(k!) * newton[k]
     for k in range(ctx.d + 1):
         exponent = ctx.n - ctx.coeff_bits[k]  # k + t_k
         diff = vals[0]
@@ -310,33 +321,25 @@ def _fit_nodes(vals: list[int], ctx: Context) -> list[int]:
                 f"no polynomial function fits: 2**{exponent} does not divide "
                 f"{diff} at degree {k}"
             )
-        if k:
-            odd_factorial = (odd_factorial * (k >> ((k & -k).bit_length() - 1))) & mask
-        newton.append(((diff >> exponent) * unit_inverse(odd_factorial, ctx.n)) & mask)
+        scaled.append(diff >> exponent)
         vals = [(b - a) & mask for a, b in zip(vals, vals[1:])]
-    coeffs = [newton[-1]]
-    for k in range(ctx.d - 1, -1, -1):
+    # one inverse, of odd(d!); odd((k-1)!)**-1 = odd(k!)**-1 * odd(k) sweeps it down
+    inverse = unit_inverse(math.factorial(ctx.d) >> two_adic_factorial_valuation(ctx.d), ctx.n)
+    coeffs = []
+    for k in range(ctx.d, -1, -1):
         # coeffs <- coeffs * (x - (2k+1)) + newton[k]
+        newton = (scaled[k] * inverse) & mask
+        if k:
+            inverse = (inverse * (k >> ((k & -k).bit_length() - 1))) & mask
         root = 2 * k + 1
-        coeffs = [(lo - root * hi) & mask for lo, hi in zip([newton[k]] + coeffs, coeffs + [0])]
-    return coeffs
+        coeffs = [(lo - root * hi) & mask for lo, hi in zip([newton] + coeffs, coeffs + [0])]
+    return _fold(coeffs, ctx)
 
 
-def reduce(poly, ctx: Context) -> ReducedPoly:
-    """Canonical form of the function the polynomial induces modulo 2**n.
-
-    Any integer polynomial is accepted; coefficients are first normalized
-    into [0, 2**n). Above degree d it is replaced by the fit of its values
-    at the standard nodes, which fix the function on every odd residue.
-    A single pass from index d down to 1 then folds each coefficient into
-    its range by subtracting the matching scaled generator, an ideal
-    member, so the induced function never changes.
-    """
+def _fold(coeffs: list[int], ctx: Context) -> ReducedPoly:
+    """Canonical form of d+1 coefficients in [0, 2**n): from index d down to 1, subtract
+    the scaled generator (an ideal member, so the function stays) that brings each into range."""
     mask = ctx.mask
-    coeffs = _trimmed([c & mask for c in _as_coeffs(poly)])
-    if len(coeffs) > ctx.d + 1:
-        coeffs = _fit_nodes([_eval_masked(coeffs, x, mask) for x in ctx.interpolation_nodes], ctx)
-    coeffs += [0] * (ctx.d + 1 - len(coeffs))
     gens = ideal_generators(ctx)
     for i in range(ctx.d, 0, -1):
         q = coeffs[i] >> ctx.coeff_bits[i]
@@ -345,6 +348,20 @@ def reduce(poly, ctx: Context) -> ReducedPoly:
             for j in range(i + 1):
                 coeffs[j] = (coeffs[j] - q * gen[j]) & mask
     return ReducedPoly(tuple(coeffs), ctx.n)
+
+
+def reduce(poly, ctx: Context) -> ReducedPoly:
+    """Canonical form of the function the polynomial induces modulo 2**n.
+
+    Any integer polynomial is accepted; coefficients are first normalized
+    into [0, 2**n). Above degree d it is replaced by the fit of its values
+    at the standard nodes, which fix the function on every odd residue;
+    otherwise its coefficients are folded into range.
+    """
+    coeffs = _trimmed([c & ctx.mask for c in _as_coeffs(poly)])
+    if len(coeffs) > ctx.d + 1:
+        return _fit_nodes(_node_values(coeffs, ctx), ctx)
+    return _fold(coeffs + [0] * (ctx.d + 1 - len(coeffs)), ctx)
 
 
 def equivalent(p, t, ctx: Context) -> bool:

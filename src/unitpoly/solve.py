@@ -1,10 +1,10 @@
 """Interpolation and both kinds of inversion modulo 2**n.
 
-Each problem shape has one solver. Value tables at the standard nodes
-1, 3, ..., 2d+1 are fitted by poly's difference table, the fit reduce
-also uses to reach degree d. Inverse permutations find their node values
-by two-adic Newton iteration; multiplicative inverses and products
-compute theirs pointwise.
+Each problem shape has one solver. Every solver at the standard nodes
+1, 3, ..., 2d+1 hands its node values to poly's _fit_nodes, the one way
+to a canonical form that reduce also takes. Inverse permutations find
+their node values by two-adic Newton iteration; multiplicative inverses
+and products compute theirs pointwise from poly's _node_values.
 
 Arbitrary nodes can leave the system underdetermined, so they go through
 row reduction. Two is a zero divisor modulo 2**n, so Gaussian elimination
@@ -17,19 +17,17 @@ away its odd part leaves a pure power of two on the diagonal.
 
 from __future__ import annotations
 
-from .context import Context
+from .context import Context, unit_inverse
 from .errors import BudgetExceeded, NotAPermutation, NotAUnitFunction
 from .poly import (
     ReducedPoly,
-    _as_coeffs,
-    _eval_masked,
+    _coeffs_for,
     _fit_nodes,
+    _node_values,
     evaluate,
     induces_function_on_units,
     induces_permutation_on_units,
-    reduce,
 )
-from .residue import unit_inverse
 
 
 def _vandermonde_rows(nodes, width: int, ctx: Context) -> list[list[int]]:
@@ -108,7 +106,7 @@ def interpolate(values, ctx: Context) -> ReducedPoly:
     vals = [ctx.check_unit(v) for v in values]
     if len(vals) != ctx.d + 1:
         raise ValueError(f"need exactly {ctx.d + 1} values for n={ctx.n}, got {len(vals)}")
-    return reduce(_fit_nodes(vals, ctx), ctx)
+    return _fit_nodes(vals, ctx)
 
 
 def interpolate_at_nodes(nodes, values, ctx: Context, *, max_solutions: int | None = None) -> list[ReducedPoly]:
@@ -189,7 +187,7 @@ def invert_permutation(poly, ctx: Context) -> ReducedPoly:
     """
     if not induces_permutation_on_units(poly):
         raise NotAPermutation("polynomial does not permute the odd residues")
-    coeffs = _as_coeffs(poly)[::-1]
+    coeffs = _coeffs_for(poly, ctx)[::-1]
     nodes = ctx.interpolation_nodes
     preimages = []
     for c in nodes:
@@ -204,9 +202,9 @@ def invert_permutation(poly, ctx: Context) -> ReducedPoly:
                 value = (value * x + a) & mask
             x = (x - (value - c) * unit_inverse(slope, precision)) & mask
         preimages.append(x)
-    inverse = interpolate(preimages, ctx)
-    for x in nodes:
-        if evaluate(poly, evaluate(inverse, x, ctx), ctx) != x:
+    inverse = _fit_nodes(preimages, ctx)
+    for x, y in zip(nodes, _node_values(inverse, ctx)):
+        if evaluate(poly, y, ctx) != x:
             raise RuntimeError("inverse failed its composition check")
     return inverse
 
@@ -223,10 +221,7 @@ def multiplicative_inverse(poly, ctx: Context) -> ReducedPoly:
     """
     if not induces_function_on_units(poly):
         raise NotAUnitFunction("polynomial does not map odd residues to odd residues")
-    values = [
-        unit_inverse(evaluate(poly, x, ctx), ctx.n) for x in ctx.interpolation_nodes
-    ]
-    return interpolate(values, ctx)
+    return _fit_nodes([unit_inverse(v, ctx.n) for v in _node_values(poly, ctx)], ctx)
 
 
 def multiply_reduced(p: ReducedPoly, s: ReducedPoly, ctx: Context) -> ReducedPoly:
@@ -234,9 +229,5 @@ def multiply_reduced(p: ReducedPoly, s: ReducedPoly, ctx: Context) -> ReducedPol
     the operands' values at the standard nodes, fitted and reduced."""
     if not isinstance(p, ReducedPoly) or not isinstance(s, ReducedPoly):
         raise ValueError("multiply_reduced needs two canonical polynomials")
-    if p.n != ctx.n or s.n != ctx.n:
-        raise ValueError("operands and context must share the same n")
-    mask = ctx.mask
-    values = [(_eval_masked(p.coeffs, x, mask) * _eval_masked(s.coeffs, x, mask)) & mask
-              for x in ctx.interpolation_nodes]
-    return reduce(_fit_nodes(values, ctx), ctx)
+    values = zip(_node_values(p, ctx), _node_values(s, ctx))
+    return _fit_nodes([(a * b) & ctx.mask for a, b in values], ctx)

@@ -1,3 +1,5 @@
+import os
+import pathlib
 import random
 
 import pytest
@@ -6,6 +8,11 @@ from hypothesis import settings
 # every property test replays the same examples and leaves no example database
 settings.register_profile("unitpoly", derandomize=True, database=None, deadline=None)
 settings.load_profile("unitpoly")
+
+# `python -m unitpoly` subprocesses import this checkout's package too, as the
+# tests do through pyproject's pythonpath = ["src"]
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from unitpoly import (
     random_permutational_poly,
     two_adic_factorial_valuation,
 )
+from unitpoly.census import identity_sweep
 from unitpoly.oracle import (
     oracle_enumerate_reduced,
     oracle_factorial_valuation,
@@ -178,6 +179,13 @@ def test_keller_exponent_small():
 
 def test_identity_over_a_wide_range():
     assert all(keller_identity_check(n) for n in range(2, 129))
+
+
+def test_identity_sweep_columns_match_the_per_n_counts():
+    rows = list(identity_sweep(1024))
+    assert rows == [(n, count_ring_permutational(n), keller_exponent(n)) for n in range(2, 1025)]
+    with pytest.raises(ValueError):
+        next(identity_sweep(1))
 
 
 def test_report_shape():

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitpoly import (
     Context,
@@ -16,13 +18,14 @@ from unitpoly import (
     reduce,
     unit_inverse,
 )
+from unitpoly import solve
 from unitpoly.errors import (
     BudgetExceeded,
     InconsistentTable,
     NotAPermutation,
     NotAUnitFunction,
 )
-from unitpoly.oracle import oracle_enumerate_reduced, oracle_function_of
+from unitpoly.oracle import oracle_enumerate_reduced, oracle_function_of, oracle_reduce
 from unitpoly.quasigroup import random_permutational_poly
 
 
@@ -280,3 +283,58 @@ def test_fourth_power_is_constant_one():
     fourth = multiply_reduced(square, square, ctx)
     assert fourth == reduce((1,), ctx)
     assert unit_inverse(3, 4) == pow(3, (1 << 2) - 1, 16)
+
+
+# -- every solver against the oracle, and the same-n rule ----------------------
+
+
+@st.composite
+def _permutation_forms(draw):
+    """(n, p, s): two random canonical forms for one n in 2..12, p a
+    permutation of the odd residues and s any unit-valued function."""
+    n = draw(st.integers(2, 12))
+    widths = Context(n).coeff_bits
+    forms = []
+    for _ in range(2):
+        coeffs = [draw(st.integers(0, (1 << bits) - 1)) for bits in widths]
+        if sum(coeffs) % 2 == 0:
+            coeffs[0] ^= 1
+        forms.append(coeffs)
+    p, s = forms
+    if sum(p[1::2]) % 2 == 0:
+        p[1] ^= 1
+        p[0] ^= 1  # keeps the coefficient sum odd
+    return n, ReducedPoly(tuple(p), n), ReducedPoly(tuple(s), n)
+
+
+@settings(max_examples=150)
+@given(_permutation_forms())
+def test_solvers_match_the_oracle(case):
+    n, p, s = case
+    ctx, mod = Context(n), 1 << n
+    assert interpolate(_oracle_values_at(p, n, ctx.interpolation_nodes), ctx) == p
+    pv, sv = oracle_function_of(p, n).values, oracle_function_of(s, n).values
+    inverse = oracle_function_of(multiplicative_inverse(s, ctx), n).values
+    assert all(a * b % mod == 1 for a, b in zip(sv, inverse))
+    backward = dict(zip(ctx.units(), oracle_function_of(invert_permutation(p, ctx), n).values))
+    assert all(backward[y] == x for x, y in zip(ctx.units(), pv))
+    assert multiply_reduced(p, s, ctx) == oracle_reduce(p.as_int_poly() * s.as_int_poly(), n)
+
+
+def test_solvers_refuse_a_form_canonical_for_another_n(monkeypatch):
+    ctx = Context(16)
+    other = reduce((2, 1), Context(8))
+
+    def no_newton_step(*args):
+        raise AssertionError("the n mismatch must be refused before any inversion")
+
+    monkeypatch.setattr(solve, "unit_inverse", no_newton_step)
+    calls = (
+        lambda: invert_permutation(other, ctx),
+        lambda: multiplicative_inverse(other, ctx),
+        lambda: multiply_reduced(other, reduce((2, 1), ctx), ctx),
+        lambda: multiply_reduced(reduce((2, 1), ctx), other, ctx),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="canonical for n=8, context has n=16"):
+            call()
