@@ -59,6 +59,28 @@ def unit_inverse(a: int, n: int) -> int:
     return inv
 
 
+def unit_inverses(values, n: int) -> list[int]:
+    """unit_inverse of each value, for the price of one (Montgomery's trick).
+
+    The prefix products a_0, a_0*a_1, ... are inverted once as a whole;
+    a backward sweep then peels one factor off at a time: the inverse of
+    a_i is the inverse of the prefix up to i times the prefix before i.
+    """
+    mask = (1 << n) - 1
+    values = [int(a) & mask for a in values]
+    prefixes = []
+    acc = 1
+    for a in values:
+        prefixes.append(acc)
+        acc = (acc * a) & mask
+    inv = unit_inverse(acc, n)  # a ValueError unless every value is odd
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = (inv * prefixes[i]) & mask
+        inv = (inv * values[i]) & mask
+    return out
+
+
 @functools.lru_cache(maxsize=64)
 def coeff_widths(n: int) -> tuple[int, ...]:
     """Widths n - i - t_i, i <= d_n: canonical coefficient i modulo 2**n

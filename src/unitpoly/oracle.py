@@ -5,9 +5,10 @@ built and factored literally, polynomial values accumulate term by term
 with plain powering and generic modulo (no Horner, no masking), and
 counting is done by exhaustive enumeration. Canonical forms come from
 rewriting by the ideal generators, rebuilt on every call, where the
-library fits node values. Nothing calls the library's evaluation or
-rewriting code, so agreement between the two routes is meaningful
-evidence.
+library fits node values; inverse permutations come from full-length
+Newton steps at each node, where the library climbs a precision ladder.
+Nothing calls the library's evaluation or rewriting code, so agreement
+between the two routes is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -72,6 +73,30 @@ def oracle_reduce(poly, n: int) -> ReducedPoly:
         for j in range(i + 1):
             coeffs[j] = (coeffs[j] - q * scale * products[i][j]) % modulus
     return ReducedPoly(tuple(coeffs), n)
+
+
+def oracle_preimages(poly, n: int) -> list[int]:
+    """Preimages of the standard nodes 1, 3, ..., 2d+1 under a permutation
+    of the odd residues modulo 2**n, one node at a time.
+
+    Newton's step x <- x - (p(x) - c) / p'(x) starts from x = c and
+    doubles its precision up to n; every step sums all terms of p and of
+    its derivative with plain powering and generic modulo, and inverts
+    the slope with pow. A slope that is not a unit raises ValueError.
+    """
+    coeffs = [int(c) for c in getattr(poly, "coeffs", poly)]
+    preimages = []
+    for c in range(1, 2 * oracle_max_reduced_degree(n) + 2, 2):
+        x = c
+        precision = 1
+        while precision < n:
+            precision = min(2 * precision, n)
+            modulus = 2**precision
+            value = sum(a * pow(x, i, modulus) for i, a in enumerate(coeffs)) % modulus
+            slope = sum(i * a * pow(x, i - 1, modulus) for i, a in enumerate(coeffs) if i) % modulus
+            x = (x - (value - c) * pow(slope, -1, modulus)) % modulus
+        preimages.append(x)
+    return preimages
 
 
 @dataclass(frozen=True)

@@ -306,11 +306,19 @@ def _node_values(poly, ctx: Context) -> list[int]:
 
 
 def _fit_nodes(vals: list[int], ctx: Context) -> ReducedPoly:
-    """The canonical polynomial taking the values vals at 1, 3, ..., 2d+1.
+    """The canonical polynomial taking the values vals at 1, 3, ..., 2d+1:
+    the fit, then the fold into range."""
+    return _fold(_fit(vals, ctx), ctx)
 
-    The k-th step-2 difference at 1 is 2**(k + t_k) * odd(k!) times the
-    k-th Newton coefficient, or InconsistentTable is raised; Horner's rule
-    then converts the Newton form to monomials, which are folded."""
+
+def _fit(vals: list[int], ctx: Context) -> list[int]:
+    """The d+1 monomial coefficients, in [0, 2**n) but not yet folded into
+    range, of a polynomial taking the values vals at 1, 3, ..., 2d+1.
+
+    The values count modulo 2**n. The k-th step-2 difference at 1 is
+    2**(k + t_k) * odd(k!) times the k-th Newton coefficient, or
+    InconsistentTable is raised; Horner's rule then converts the Newton
+    form to monomials."""
     mask = ctx.mask
     scaled = []  # the k-th difference over 2**(k + t_k), that is odd(k!) * newton[k]
     for k in range(ctx.d + 1):
@@ -333,7 +341,7 @@ def _fit_nodes(vals: list[int], ctx: Context) -> ReducedPoly:
             inverse = (inverse * (k >> ((k & -k).bit_length() - 1))) & mask
         root = 2 * k + 1
         coeffs = [(lo - root * hi) & mask for lo, hi in zip([newton] + coeffs, coeffs + [0])]
-    return _fold(coeffs, ctx)
+    return coeffs
 
 
 def _fold(coeffs: list[int], ctx: Context) -> ReducedPoly:

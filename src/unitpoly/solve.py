@@ -2,9 +2,20 @@
 
 Each problem shape has one solver. Every solver at the standard nodes
 1, 3, ..., 2d+1 hands its node values to poly's _fit_nodes, the one way
-to a canonical form that reduce also takes. Inverse permutations find
-their node values by two-adic Newton iteration; multiplicative inverses
-and products compute theirs pointwise from poly's _node_values.
+to a canonical form that reduce also takes. Multiplicative inverses and
+products compute their node values pointwise from poly's _node_values,
+inverting all of them with a single unit_inverse.
+
+Inverse permutations find their node values, the preimages of the
+nodes, by two-adic Newton iteration up a ladder of precisions m = 2, ...,
+ceil(n/4), ceil(n/2), n. A step to precision m needs p only modulo 2**m
+and the slope p' only modulo 2**ceil(m/2). Modulo 2**m a polynomial
+function is fixed by its values at the first d_m + 1 nodes: the Newton
+coefficients of the difference between p and the fit of those values
+(poly's _fit, without the fold) all vanish modulo 2**m, so the fit
+equals p on every odd residue. Below the top level each step therefore
+runs over a fit of about m/2 terms instead of p, and the slope over a
+fit of p' of about m/4 terms.
 
 Arbitrary nodes can leave the system underdetermined, so they go through
 row reduction. Two is a zero divisor modulo 2**n, so Gaussian elimination
@@ -17,11 +28,13 @@ away its odd part leaves a pure power of two on the diagonal.
 
 from __future__ import annotations
 
-from .context import Context, unit_inverse
+from .context import Context, coeff_widths, unit_inverse, unit_inverses
 from .errors import BudgetExceeded, NotAPermutation, NotAUnitFunction
 from .poly import (
     ReducedPoly,
     _coeffs_for,
+    _eval_masked,
+    _fit,
     _fit_nodes,
     _node_values,
     evaluate,
@@ -173,35 +186,66 @@ def interpolate_at_nodes(nodes, values, ctx: Context, *, max_solutions: int | No
     return [ReducedPoly(coeffs, ctx.n) for coeffs in solutions]
 
 
+def _ladder(n: int) -> list[int]:
+    """The Newton precisions 2, ..., ceil(n/4), ceil(n/2), n, ascending:
+    each level starts from a root right to the ceiling of half its bits."""
+    levels = [n]
+    while levels[-1] > 2:
+        levels.append((levels[-1] + 1) // 2)
+    return levels[::-1]
+
+
 def invert_permutation(poly, ctx: Context) -> ReducedPoly:
     """Canonical polynomial inducing the inverse permutation.
 
     Finds the preimage of each standard node c by two-adic Newton
     iteration x <- x - (p(x) - c) / p'(x), starting from x = c. The
-    permutation test makes p' odd at every odd x, so each step doubles
-    the number of correct low bits. The preimages are then interpolated,
-    and the result is checked by composition at the nodes.
+    permutation test makes p' odd at every odd x, so a root right to
+    ceil(m/2) bits is one step from a root right to m bits. The steps
+    climb the ladder m = 2, ..., ceil(n/2), n of the module notes: below
+    the top level p is replaced by the fit of its node values read modulo
+    2**m, at every level p' by the fit of its node values read modulo
+    2**ceil(m/2), and a slope modulo 2 is 1. The preimages are then
+    fitted, and the result is checked by composition: p itself is
+    evaluated at every fitted preimage, at full precision.
 
     Raises:
         NotAPermutation: the polynomial does not permute the odd residues.
     """
     if not induces_permutation_on_units(poly):
         raise NotAPermutation("polynomial does not permute the odd residues")
-    coeffs = _coeffs_for(poly, ctx)[::-1]
+    coeffs = _coeffs_for(poly, ctx)
+    mask = ctx.mask
     nodes = ctx.interpolation_nodes
-    preimages = []
-    for c in nodes:
-        x = c
-        precision = 1  # p(x) == c modulo 2**precision; p(c) and c are both odd
-        while precision < ctx.n:
-            precision = min(2 * precision, ctx.n)
-            mask = (1 << precision) - 1
-            value = slope = 0
-            for a in coeffs:
-                slope = (slope * x + value) & mask
-                value = (value * x + a) & mask
-            x = (x - (value - c) * unit_inverse(slope, precision)) & mask
-        preimages.append(x)
+    # p and p' at as many nodes as the widest fit reads, d + 1 for precision ceil(n/2)
+    node_values, node_slopes = [], []
+    for c in nodes[: len(coeff_widths((ctx.n + 1) // 2))]:
+        value = slope = 0
+        for a in reversed(coeffs):
+            slope = (slope * c + value) & mask
+            value = (value * c + a) & mask
+        node_values.append(value)
+        node_slopes.append(slope)
+    preimages = list(nodes)
+    for m in _ladder(ctx.n):
+        if m < ctx.n:
+            m_ctx = Context(m, max_n=ctx.n)
+            level_poly = _fit(node_values[: m_ctx.d + 1], m_ctx)
+        else:
+            level_poly = coeffs
+        half = (m + 1) // 2
+        if half > 1:
+            half_ctx = Context(half, max_n=ctx.n)
+            derivative = _fit(node_slopes[: half_ctx.d + 1], half_ctx)
+            slopes = [_eval_masked(derivative, x, half_ctx.mask) for x in preimages]
+            inverses = unit_inverses(slopes, half)
+        else:
+            inverses = [1] * len(preimages)  # p' is odd
+        level_mask = (1 << m) - 1
+        preimages = [
+            (x - (_eval_masked(level_poly, x, level_mask) - c) * inverse) & level_mask
+            for x, c, inverse in zip(preimages, nodes, inverses)
+        ]
     inverse = _fit_nodes(preimages, ctx)
     for x, y in zip(nodes, _node_values(inverse, ctx)):
         if evaluate(poly, y, ctx) != x:
@@ -214,14 +258,15 @@ def multiplicative_inverse(poly, ctx: Context) -> ReducedPoly:
 
     The inverse of a function into the odd residues is again a polynomial
     function (the function group has two-power order), so inverting the
-    d+1 node values and interpolating recovers its canonical form.
+    d+1 node values, all for the price of one unit_inverse, and fitting
+    them recovers its canonical form.
 
     Raises:
         NotAUnitFunction: some value of p is even.
     """
     if not induces_function_on_units(poly):
         raise NotAUnitFunction("polynomial does not map odd residues to odd residues")
-    return _fit_nodes([unit_inverse(v, ctx.n) for v in _node_values(poly, ctx)], ctx)
+    return _fit_nodes(unit_inverses(_node_values(poly, ctx), ctx.n), ctx)
 
 
 def multiply_reduced(p: ReducedPoly, s: ReducedPoly, ctx: Context) -> ReducedPoly:

@@ -87,3 +87,13 @@ def test_unit_group_structure_range(n):
     assert report.passed
     assert report.order_exponent == n - 2
     assert report.halfway_expected == (1 << (n - 1)) + 1
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 1000])
+def test_unit_inverses_match_one_at_a_time(n, rng):
+    mod = 1 << n
+    values = [1, mod - 1, -1, mod + 3, *(rng.randrange(1, mod, 2) for _ in range(20))]
+    assert unitpoly.context.unit_inverses(values, n) == [unit_inverse(a, n) for a in values]
+    assert unitpoly.context.unit_inverses([], n) == []
+    with pytest.raises(ValueError):
+        unitpoly.context.unit_inverses([3, 2, 5], n)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from unitpoly import (
     Context,
+    IntPoly,
     ReducedPoly,
     evaluate,
     interpolate,
@@ -18,14 +19,19 @@ from unitpoly import (
     reduce,
     unit_inverse,
 )
-from unitpoly import solve
+from unitpoly import poly, solve
 from unitpoly.errors import (
     BudgetExceeded,
     InconsistentTable,
     NotAPermutation,
     NotAUnitFunction,
 )
-from unitpoly.oracle import oracle_enumerate_reduced, oracle_function_of, oracle_reduce
+from unitpoly.oracle import (
+    oracle_enumerate_reduced,
+    oracle_function_of,
+    oracle_preimages,
+    oracle_reduce,
+)
 from unitpoly.quasigroup import random_permutational_poly
 
 
@@ -102,6 +108,39 @@ def test_interpolate_agrees_with_general_solver_on_random_tables(n, rng):
         _assert_agrees_with_general_solver(corrupted, ctx)
         random_table = [rng.randrange(1, 1 << n, 2) for _ in values]
         _assert_agrees_with_general_solver(random_table, ctx)
+
+
+@st.composite
+def _standard_node_tables(draw):
+    """(n, table): n in 2..12 and d+1 odd values at the standard nodes,
+    taken from a random polynomial, from it with one bit above the lowest
+    flipped, or drawn at random."""
+    n = draw(st.integers(2, 12))
+    ctx = Context(n)
+    kind = draw(st.sampled_from(("real", "flipped", "random")))
+    if kind == "random":
+        odd = st.integers(0, (1 << (n - 1)) - 1).map(lambda k: 2 * k + 1)
+        return n, draw(st.lists(odd, min_size=ctx.d + 1, max_size=ctx.d + 1))
+    coeffs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=ctx.d + 3))
+    coeffs[0] ^= ~sum(coeffs) & 1  # odd coefficient sum: odd values
+    table = _oracle_values_at(coeffs, n, ctx.interpolation_nodes)
+    if kind == "flipped":
+        table[draw(st.integers(0, ctx.d))] ^= 1 << draw(st.integers(1, n - 1))
+    return n, table
+
+
+@settings(max_examples=300)
+@given(_standard_node_tables())
+def test_interpolate_fails_exactly_when_the_echelon_finds_no_fit(case):
+    n, table = case
+    ctx = Context(n)
+    fits = interpolate_at_nodes(ctx.interpolation_nodes, table, ctx)
+    try:
+        fit = interpolate(table, ctx)
+    except InconsistentTable:
+        assert fits == []
+    else:
+        assert fits == [fit]
 
 
 # -- interpolation at arbitrary nodes -----------------------------------------
@@ -206,6 +245,50 @@ def test_invert_matches_oracle_inverse(n, rng):
 def test_invert_rejects_non_permutations():
     with pytest.raises(NotAPermutation):
         invert_permutation((4, 4, 1), Context(4))
+
+
+# n where the ladder of precisions ceil(n/2), ceil(n/4), ... changes shape
+_LADDER_EDGES = (2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64)
+
+
+@st.composite
+def _permutations_in_any_form(draw, n):
+    """A permutation of the odd residues modulo 2**n as a plain tuple, an
+    IntPoly (both of degree up to d+4, with negative and oversized
+    coefficients) or the ReducedPoly of such a tuple."""
+    d = Context(n).d
+    entries = st.integers(-(1 << (n + 2)), 1 << (n + 2))
+    coeffs = draw(st.lists(entries, min_size=2, max_size=d + 5))
+    coeffs[1] += ~sum(coeffs[1::2]) & 1
+    coeffs[0] += ~sum(coeffs) & 1
+    form = draw(st.sampled_from((tuple, IntPoly, lambda c: oracle_reduce(c, n))))
+    return form(tuple(coeffs))
+
+
+@pytest.mark.parametrize("fixed_n", _LADDER_EDGES + (None,))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_invert_ladder_matches_the_newton_oracle(fixed_n, data):
+    n = fixed_n or data.draw(st.integers(2, 64))
+    ctx = Context(n)
+    p = data.draw(_permutations_in_any_form(n))
+    inverse = invert_permutation(p, ctx)
+    assert isinstance(inverse, ReducedPoly) and inverse.n == n
+    assert poly._node_values(inverse, ctx) == oracle_preimages(p, n)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_invert_builds_generators_only_for_its_own_n(n, monkeypatch, rng):
+    requested = []
+    build = poly.ideal_generators
+
+    def recording(ctx):
+        requested.append(ctx.n)
+        return build(ctx)
+
+    monkeypatch.setattr(poly, "ideal_generators", recording)
+    invert_permutation(random_permutational_poly(Context(n), rng), Context(n))
+    assert requested and set(requested) == {n}
 
 
 # -- pointwise multiplicative inverse ------------------------------------------
