@@ -117,11 +117,16 @@ class CensusReport:
 
 
 def census_report(n: int) -> CensusReport:
-    keller, ring = keller_exponent(n), count_ring_permutational(n)
+    # one width scan: the other two counts follow from count_reduced by the
+    # identities of count_permutational and count_ring_permutational
+    reduced = count_reduced(n)
+    permutational = reduced - 1
+    ring = 2 * permutational + 1
+    keller = keller_exponent(n)
     return CensusReport(
         n=n,
-        log2_reduced=count_reduced(n),
-        log2_permutational=count_permutational(n),
+        log2_reduced=reduced,
+        log2_permutational=permutational,
         log2_ring_permutational=ring,
         keller_exponent=keller,
         identity_ok=keller == ring,

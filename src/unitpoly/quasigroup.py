@@ -5,8 +5,10 @@ residues, so the carrier is the odd residues. The two RING modes add
 permutations of the whole ring built piecewise from polynomials on the
 odd residues: RING_ADDITIVE extends each polynomial to even arguments by
 conjugation with x+1, RING_GLUED uses a second polynomial for the even
-half. Every coordinate's inverse permutation is computed once at
-construction, so adjoint solving never searches.
+half. Each coordinate's inverse permutation is computed on first use,
+by the adjoint that reads it, and kept on the spec, so adjoint solving
+never searches and building, applying or serializing a spec inverts
+nothing.
 """
 
 from __future__ import annotations
@@ -54,6 +56,11 @@ class QuasigroupSpec:
         mode: the combiner.
         p_polys: the k coordinate permutations (canonical forms).
         h_polys: the k even-half permutations, RING_GLUED only.
+
+    A spec holds at most one inverse per polynomial (2k for RING_GLUED,
+    k otherwise), each computed by the first adjoint that reads it.
+    Filling a slot is idempotent, since every fill computes the same
+    canonical form, so a spec stays safe to share, as a Context is.
     """
 
     def __init__(self, ctx: Context, mode, p_polys, h_polys=None):
@@ -76,13 +83,12 @@ class QuasigroupSpec:
             if h_polys is not None:
                 raise ValueError(f"mode {self.mode.value} does not take h polynomials")
             self.h_polys = None
-        self._p_inv = tuple(invert_permutation(p, ctx) for p in self.p_polys)
+        self._p_inv = [None] * self.k
         # the even half conjugates h by x+1; RING_ADDITIVE is RING_GLUED with h = p
         if self.h_polys is None:
             self._h, self._h_inv = self.p_polys, self._p_inv
         else:
-            self._h = self.h_polys
-            self._h_inv = tuple(invert_permutation(h, ctx) for h in self.h_polys)
+            self._h, self._h_inv = self.h_polys, [None] * self.k
 
     def _validate_polys(self, polys, label):
         for idx, p in enumerate(polys):
@@ -92,6 +98,14 @@ class QuasigroupSpec:
                 raise ValueError(f"{label}[{idx}] is canonical for n={p.n}, spec has n={self.n}")
             if not induces_permutation_on_units(p):
                 raise NotAPermutation(f"{label}[{idx}] does not permute the odd residues")
+
+    def _inverse(self, idx: int, odd: bool = True) -> ReducedPoly:
+        """The inverse of p[idx] (odd) or of the even half h[idx], computed
+        on first use; the only inversion in this module."""
+        polys, slots = (self.p_polys, self._p_inv) if odd else (self._h, self._h_inv)
+        if slots[idx] is None:
+            slots[idx] = invert_permutation(polys[idx], self.ctx)
+        return slots[idx]
 
     # -- carrier handling ---------------------------------------------------
 
@@ -155,12 +169,14 @@ class QuasigroupSpec:
                 if j != idx:
                     others = (others * evaluate(self.p_polys[j], args[j], self.ctx)) & mask
             acc = (target * unit_inverse(others, self.n)) & mask
-            return evaluate(self._p_inv[idx], acc, self.ctx)
+            return evaluate(self._inverse(idx), acc, self.ctx)
         acc = target
         for j in range(self.k):
             if j != idx:
                 acc = (acc - self._glued(self.p_polys[j], self._h[j], args[j])) & mask
-        return self._glued(self._p_inv[idx], self._h_inv[idx], acc)
+        # _glued reads only the half that acc falls in, so invert only that one
+        inverse = self._inverse(idx, odd=bool(acc & 1))
+        return self._glued(inverse, inverse, acc)
 
     # -- verification --------------------------------------------------------
 

@@ -19,3 +19,19 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("P
 def rng():
     # fixed stream so failures replay exactly
     return random.Random(0x5EED)
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """The polynomials a quasigroup spec passes to invert_permutation, in order."""
+    from unitpoly import quasigroup
+
+    calls = []
+    real = quasigroup.invert_permutation
+
+    def counting(poly, ctx):
+        calls.append(poly)
+        return real(poly, ctx)
+
+    monkeypatch.setattr(quasigroup, "invert_permutation", counting)
+    return calls

@@ -362,3 +362,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "checks passed" in proc.stdout
+
+
+def test_qg_commands_invert_only_for_adjoint(capsys, tmp_path, inversions):
+    # pinned outputs are those of specs that inverted all six polynomials when built
+    code, out, _ = invoke(capsys, "qg", "random", "--n", "6", "--k", "3",
+                          "--mode", "ring_glued", "--seed", "9")
+    assert (code, out) == (0, '{"h": [["54", "7", "0", "0"], ["35", "31", "5", "0"], '
+                              '["10", "20", "0", "3"]], "k": 3, "mode": "RING_GLUED", "n": 6, '
+                              '"p": [["23", "0", "5", "3"], ["0", "26", "0", "3"], '
+                              '["62", "8", "0", "1"]]}\n')
+    spec = tmp_path / "glued.json"
+    spec.write_text(out)
+    assert invoke(capsys, "qg", "apply", "--spec", str(spec),
+                  "--args", "3,5,10") == (0, "12\n", "")
+    assert invoke(capsys, "qg", "apply", "--spec", str(spec), "--args", "3,5,10",
+                  "--format", "json") == (0, '{"ok": {"value": "12"}}\n', "")
+    assert inversions == []
+    assert invoke(capsys, "qg", "adjoint", "--spec", str(spec), "--coord", "2",
+                  "--args", "3,12,10") == (0, "5\n", "")
+    assert len(inversions) == 1

@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -281,3 +283,88 @@ def test_random_spec_is_deterministic():
     a = QuasigroupSpec.random(ctx, 2, Mode.RING_GLUED, random.Random(9))
     b = QuasigroupSpec.random(ctx, 2, Mode.RING_GLUED, random.Random(9))
     assert a.to_json() == b.to_json()
+
+
+# -- inverses on first use -----------------------------------------------------
+
+
+def test_building_applying_and_serializing_invert_nothing(inversions):
+    for mode in Mode:
+        ctx = Context(64)
+        spec = QuasigroupSpec.random(ctx, 3, mode, random.Random(1))
+        direct = QuasigroupSpec(ctx, mode, spec.p_polys, spec.h_polys)
+        clone = QuasigroupSpec.from_json(spec.to_json())
+        assert inversions == []
+        args = (3, 9, 21)
+        assert clone.apply(args) == direct.apply(args) == spec.apply(args)
+        assert clone.to_dict() == direct.to_dict() == spec.to_dict()
+        assert inversions == []
+    # the arity budget: 2048 inversions at n = 256 if built eagerly
+    spec = QuasigroupSpec.random(Context(256), RANDOM_ARITY_BUDGET, Mode.RING_GLUED,
+                                 random.Random(2))
+    assert spec.k == RANDOM_ARITY_BUDGET
+    assert inversions == []
+
+
+def _probe(spec, i, args):
+    probe = list(args)
+    probe[i - 1] = spec.apply(args)
+    return probe
+
+
+def test_glued_adjoint_inverts_only_the_half_it_reads(inversions):
+    # the adjoint's accumulated value has the parity of the argument it solves for
+    spec = QuasigroupSpec.random(Context(16), 3, Mode.RING_GLUED, random.Random(3))
+    assert spec.adjoint(2, _probe(spec, 2, (4, 7, 10))) == 7
+    assert inversions == [spec.p_polys[1]]
+    assert spec.adjoint(2, _probe(spec, 2, (1, 9, 2))) == 9
+    assert inversions == [spec.p_polys[1]]
+    assert spec.adjoint(2, _probe(spec, 2, (5, 12, 3))) == 12
+    assert inversions == [spec.p_polys[1], spec.h_polys[1]]
+
+
+def test_additive_adjoint_shares_one_inverse_per_coordinate(inversions):
+    spec = QuasigroupSpec.random(Context(16), 2, Mode.RING_ADDITIVE, random.Random(4))
+    assert spec.adjoint(1, _probe(spec, 1, (7, 6))) == 7
+    assert spec.adjoint(1, _probe(spec, 1, (8, 6))) == 8
+    assert inversions == [spec.p_polys[0]]
+
+
+def test_unit_adjoint_inverts_its_own_coordinate_once(inversions):
+    spec = QuasigroupSpec.random(Context(16), 3, Mode.UNIT_PRODUCT, random.Random(5))
+    for args in ((3, 5, 7), (9, 11, 13)):
+        assert spec.adjoint(3, _probe(spec, 3, args)) == args[2]
+    assert inversions == [spec.p_polys[2]]
+
+
+def test_threads_sharing_a_spec_fill_its_slots_consistently(inversions):
+    spec = QuasigroupSpec.random(Context(16), 3, Mode.RING_GLUED, random.Random(6))
+    rng = random.Random(7)
+    cases = []
+    for _ in range(48):
+        args = [rng.randrange(1 << 16) for _ in range(3)]
+        i = rng.randint(1, 3)
+        cases.append((i, _probe(spec, i, args), args[i - 1]))
+    expected = [b for _, _, b in cases]
+    results = []
+
+    def solve():
+        # a thread that raises appends nothing, so the count below catches it too
+        results.append([spec.adjoint(i, probe) for i, probe, _ in cases])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(threads)
+    # racing fills may repeat an inversion, but each slot the cases read stays filled
+    filled = len(inversions)
+    assert [spec.adjoint(i, probe) for i, probe, _ in cases] == expected
+    assert len(inversions) == filled > 0
