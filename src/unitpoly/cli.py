@@ -42,6 +42,7 @@ from .poly import (
 from .quasigroup import DEFAULT_LATIN_BUDGET, QuasigroupSpec
 from .residue import DEFAULT_BRANCH_LIMIT, check_unit_group_structure, hensel_roots, unit_inverse
 from .solve import (
+    DEFAULT_SOLUTION_BUDGET,
     interpolate,
     interpolate_at_nodes,
     invert_permutation,
@@ -221,7 +222,8 @@ _FLAGS = {
     "at": {"type": int, "required": True},
     "values": {"type": _ints_arg, "required": True},
     "nodes": {"type": _ints_arg, "required": True},
-    "limit": {"type": int, "default": 1 << 12, "help": "cap on the solution count (default 4096)"},
+    "limit": {"type": int, "default": DEFAULT_SOLUTION_BUDGET,
+              "help": "cap on the solution count (default 4096)"},
     "branch-limit": {"type": int, "default": DEFAULT_BRANCH_LIMIT},
     "value": {"type": int, "required": True},
     "spec": {"required": True, "help": "spec JSON file, or - for stdin"},

@@ -103,7 +103,6 @@ class Context:
         d: the degree cap d_n for canonical polynomials.
         coeff_bits: coeff_widths(n); coefficient i of a canonical
             polynomial lies in [0, 2**coeff_bits[i]).
-        max_n: the configured ceiling this context was checked against.
     """
 
     def __init__(self, n: int, max_n: int = DEFAULT_MAX_N):
@@ -112,7 +111,6 @@ class Context:
         if n > max_n:
             raise ValueError(f"modulus exponent {n} exceeds the ceiling {max_n}")
         self.n = n
-        self.max_n = max_n
         self.modulus = 1 << n
         self.mask = self.modulus - 1
         self.coeff_bits = coeff_widths(n)

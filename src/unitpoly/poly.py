@@ -5,9 +5,9 @@ residues by evaluation modulo 2**n. Among all polynomials inducing the
 same function there is exactly one with degree at most d_n whose i-th
 coefficient lies below 2**(n-i-t_i); that representative is ReducedPoly.
 This module holds the two polynomial types, the rewriting ideal, the one
-road from node values to canonical forms (_node_values, _fit_nodes),
-parity tests for what a polynomial does to the odd residues (or the
-whole ring), and the gluing that welds two functions into one polynomial.
+multipoint evaluation (_values_at), the one road from node values to
+canonical forms (_node_values, _fit_nodes), parity tests on the odd
+residues and the whole ring, and the gluing of two functions into one.
 """
 
 from __future__ import annotations
@@ -299,30 +299,37 @@ def ideal_generators(ctx: Context) -> tuple[IntPoly, ...]:
     return ctx._generator_cache
 
 
+def _values_at(coeffs: Sequence[int], points: Iterable[int], mask: int) -> list[int]:
+    """Values of one polynomial at many points, by masked Horner at each."""
+    return [_eval_masked(coeffs, x, mask) for x in points]
+
+
 def _node_values(poly, ctx: Context) -> list[int]:
     """Values of the induced function at the standard nodes 1, 3, ..., 2d+1."""
-    coeffs = _coeffs_for(poly, ctx)
-    return [_eval_masked(coeffs, x, ctx.mask) for x in ctx.interpolation_nodes]
+    return _values_at(_coeffs_for(poly, ctx), ctx.interpolation_nodes, ctx.mask)
 
 
 def _fit_nodes(vals: list[int], ctx: Context) -> ReducedPoly:
     """The canonical polynomial taking the values vals at 1, 3, ..., 2d+1:
     the fit, then the fold into range."""
-    return _fold(_fit(vals, ctx), ctx)
+    return _fold(_fit(vals, ctx.n), ctx)
 
 
-def _fit(vals: list[int], ctx: Context) -> list[int]:
-    """The d+1 monomial coefficients, in [0, 2**n) but not yet folded into
-    range, of a polynomial taking the values vals at 1, 3, ..., 2d+1.
+def _fit(vals: list[int], n: int) -> list[int]:
+    """The d_n+1 monomial coefficients, in [0, 2**n) but not yet folded into
+    range, of a polynomial taking the first d_n+1 values vals at 1, 3, ..., 2d_n+1.
 
     The values count modulo 2**n. The k-th step-2 difference at 1 is
     2**(k + t_k) * odd(k!) times the k-th Newton coefficient, or
     InconsistentTable is raised; Horner's rule then converts the Newton
     form to monomials."""
-    mask = ctx.mask
+    mask = (1 << n) - 1
+    widths = coeff_widths(n)
+    d = len(widths) - 1
+    vals = vals[: d + 1]
     scaled = []  # the k-th difference over 2**(k + t_k), that is odd(k!) * newton[k]
-    for k in range(ctx.d + 1):
-        exponent = ctx.n - ctx.coeff_bits[k]  # k + t_k
+    for k in range(d + 1):
+        exponent = n - widths[k]  # k + t_k
         diff = vals[0]
         if diff & ((1 << exponent) - 1):
             raise InconsistentTable(
@@ -332,9 +339,9 @@ def _fit(vals: list[int], ctx: Context) -> list[int]:
         scaled.append(diff >> exponent)
         vals = [(b - a) & mask for a, b in zip(vals, vals[1:])]
     # one inverse, of odd(d!); odd((k-1)!)**-1 = odd(k!)**-1 * odd(k) sweeps it down
-    inverse = unit_inverse(math.factorial(ctx.d) >> two_adic_factorial_valuation(ctx.d), ctx.n)
+    inverse = unit_inverse(math.factorial(d) >> two_adic_factorial_valuation(d), n)
     coeffs = []
-    for k in range(ctx.d, -1, -1):
+    for k in range(d, -1, -1):
         # coeffs <- coeffs * (x - (2k+1)) + newton[k]
         newton = (scaled[k] * inverse) & mask
         if k:
@@ -346,12 +353,14 @@ def _fit(vals: list[int], ctx: Context) -> list[int]:
 
 def _fold(coeffs: list[int], ctx: Context) -> ReducedPoly:
     """Canonical form of d+1 coefficients in [0, 2**n): from index d down to 1, subtract
-    the scaled generator (an ideal member, so the function stays) that brings each into range."""
+    the scaled generator (an ideal member, so the function stays) that brings each into range;
+    the generators are fetched at the first such slot, so an in-range vector builds none."""
     mask = ctx.mask
-    gens = ideal_generators(ctx)
+    gens = None
     for i in range(ctx.d, 0, -1):
         q = coeffs[i] >> ctx.coeff_bits[i]
         if q:
+            gens = gens or ideal_generators(ctx)
             gen = gens[i].coeffs
             for j in range(i + 1):
                 coeffs[j] = (coeffs[j] - q * gen[j]) & mask

@@ -183,29 +183,23 @@ class QuasigroupSpec:
     def latin_check(self, budget: int = DEFAULT_LATIN_BUDGET) -> bool:
         """Exhaustively confirm the quasigroup and adjoint properties.
 
-        Checks that every unary section (one free slot, all others fixed)
-        permutes the carrier, and that every adjoint inverts the operation
-        at every point.
+        Checks that every adjoint inverts the operation at every point:
+        g_i(f(args)) == args[i-1] for every argument tuple and slot i. With
+        the other slots fixed, the section b -> f(..., b, ...) then has a
+        left inverse, so it is injective on the finite carrier and hence
+        permutes it. A value of the operation outside the carrier makes the
+        adjoint raise CarrierError.
 
         Raises:
-            BudgetExceeded: carrier_size**k exceeds the budget.
+            BudgetExceeded: carrier_size**k exceeds the budget; checked from
+                n alone, before the carrier is touched.
         """
-        carrier = list(self.carrier())
-        size = len(carrier)
+        size = 1 << (self.n - 1 if self.mode is Mode.UNIT_PRODUCT else self.n)
         if size**self.k > budget:
             raise BudgetExceeded(
                 f"carrier size {size}**{self.k} exceeds the exhaustion budget {budget}"
             )
-        for idx in range(self.k):
-            for rest in itertools.product(carrier, repeat=self.k - 1):
-                seen = set()
-                args = list(rest[:idx]) + [0] + list(rest[idx:])
-                for b in carrier:
-                    args[idx] = b
-                    seen.add(self.apply(args))
-                if len(seen) != size:
-                    return False
-        for args in itertools.product(carrier, repeat=self.k):
+        for args in itertools.product(self.carrier(), repeat=self.k):
             value = self.apply(args)
             for i in range(1, self.k + 1):
                 probe = list(args)

@@ -2,7 +2,8 @@
 
 Each problem shape has one solver. Every solver at the standard nodes
 1, 3, ..., 2d+1 hands its node values to poly's _fit_nodes, the one way
-to a canonical form that reduce also takes. Multiplicative inverses and
+to a canonical form that reduce also takes, and every evaluation at many
+points goes through poly's _values_at. Multiplicative inverses and
 products compute their node values pointwise from poly's _node_values,
 inverting all of them with a single unit_inverse.
 
@@ -12,10 +13,10 @@ ceil(n/4), ceil(n/2), n. A step to precision m needs p only modulo 2**m
 and the slope p' only modulo 2**ceil(m/2). Modulo 2**m a polynomial
 function is fixed by its values at the first d_m + 1 nodes: the Newton
 coefficients of the difference between p and the fit of those values
-(poly's _fit, without the fold) all vanish modulo 2**m, so the fit
-equals p on every odd residue. Below the top level each step therefore
-runs over a fit of about m/2 terms instead of p, and the slope over a
-fit of p' of about m/4 terms.
+(poly's _fit at precision m, without the fold) all vanish modulo 2**m,
+so the fit equals p on every odd residue. Below the top level each step
+therefore runs over a fit of about m/2 terms instead of p, and the slope
+over a fit of p' of about m/4 terms. No step builds a Context.
 
 Arbitrary nodes can leave the system underdetermined, so they go through
 row reduction. Two is a zero divisor modulo 2**n, so Gaussian elimination
@@ -33,14 +34,16 @@ from .errors import BudgetExceeded, NotAPermutation, NotAUnitFunction
 from .poly import (
     ReducedPoly,
     _coeffs_for,
-    _eval_masked,
     _fit,
     _fit_nodes,
     _node_values,
-    evaluate,
+    _values_at,
+    evaluate,  # unused here; perfbench's self-test reads solve.evaluate
     induces_function_on_units,
     induces_permutation_on_units,
 )
+
+DEFAULT_SOLUTION_BUDGET = 1 << 12  # most fits interpolate_at_nodes enumerates by default
 
 
 def _vandermonde_rows(nodes, width: int, ctx: Context) -> list[list[int]]:
@@ -122,7 +125,9 @@ def interpolate(values, ctx: Context) -> ReducedPoly:
     return _fit_nodes(vals, ctx)
 
 
-def interpolate_at_nodes(nodes, values, ctx: Context, *, max_solutions: int | None = None) -> list[ReducedPoly]:
+def interpolate_at_nodes(
+    nodes, values, ctx: Context, *, max_solutions: int | None = DEFAULT_SOLUTION_BUDGET
+) -> list[ReducedPoly]:
     """Every canonical polynomial agreeing with a table on arbitrary odd nodes.
 
     The nodes must be distinct odd residues, values odd residues. The
@@ -132,7 +137,8 @@ def interpolate_at_nodes(nodes, values, ctx: Context, *, max_solutions: int | No
     (possibly empty) solution set, sorted by coefficient vector.
 
     Args:
-        max_solutions: optional cap; exceeding it raises BudgetExceeded
+        max_solutions: cap on the solution count, DEFAULT_SOLUTION_BUDGET
+            unless given (None lifts it); exceeding it raises BudgetExceeded
             instead of enumerating an enormous set.
     """
     node_list = [ctx.check_unit(v) for v in nodes]
@@ -215,41 +221,29 @@ def invert_permutation(poly, ctx: Context) -> ReducedPoly:
     if not induces_permutation_on_units(poly):
         raise NotAPermutation("polynomial does not permute the odd residues")
     coeffs = _coeffs_for(poly, ctx)
-    mask = ctx.mask
     nodes = ctx.interpolation_nodes
     # p and p' at as many nodes as the widest fit reads, d + 1 for precision ceil(n/2)
-    node_values, node_slopes = [], []
-    for c in nodes[: len(coeff_widths((ctx.n + 1) // 2))]:
-        value = slope = 0
-        for a in reversed(coeffs):
-            slope = (slope * c + value) & mask
-            value = (value * c + a) & mask
-        node_values.append(value)
-        node_slopes.append(slope)
+    first = nodes[: len(coeff_widths((ctx.n + 1) // 2))]
+    node_values = _values_at(coeffs, first, ctx.mask)
+    node_slopes = _values_at([i * a for i, a in enumerate(coeffs)][1:], first, ctx.mask)
     preimages = list(nodes)
     for m in _ladder(ctx.n):
-        if m < ctx.n:
-            m_ctx = Context(m, max_n=ctx.n)
-            level_poly = _fit(node_values[: m_ctx.d + 1], m_ctx)
-        else:
-            level_poly = coeffs
+        level_poly = _fit(node_values, m) if m < ctx.n else coeffs
         half = (m + 1) // 2
         if half > 1:
-            half_ctx = Context(half, max_n=ctx.n)
-            derivative = _fit(node_slopes[: half_ctx.d + 1], half_ctx)
-            slopes = [_eval_masked(derivative, x, half_ctx.mask) for x in preimages]
+            slopes = _values_at(_fit(node_slopes, half), preimages, (1 << half) - 1)
             inverses = unit_inverses(slopes, half)
         else:
             inverses = [1] * len(preimages)  # p' is odd
         level_mask = (1 << m) - 1
+        values = _values_at(level_poly, preimages, level_mask)
         preimages = [
-            (x - (_eval_masked(level_poly, x, level_mask) - c) * inverse) & level_mask
-            for x, c, inverse in zip(preimages, nodes, inverses)
+            (x - (y - c) * inverse) & level_mask
+            for x, y, c, inverse in zip(preimages, values, nodes, inverses)
         ]
     inverse = _fit_nodes(preimages, ctx)
-    for x, y in zip(nodes, _node_values(inverse, ctx)):
-        if evaluate(poly, y, ctx) != x:
-            raise RuntimeError("inverse failed its composition check")
+    if _values_at(coeffs, _node_values(inverse, ctx), ctx.mask) != list(nodes):
+        raise RuntimeError("inverse failed its composition check")
     return inverse
 
 

@@ -299,6 +299,23 @@ def test_qg_check(capsys, spec_file):
     assert (code, out) == (0, "true\n")
 
 
+@pytest.mark.parametrize("n, mode", [(31, "unit_product"), (64, "ring_additive"),
+                                     (4096, "ring_glued")])
+def test_qg_check_reads_its_budget_before_the_carrier(capsys, tmp_path, n, mode):
+    # a carrier of 2**30 or more residues: listing it exhausts memory, len() overflows
+    _, spec, _ = invoke(capsys, "qg", "random", "--n", str(n), "--k", "2", "--mode", mode,
+                        "--seed", "1")
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    code, out, err = invoke(capsys, "qg", "check", "--spec", str(path), "--budget", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: BudgetExceeded: carrier size ")
+    code, out, _ = invoke(capsys, "qg", "check", "--spec", str(path), "--budget", "3",
+                          "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "BudgetExceeded"
+
+
 def test_qg_spec_from_stdin(capsys, spec_file, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(spec_file.read_text()))
     code, out, _ = invoke(capsys, "qg", "apply", "--spec", "-", "--args", "3,5")

@@ -24,6 +24,7 @@ from unitpoly import (
     reduce,
     rivest_permutes_ring,
 )
+from unitpoly import poly
 from unitpoly.errors import BudgetExceeded, NotAPermutation
 from unitpoly.quasigroup import random_permutational_poly
 from unitpoly.oracle import (
@@ -201,6 +202,24 @@ def test_generators_vanish_on_units(n):
 def test_generators_cached_per_context():
     ctx = Context(6)
     assert ideal_generators(ctx) is ideal_generators(ctx)
+
+
+def test_fold_fetches_generators_once_and_only_for_a_slot_out_of_range(monkeypatch):
+    requested = []
+    build = poly.ideal_generators
+
+    def recording(ctx):
+        requested.append(ctx.n)
+        return build(ctx)
+
+    monkeypatch.setattr(poly, "ideal_generators", recording)
+    ctx = Context(2048)  # its generator tuple alone would take about 1.5 s and 170 MiB
+    canonical = reduce((1, 0, 0, 0, 0, 3), ctx)
+    assert reduce(canonical, ctx) == canonical
+    assert requested == []
+    small = Context(64)
+    reduce([small.mask] * (small.d + 1), small)  # every slot above 0 out of range
+    assert requested == [64]
 
 
 def test_reduce_worked_example():

@@ -100,6 +100,27 @@ def test_latin_check_passes(mode, rng):
     assert spec.latin_check()
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_latin_check_catches_an_adjoint_that_lies_once(mode, monkeypatch, rng):
+    spec = QuasigroupSpec.random(Context(3), 2, mode, rng)
+    honest = spec.adjoint
+
+    def lying(i, args):
+        b = honest(i, args)
+        return b ^ 2 if (i, list(args)) == (2, [7, 7]) else b  # same parity, wrong value
+
+    monkeypatch.setattr(spec, "adjoint", lying)
+    assert spec.latin_check() is False
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_latin_check_catches_an_operation_that_ignores_an_argument(mode, monkeypatch, rng):
+    spec = QuasigroupSpec.random(Context(3), 2, mode, rng)
+    honest = spec.apply
+    monkeypatch.setattr(spec, "apply", lambda args: honest([args[0], 1]))
+    assert spec.latin_check() is False
+
+
 def test_latin_check_budget():
     ctx = Context(4)
     spec = QuasigroupSpec.random(ctx, 3, Mode.RING_ADDITIVE, random.Random(0))

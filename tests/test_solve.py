@@ -194,6 +194,13 @@ def test_interp_nodes_solution_cap():
     assert len(fits) == 4
 
 
+def test_interp_nodes_has_a_default_budget():
+    # one node at n = 16 leaves 2**69 fits; without a cap the sweep would never end
+    assert solve.DEFAULT_SOLUTION_BUDGET == 1 << 12
+    with pytest.raises(BudgetExceeded, match="more than 4096 polynomials fit the table"):
+        interpolate_at_nodes([1], [1], Context(16))
+
+
 @pytest.mark.parametrize("nodes, values", [((1,), (5,)), ((1, 3), (5, 7)), ((3, 7), (9, 1))])
 def test_interp_nodes_cap_at_the_count_returns_the_uncapped_list(nodes, values):
     ctx = Context(6)
@@ -289,6 +296,20 @@ def test_invert_builds_generators_only_for_its_own_n(n, monkeypatch, rng):
     monkeypatch.setattr(poly, "ideal_generators", recording)
     invert_permutation(random_permutational_poly(Context(n), rng), Context(n))
     assert requested and set(requested) == {n}
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_solvers_build_no_context(n, monkeypatch, rng):
+    ctx = Context(n)
+    p = random_permutational_poly(ctx, rng)
+
+    def no_context(*args, **kwargs):
+        raise AssertionError("a solver built a Context")
+
+    monkeypatch.setattr(solve, "Context", no_context)
+    inverse = invert_permutation(p, ctx)
+    assert interpolate(poly._node_values(inverse, ctx), ctx) == inverse
+    assert multiply_reduced(p, multiplicative_inverse(p, ctx), ctx) == reduce((1,), ctx)
 
 
 # -- pointwise multiplicative inverse ------------------------------------------
