@@ -93,8 +93,7 @@ def coeff_widths(n: int) -> tuple[int, ...]:
 class Context:
     """Precomputed tables for one modulus 2**n.
 
-    Instances are never mutated after construction (the ideal-generator
-    cache is filled once, idempotently) and are safe to share.
+    Instances are never mutated after construction and are safe to share.
 
     Attributes:
         n: the modulus exponent.
@@ -115,7 +114,6 @@ class Context:
         self.mask = self.modulus - 1
         self.coeff_bits = coeff_widths(n)
         self.d = len(self.coeff_bits) - 1
-        self._generator_cache = None  # filled lazily by poly.ideal_generators
 
     def units(self) -> range:
         """The odd residues modulo 2**n, ascending."""

@@ -5,13 +5,21 @@ residues by evaluation modulo 2**n. Among all polynomials inducing the
 same function there is exactly one with degree at most d_n whose i-th
 coefficient lies below 2**(n-i-t_i); that representative is ReducedPoly.
 This module holds the two polynomial types, the rewriting ideal, the one
-multipoint evaluation (_values_at), the one road from node values to
-canonical forms (_node_values, _fit_nodes), parity tests on the odd
-residues and the whole ring, and the gluing of two functions into one.
+multipoint evaluation (_values_at), parity tests on the odd residues and
+the whole ring, and the gluing of two functions into one.
+
+Every canonical form is reached one way: Newton coefficients in the basis
+N_k = (x-1)(x-3)...(x-2k+1), then the unit-triangular solve _solve. Two
+polynomials of degree at most d_n induce the same function exactly when
+their k-th Newton coefficients agree modulo 2**(n-k-t_k). reduce gets the
+Newton coefficients of a coefficient vector by Horner's rule (_to_newton);
+the solvers get them from their values at the nodes (_node_values) by
+differences (_fit, through _fit_nodes).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -271,15 +279,14 @@ def rivest_permutes_ring(poly) -> bool:
 
 
 def ideal_generators(ctx: Context) -> tuple[IntPoly, ...]:
-    """The d+2 generators of the rewriting ideal, cached on the context.
+    """The d+2 generators of the rewriting ideal, built afresh on each call.
 
     Index 0 holds the literal constant 2**n. Index i, for 1 <= i <= d,
     holds 2**(n-i-t_i) * (x+1)(x+3)...(x+2i-1) with coefficients reduced
     modulo 2**n. The last entry is the monic degree-(d+1) product, which
-    vanishes on every odd residue; reduce folds with indices 1..d only.
+    vanishes on every odd residue. Canonical forms never need the table;
+    it is the ideal's description, for display and checks.
     """
-    if ctx._generator_cache is not None:
-        return ctx._generator_cache
     mask = ctx.mask
     gens = [IntPoly((ctx.modulus,))]
     prod = [1]
@@ -295,8 +302,7 @@ def ideal_generators(ctx: Context) -> tuple[IntPoly, ...]:
             gens.append(IntPoly(tuple((c * scale) & mask for c in prod)))
         else:
             gens.append(IntPoly(tuple(prod)))
-    ctx._generator_cache = tuple(gens)
-    return ctx._generator_cache
+    return tuple(gens)
 
 
 def _values_at(coeffs: Sequence[int], points: Iterable[int], mask: int) -> list[int]:
@@ -310,19 +316,18 @@ def _node_values(poly, ctx: Context) -> list[int]:
 
 
 def _fit_nodes(vals: list[int], ctx: Context) -> ReducedPoly:
-    """The canonical polynomial taking the values vals at 1, 3, ..., 2d+1:
-    the fit, then the fold into range."""
-    return _fold(_fit(vals, ctx.n), ctx)
+    """The canonical polynomial taking the values vals at 1, 3, ..., 2d+1."""
+    return ReducedPoly(tuple(_fit(vals, ctx.n)), ctx.n)
 
 
 def _fit(vals: list[int], n: int) -> list[int]:
-    """The d_n+1 monomial coefficients, in [0, 2**n) but not yet folded into
-    range, of a polynomial taking the first d_n+1 values vals at 1, 3, ..., 2d_n+1.
+    """The d_n+1 canonical coefficients modulo 2**n of the polynomial function
+    taking the first d_n+1 values vals at 1, 3, ..., 2d_n+1.
 
     The values count modulo 2**n. The k-th step-2 difference at 1 is
     2**(k + t_k) * odd(k!) times the k-th Newton coefficient, or
-    InconsistentTable is raised; Horner's rule then converts the Newton
-    form to monomials."""
+    InconsistentTable is raised; _solve then turns the Newton
+    coefficients into the canonical form."""
     mask = (1 << n) - 1
     widths = coeff_widths(n)
     d = len(widths) - 1
@@ -340,45 +345,74 @@ def _fit(vals: list[int], n: int) -> list[int]:
         vals = [(b - a) & mask for a, b in zip(vals, vals[1:])]
     # one inverse, of odd(d!); odd((k-1)!)**-1 = odd(k!)**-1 * odd(k) sweeps it down
     inverse = unit_inverse(math.factorial(d) >> two_adic_factorial_valuation(d), n)
-    coeffs = []
+    newton = [0] * (d + 1)
     for k in range(d, -1, -1):
-        # coeffs <- coeffs * (x - (2k+1)) + newton[k]
-        newton = (scaled[k] * inverse) & mask
+        newton[k] = (scaled[k] * inverse) & mask
         if k:
             inverse = (inverse * (k >> ((k & -k).bit_length() - 1))) & mask
-        root = 2 * k + 1
-        coeffs = [(lo - root * hi) & mask for lo, hi in zip([newton] + coeffs, coeffs + [0])]
-    return coeffs
+    return _solve(newton, n)
 
 
-def _fold(coeffs: list[int], ctx: Context) -> ReducedPoly:
-    """Canonical form of d+1 coefficients in [0, 2**n): from index d down to 1, subtract
-    the scaled generator (an ideal member, so the function stays) that brings each into range;
-    the generators are fetched at the first such slot, so an in-range vector builds none."""
-    mask = ctx.mask
-    gens = None
-    for i in range(ctx.d, 0, -1):
-        q = coeffs[i] >> ctx.coeff_bits[i]
-        if q:
-            gens = gens or ideal_generators(ctx)
-            gen = gens[i].coeffs
-            for j in range(i + 1):
-                coeffs[j] = (coeffs[j] - q * gen[j]) & mask
-    return ReducedPoly(tuple(coeffs), ctx.n)
+def _to_newton(coeffs: Sequence[int], n: int) -> list[int]:
+    """The first d_n+1 coefficients modulo 2**n of sum c_i x**i in the
+    Newton basis N_k = (x-1)(x-3)...(x-2k+1), by Horner's rule with
+    x N_k = N_{k+1} + (2k+1) N_k. Higher entries are cut at every step:
+    those N_k vanish on the odd residues, and none feeds a lower one."""
+    mask = (1 << n) - 1
+    size = len(coeff_widths(n))
+    odds = range(1, 2 * size, 2)  # 2k+1 for k <= d_n
+    acc: list[int] = []
+    for c in reversed(coeffs):
+        acc = [(low + odd * a) & mask for odd, low, a in zip(odds, [c] + acc, acc + [0])]
+    return acc + [0] * (size - len(acc))
+
+
+@functools.lru_cache(maxsize=64)
+def _top_row(n: int) -> tuple[int, ...]:
+    """T(d_n, k), k <= d_n: the Newton coefficients of x**d_n modulo 2**n."""
+    return tuple(_to_newton((0,) * (len(coeff_widths(n)) - 1) + (1,), n))
+
+
+def _solve(newton: Sequence[int], n: int) -> list[int]:
+    """The canonical coefficients r of the function with Newton coefficients newton.
+
+    Writing x**i = sum_k T(i,k) N_k, where T(i,i) = 1, coefficient k of
+    sum r_i x**i is sum_{i >= k} r_i T(i,k), and two forms of degree at
+    most d_n induce one function exactly when these agree modulo 2**w_k,
+    w = coeff_widths(n). So from i = d_n down, r_i is what is left of
+    newton[i] modulo 2**w_i, and r_i T(i,k) leaves every lower slot k;
+    the rows step down by T(i-1,k-1) = T(i,k) - (2k+1) T(i-1,k)."""
+    mask = (1 << n) - 1
+    widths = coeff_widths(n)
+    acc = list(newton)  # unmasked: the & that reads a slot gives its residue
+    row = _top_row(n)
+    out = [0] * len(widths)
+    for i in range(len(widths) - 1, -1, -1):
+        r = out[i] = acc[i] & ((1 << widths[i]) - 1)
+        if r:
+            acc = [a - r * t for a, t in zip(acc, row)]
+        below = [0] * i  # T(i-1, k), k < i
+        t = 1
+        for k in range(i - 1, -1, -1):
+            below[k] = t
+            t = (row[k] - (2 * k + 1) * t) & mask
+        row = below
+    return out
 
 
 def reduce(poly, ctx: Context) -> ReducedPoly:
     """Canonical form of the function the polynomial induces modulo 2**n.
 
     Any integer polynomial is accepted; coefficients are first normalized
-    into [0, 2**n). Above degree d it is replaced by the fit of its values
-    at the standard nodes, which fix the function on every odd residue;
-    otherwise its coefficients are folded into range.
+    into [0, 2**n). A vector of at most d+1 slots, each already in range,
+    is canonical as it stands; any other goes to the Newton basis and
+    back through the triangular solve, whatever its degree.
     """
     coeffs = _trimmed([c & ctx.mask for c in _as_coeffs(poly)])
-    if len(coeffs) > ctx.d + 1:
-        return _fit_nodes(_node_values(coeffs, ctx), ctx)
-    return _fold(coeffs + [0] * (ctx.d + 1 - len(coeffs)), ctx)
+    widths = ctx.coeff_bits
+    if len(coeffs) > len(widths) or any(c >> w for c, w in zip(coeffs, widths)):
+        coeffs = _solve(_to_newton(coeffs, ctx.n), ctx.n)
+    return ReducedPoly(tuple(coeffs), ctx.n)
 
 
 def equivalent(p, t, ctx: Context) -> bool:

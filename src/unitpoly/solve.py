@@ -1,8 +1,9 @@
 """Interpolation and both kinds of inversion modulo 2**n.
 
 Each problem shape has one solver. Every solver at the standard nodes
-1, 3, ..., 2d+1 hands its node values to poly's _fit_nodes, the one way
-to a canonical form that reduce also takes, and every evaluation at many
+1, 3, ..., 2d+1 hands its node values to poly's _fit_nodes, which reads
+their Newton coefficients off a difference table and ends in the
+triangular solve that reduce also ends in, and every evaluation at many
 points goes through poly's _values_at. Multiplicative inverses and
 products compute their node values pointwise from poly's _node_values,
 inverting all of them with a single unit_inverse.
@@ -13,10 +14,11 @@ ceil(n/4), ceil(n/2), n. A step to precision m needs p only modulo 2**m
 and the slope p' only modulo 2**ceil(m/2). Modulo 2**m a polynomial
 function is fixed by its values at the first d_m + 1 nodes: the Newton
 coefficients of the difference between p and the fit of those values
-(poly's _fit at precision m, without the fold) all vanish modulo 2**m,
-so the fit equals p on every odd residue. Below the top level each step
-therefore runs over a fit of about m/2 terms instead of p, and the slope
-over a fit of p' of about m/4 terms. No step builds a Context.
+(poly's _fit at precision m, the canonical form modulo 2**m) all vanish
+modulo 2**m, so the fit equals p on every odd residue. Below the top
+level each step therefore runs over a fit of about m/2 terms instead of
+p, and the slope over a fit of p' of about m/4 terms. No step builds a
+Context.
 
 Arbitrary nodes can leave the system underdetermined, so they go through
 row reduction. Two is a zero divisor modulo 2**n, so Gaussian elimination

@@ -1,5 +1,7 @@
 """Polynomial types, canonical reduction, and the parity predicates."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from unitpoly import (
     indicator_polys,
     induces_function_on_units,
     induces_permutation_on_units,
+    interpolate,
     max_reduced_degree,
     multiply_reduced,
     parse_poly,
@@ -199,27 +202,52 @@ def test_generators_vanish_on_units(n):
         assert set(table.values) == {0}, f"n={n} gen={gen.coeffs}"
 
 
-def test_generators_cached_per_context():
+def test_generators_are_rebuilt_and_the_context_stays_as_built(rng):
     ctx = Context(6)
-    assert ideal_generators(ctx) is ideal_generators(ctx)
+    built = dict(vars(ctx))
+    assert ideal_generators(ctx) == ideal_generators(ctx)
+    reduce([ctx.mask] * (2 * ctx.d + 1), ctx)
+    interpolate(poly._node_values(random_permutational_poly(ctx, rng), ctx), ctx)
+    assert vars(ctx) == built
 
 
-def test_fold_fetches_generators_once_and_only_for_a_slot_out_of_range(monkeypatch):
-    requested = []
-    build = poly.ideal_generators
+def test_reduce_above_the_cap_evaluates_nothing(monkeypatch, rng):
+    ctx = Context(64)
+    inputs = [
+        [rng.randrange(1 << 64) for _ in range(degree)] + [1]
+        for degree in (ctx.d + 1, 2 * ctx.d, 3 * ctx.d + 2)
+    ]
+    expected = [oracle_reduce(coeffs, 64) for coeffs in inputs]
 
-    def recording(ctx):
-        requested.append(ctx.n)
-        return build(ctx)
+    def no_values(*args):
+        raise AssertionError("reduce evaluated the polynomial")
 
-    monkeypatch.setattr(poly, "ideal_generators", recording)
-    ctx = Context(2048)  # its generator tuple alone would take about 1.5 s and 170 MiB
-    canonical = reduce((1, 0, 0, 0, 0, 3), ctx)
+    monkeypatch.setattr(poly, "_values_at", no_values)
+    assert [reduce(coeffs, ctx) for coeffs in inputs] == expected
+
+
+def test_reduce_returns_a_canonical_vector_without_a_solve(monkeypatch, rng):
+    ctx = Context(2048)
+    canonical = ReducedPoly(tuple(rng.randrange(1 << bits) for bits in ctx.coeff_bits), 2048)
+
+    def no_solve(*args):
+        raise AssertionError("reduce solved for an already canonical vector")
+
+    monkeypatch.setattr(poly, "_solve", no_solve)
     assert reduce(canonical, ctx) == canonical
-    assert requested == []
-    small = Context(64)
-    reduce([small.mask] * (small.d + 1), small)  # every slot above 0 out of range
-    assert requested == [64]
+    assert reduce(list(canonical.coeffs), ctx) == canonical
+
+
+def test_reduce_at_full_width_stays_small(rng):
+    # a generator table, d**2 / 2 coefficients of n bits, would peak at about 3.3 MiB
+    coeffs = [rng.randrange(1 << 512) for _ in range(max_reduced_degree(512) + 1)]
+    tracemalloc.start()
+    try:
+        reduce(coeffs, Context(512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_reduce_worked_example():
