@@ -211,6 +211,21 @@ def test_generators_are_rebuilt_and_the_context_stays_as_built(rng):
     assert vars(ctx) == built
 
 
+def test_reduce_builds_no_generators(monkeypatch, rng):
+    def no_generators(*args):
+        raise AssertionError("the ideal generators were built")
+
+    monkeypatch.setattr(poly, "ideal_generators", no_generators)
+    for n in (64, 65):
+        ctx = Context(n)
+        full = [ctx.mask] * (2 * ctx.d + 1)  # every slot above 0 out of range
+        for degree in (0, ctx.d, ctx.d + 1, 2 * ctx.d):
+            assert reduce(full[: degree + 1], ctx) == oracle_reduce(full[: degree + 1], n)
+        p = random_permutational_poly(ctx, rng)
+        assert reduce(p, ctx) == p
+    assert reduce((1, 0, 0, 0, 0, 3), Context(2048)) == ReducedPoly((1, 0, 0, 0, 0, 3), 2048)
+
+
 def test_reduce_above_the_cap_evaluates_nothing(monkeypatch, rng):
     ctx = Context(64)
     inputs = [
