@@ -2,10 +2,12 @@
 
 Everything downstream keys off one integer table, coeff_widths(n): the
 slot widths n - i - t_i of a canonical coefficient vector, t_i being the
-two-adic valuation of i!. Its last index is d_n, the degree cap, and its
-sum counts the polynomial functions. A Context bundles it with the modulus.
-The inverse of an odd residue lives here too, below every module that
-needs it (residue re-exports it as its public home).
+two-adic valuation of i!, that is i - popcount(i). Its last index is d_n,
+the degree cap, which max_reduced_degree finds in O(log n) steps without
+the table (census sums the table in closed form the same way). A Context
+bundles the table with the modulus. The inverse of an odd residue lives
+here too, below every module that needs it (residue re-exports it as its
+public home).
 """
 
 from __future__ import annotations
@@ -32,18 +34,30 @@ def two_adic_factorial_valuation(i: int) -> int:
 
 
 def max_reduced_degree(n: int) -> int:
-    """Largest i with n - i - t_i > 0, the degree cap for canonical forms."""
+    """Largest i with n - i - t_i > 0, the degree cap for canonical forms.
+
+    i + t_i = 2i - popcount(i) rises by 1 + v_2(i + 1) per step of i, and
+    it is below n at i = (n - 1) // 2; the cap is at most about log2(n) / 2
+    steps above that, so no width table is built.
+    """
     if n < 1:
         raise ValueError("modulus exponent must be positive")
-    return len(coeff_widths(n)) - 1
+    i = (n - 1) // 2
+    while 2 * i + 2 - (i + 1).bit_count() < n:
+        i += 1
+    return i
 
 
 def unit_inverse(a: int, n: int) -> int:
     """Multiplicative inverse of an odd residue modulo 2**n.
 
-    Every odd a satisfies a*a == 1 modulo 8, so a is its own inverse to
-    three bits; the step x <- x*(2 - a*x) doubles the bits that are right.
-    That makes about log2(n/3) steps of two n-bit products each.
+    For odd a, (3*a) XOR 2 is already an inverse modulo 32, as the sixteen
+    odd residues modulo 32 show, and the step x <- x*(2 - a*x) doubles the
+    bits that are right. The steps climb the precisions ceil(n / 2**k), from the first
+    k that puts it at five bits or fewer down to k = 0, each step working
+    modulo 2**ceil(n / 2**k) alone. So the products grow with the
+    precision, only the last step is at full width, and the whole costs
+    about two n-bit products.
     """
     if n < 1:
         raise ValueError("modulus exponent must be positive")
@@ -51,12 +65,14 @@ def unit_inverse(a: int, n: int) -> int:
     a = int(a) & mask
     if a & 1 == 0:
         raise ValueError("only odd residues are invertible modulo 2**n")
-    inv = a
-    bits = 3
-    while bits < n:
-        inv = (inv * (2 - a * inv)) & mask
-        bits *= 2
-    return inv
+    inv = (3 * a ^ 2) & 31
+    top = n - 1
+    k = (top // 5).bit_length()  # steps: ceil(n / 2**k) <= 5
+    while k:
+        k -= 1
+        low = (2 << (top >> k)) - 1  # 2**ceil(n / 2**k) - 1
+        inv = (inv * (2 - (a & low) * inv)) & low
+    return inv & mask
 
 
 def unit_inverses(values, n: int) -> list[int]:

@@ -3,12 +3,14 @@
 Everything here recomputes results from first principles: factorials are
 built and factored literally, polynomial values accumulate term by term
 with plain powering and generic modulo (no Horner, no masking), and
-counting is done by exhaustive enumeration. Canonical forms come from
-rewriting by the ideal generators, rebuilt on every call, where the
-library fits node values; inverse permutations come from full-length
-Newton steps at each node, where the library climbs a precision ladder.
-Nothing calls the library's evaluation or rewriting code, so agreement
-between the two routes is meaningful evidence.
+counting is done by exhaustive enumeration, or, for the census counts,
+by scanning those literal valuations where the library uses closed forms
+in popcounts. Canonical forms come from rewriting by the ideal
+generators, rebuilt on every call, where the library fits node values;
+inverse permutations come from full-length Newton steps at each node,
+where the library climbs a precision ladder. Nothing calls the library's
+evaluation or rewriting code, so agreement between the two routes is
+meaningful evidence.
 """
 
 from __future__ import annotations
@@ -42,6 +44,26 @@ def oracle_max_reduced_degree(n: int) -> int:
         if n - i - oracle_factorial_valuation(i) > 0:
             best = i
     return best
+
+
+def oracle_count_reduced(n: int) -> int:
+    """log2 of the number of polynomial functions on the odd residues: the
+    positive widths n - i - (valuation of i!), summed by direct scan, less
+    one bit for the parity that keeps odd residues odd."""
+    return sum(max(0, n - i - oracle_factorial_valuation(i)) for i in range(n)) - 1
+
+
+def oracle_keller_exponent(n: int) -> int:
+    """3 plus the sum over 3 <= j <= n of the smallest s with 2**j dividing
+    s!, each threshold found by walking s up and factoring s! afresh."""
+    total = 3
+    s, valuation = 1, 0
+    for j in range(3, n + 1):
+        while valuation < j:
+            s += 1
+            valuation = oracle_factorial_valuation(s)
+        total += s
+    return total
 
 
 def oracle_reduce(poly, n: int) -> ReducedPoly:

@@ -192,12 +192,15 @@ class QuasigroupSpec:
 
         Raises:
             BudgetExceeded: carrier_size**k exceeds the budget; checked from
-                n alone, before the carrier is touched.
+                n alone, before the carrier is touched. The size is a power
+                of two, compared and printed by its exponent, so the check
+                and its message stay short at any n.
         """
-        size = 1 << (self.n - 1 if self.mode is Mode.UNIT_PRODUCT else self.n)
-        if size**self.k > budget:
+        bits = self.n - 1 if self.mode is Mode.UNIT_PRODUCT else self.n
+        # 2**(k*bits) > budget exactly when k*bits reaches budget's bit length
+        if budget < 0 or self.k * bits >= budget.bit_length():
             raise BudgetExceeded(
-                f"carrier size {size}**{self.k} exceeds the exhaustion budget {budget}"
+                f"carrier size (2**{bits})**{self.k} exceeds the exhaustion budget {budget}"
             )
         for args in itertools.product(self.carrier(), repeat=self.k):
             value = self.apply(args)

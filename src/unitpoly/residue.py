@@ -1,11 +1,12 @@
 """Unit-group arithmetic modulo 2**n.
 
 Inverses of odd residues come from Newton iteration, which doubles the
-number of correct low bits per step (unit_inverse is defined in context,
-so that poly can use it too, and re-exported here). Roots of general
-polynomials are grown one bit at a time instead: a root modulo 2**(k+1)
-restricts to a root modulo 2**k, and the derivative may vanish, so the
-search branches.
+number of correct low bits per step; each step works only to the
+precision it reaches, so an inverse costs about two n-bit products
+(unit_inverse is defined in context, so that poly can use it too, and
+re-exported here). Roots of general polynomials are grown one bit at a
+time instead: a root modulo 2**(k+1) restricts to a root modulo 2**k,
+and the derivative may vanish, so the search branches.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Counting formulas, all reported as base-2 exponents."""
 
 import itertools
+import sys
 import tracemalloc
 
 import pytest
@@ -20,12 +21,16 @@ from unitpoly import (
     random_permutational_poly,
     two_adic_factorial_valuation,
 )
+from unitpoly import context
 from unitpoly.census import identity_sweep
+from unitpoly.context import coeff_widths
 from unitpoly.oracle import (
+    oracle_count_reduced,
     oracle_enumerate_reduced,
     oracle_factorial_valuation,
     oracle_function_of,
     oracle_is_permutation,
+    oracle_keller_exponent,
     oracle_max_reduced_degree,
 )
 
@@ -214,6 +219,53 @@ def test_report_at_large_n(n, reduced, ring):
         "keller_exponent": ring,
         "identity_ok": True,
     }
+
+
+def test_closed_forms_match_the_width_scan():
+    for n in range(2, 4097):
+        widths = coeff_widths.__wrapped__(n)  # uncached: 4095 tables would churn the cache
+        assert max_reduced_degree(n) == len(widths) - 1, n
+        assert count_reduced(n) == sum(widths) - 1, n
+
+
+def test_count_reduced_matches_oracle():
+    for n in range(2, 129):
+        assert count_reduced(n) == oracle_count_reduced(n), n
+
+
+def test_keller_closed_forms_match_the_threshold_scan():
+    valuations = [oracle_factorial_valuation(s) for s in range(270)]
+    for j in range(1, 257):
+        assert keller_beta(j) == next(s for s, t in enumerate(valuations) if t >= j), j
+    for n in range(2, 257):
+        assert keller_exponent(n) == oracle_keller_exponent(n), n
+
+
+def test_census_at_a_million_and_a_billion():
+    # the 10**6 values were computed by the width and threshold scans
+    assert census_report(10**6).to_dict() == {
+        "n": 10**6,
+        "log2_reduced": 250005192515,
+        "log2_permutational": 250005192514,
+        "log2_ring_permutational": 500010385029,
+        "keller_exponent": 500010385029,
+        "identity_ok": True,
+    }
+    assert census_report(10**9).identity_ok is True
+
+
+def test_census_builds_no_width_table(monkeypatch):
+    def no_scan(n):
+        raise AssertionError(f"coeff_widths({n}) called")
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.split(".")[0] == "unitpoly":
+            if getattr(module, "coeff_widths", None) is coeff_widths:
+                monkeypatch.setattr(module, "coeff_widths", no_scan)
+    assert context.coeff_widths is no_scan
+    assert census_report(4096).identity_ok is True
+    assert keller_identity_check(4096) is True
+    assert max_reduced_degree(4096) == 2048
 
 
 @pytest.mark.parametrize("func", [count_reduced, count_permutational, keller_exponent])

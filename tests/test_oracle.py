@@ -13,12 +13,14 @@ from unitpoly.errors import BudgetExceeded
 from unitpoly.oracle import (
     FunctionTable,
     oracle_bivariate_table,
+    oracle_count_reduced,
     oracle_enumerate_reduced,
     oracle_factorial_valuation,
     oracle_function_of,
     oracle_is_latin_square,
     oracle_is_permutation,
     oracle_is_unit_valued,
+    oracle_keller_exponent,
     oracle_max_reduced_degree,
     oracle_reduce,
 )
@@ -45,6 +47,18 @@ def test_factorial_valuation_definition():
 )
 def test_max_reduced_degree_table(n, expected):
     assert oracle_max_reduced_degree(n) == expected
+
+
+@pytest.mark.parametrize("n, expected", [(2, 2), (3, 4), (4, 7), (5, 11), (6, 15)])
+def test_count_reduced_table(n, expected):
+    # widths n - i - t_i at n = 4 are 4, 3, 1: eight bits, less the parity bit
+    assert oracle_count_reduced(n) == expected
+
+
+@pytest.mark.parametrize("n, expected", [(2, 3), (3, 7), (4, 13), (5, 21)])
+def test_keller_exponent_table(n, expected):
+    # the thresholds for j = 3, 4, 5 are 4, 6 and 8 (4! = 2**3 * 3, 6! = 2**4 * 45)
+    assert oracle_keller_exponent(n) == expected
 
 
 def test_reduce_worked_examples():

@@ -128,6 +128,16 @@ def test_latin_check_budget():
         spec.latin_check(budget=100)
 
 
+def test_latin_check_budget_message_names_the_size_by_its_exponent():
+    # 2**14499 has more decimal digits than int-to-str conversion allows
+    spec = QuasigroupSpec.from_dict(
+        {"n": 14500, "k": 1, "mode": "UNIT_PRODUCT", "p": [["0", "1"]]}, max_n=14500
+    )
+    with pytest.raises(BudgetExceeded) as caught:
+        spec.latin_check(budget=3)
+    assert str(caught.value) == "carrier size (2**14499)**1 exceeds the exhaustion budget 3"
+
+
 def test_binary_case_really_is_a_latin_square(rng):
     ctx = Context(3)
     spec = QuasigroupSpec.random(ctx, 2, Mode.RING_ADDITIVE, rng)

@@ -35,6 +35,13 @@ def test_unit_inverse_large_n(n, rng):
         assert (a * unit_inverse(a, n)) % mod == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 1023, 1024, 2048, 4096])
+def test_unit_inverse_matches_pow_at_full_width(n, rng):
+    top = 1 << (n - 1)
+    for a in (top | 1, *(rng.getrandbits(n) | top | 1 for _ in range(20))):
+        assert unit_inverse(a, n) == pow(a, -1, 1 << n)
+
+
 def test_unit_inverse_reduces_argument_first():
     assert unit_inverse(17, 4) == 1
     assert unit_inverse(-1, 4) == 15
