@@ -6,7 +6,9 @@ with plain powering and generic modulo (no Horner, no masking), and
 counting is done by exhaustive enumeration, or, for the census counts,
 by scanning those literal valuations where the library uses closed forms
 in popcounts. Canonical forms come from rewriting by the ideal
-generators, rebuilt on every call, where the library fits node values;
+generators, rebuilt on every call, where the library fits node values,
+and the triangular solve from Newton coefficients reads every entry of
+its table off a closed sum, where the library climbs rows by recurrence;
 inverse permutations come from full-length Newton steps at each node,
 where the library climbs a precision ladder. Nothing calls the library's
 evaluation or rewriting code, so agreement between the two routes is
@@ -95,6 +97,35 @@ def oracle_reduce(poly, n: int) -> ReducedPoly:
         for j in range(i + 1):
             coeffs[j] = (coeffs[j] - q * scale * products[i][j]) % modulus
     return ReducedPoly(tuple(coeffs), n)
+
+
+def oracle_newton_of_power(i: int, k: int) -> int:
+    """T(i, k), the coefficient of (x-1)(x-3)...(x-2k+1) when x**i is
+    written in that Newton basis: the complete homogeneous symmetric
+    polynomial h_{i-k}(a_0, ..., a_k) of the nodes a_j = 2j+1, which equals
+    sum_j a_j**i / prod_{l != j} (a_j - a_l). The terms are summed one by
+    one over the common denominator 2**k * k!, where the j-th is weighted
+    by (-1)**(k-j) * C(k, j), and the quotient is checked to be exact."""
+    if i < k:
+        return 0
+    total = sum((-1) ** (k - j) * math.comb(k, j) * (2 * j + 1) ** i for j in range(k + 1))
+    quotient, remainder = divmod(total, 2**k * math.factorial(k))
+    if remainder:
+        raise ArithmeticError(f"the divided difference T({i}, {k}) is not an integer")
+    return quotient
+
+
+def oracle_solve(newton, n: int) -> list[int]:
+    """The canonical coefficients of the function whose k-th Newton
+    coefficient is newton[k], for k <= d: from i = d down, coefficient i
+    is newton[i] - sum_{j > i} r_j T(j, i) modulo 2**(n - i - t_i), with
+    every T(j, i) from oracle_newton_of_power."""
+    d = oracle_max_reduced_degree(n)
+    r = [0] * (d + 1)
+    for i in range(d, -1, -1):
+        rest = newton[i] - sum(r[j] * oracle_newton_of_power(j, i) for j in range(i + 1, d + 1))
+        r[i] = rest % 2 ** (n - i - oracle_factorial_valuation(i))
+    return r
 
 
 def oracle_preimages(poly, n: int) -> list[int]:

@@ -11,16 +11,23 @@ the whole ring, and the gluing of two functions into one.
 Every canonical form is reached one way: Newton coefficients in the basis
 N_k = (x-1)(x-3)...(x-2k+1), then the unit-triangular solve _solve. Two
 polynomials of degree at most d_n induce the same function exactly when
-their k-th Newton coefficients agree modulo 2**(n-k-t_k). reduce gets the
-Newton coefficients of a coefficient vector by Horner's rule (_to_newton);
-the solvers get them from their values at the nodes (_node_values) by
-differences (_fit, through _fit_nodes).
+their k-th Newton coefficients agree modulo 2**w_k, w_k = n-k-t_k. reduce
+gets the Newton coefficients of a coefficient vector by Horner's rule
+(_to_newton); the solvers get them from their values at the nodes
+(_node_values) by differences (_fit, through _fit_nodes). Since w falls as
+k rises, multiplying by x (_times_x) is exact slot by slot modulo 2**w_k,
+so Newton vectors and the rows T(i, .) of the solve's table (the Newton
+coefficients of x**i) are all kept to the slot widths. The solve reads the
+rows from the top down, but they are built upward, so only every
+(isqrt(d_n)+1)-th row is kept, cached per n (_checkpoints), and each
+block of rows is rebuilt from its checkpoint when the solve reaches it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -327,7 +334,9 @@ def _fit(vals: list[int], n: int) -> list[int]:
     The values count modulo 2**n. The k-th step-2 difference at 1 is
     2**(k + t_k) * odd(k!) times the k-th Newton coefficient, or
     InconsistentTable is raised; _solve then turns the Newton
-    coefficients into the canonical form."""
+    coefficients into the canonical form. The differences are not
+    reduced: the & that tests one for divisibility and the >> whose
+    result _solve reads modulo 2**w_k both see only its low n bits."""
     mask = (1 << n) - 1
     widths = coeff_widths(n)
     d = len(widths) - 1
@@ -339,10 +348,10 @@ def _fit(vals: list[int], n: int) -> list[int]:
         if diff & ((1 << exponent) - 1):
             raise InconsistentTable(
                 f"no polynomial function fits: 2**{exponent} does not divide "
-                f"{diff} at degree {k}"
+                f"{diff & mask} at degree {k}"
             )
         scaled.append(diff >> exponent)
-        vals = [(b - a) & mask for a, b in zip(vals, vals[1:])]
+        vals = list(map(operator.sub, vals[1:], vals))
     # one inverse, of odd(d!); odd((k-1)!)**-1 = odd(k!)**-1 * odd(k) sweeps it down
     inverse = unit_inverse(math.factorial(d) >> two_adic_factorial_valuation(d), n)
     newton = [0] * (d + 1)
@@ -353,24 +362,49 @@ def _fit(vals: list[int], n: int) -> list[int]:
     return _solve(newton, n)
 
 
+def _slot_masks(n: int) -> list[int]:
+    """2**w_k - 1 for each slot k <= d_n, w = coeff_widths(n)."""
+    return [(1 << width) - 1 for width in coeff_widths(n)]
+
+
+def _times_x(acc: Sequence[int], low: int, masks: Sequence[int]) -> list[int]:
+    """Newton coefficients of x * sum_k acc[k] N_k + low, slot k modulo
+    2**w_k, by x N_k = N_{k+1} + (2k+1) N_k. New slot k is
+    acc[k-1] + (2k+1) acc[k], and w falls as k rises, so the slot widths
+    of acc make it exact modulo 2**w_k. Slots past d_n are cut: those
+    N_k vanish on the odd residues, and none feeds a lower one."""
+    return [
+        (below + odd * a) & m
+        for below, odd, a, m in zip([low, *acc], range(1, 2 * len(masks), 2), [*acc, 0], masks)
+    ]
+
+
 def _to_newton(coeffs: Sequence[int], n: int) -> list[int]:
-    """The first d_n+1 coefficients modulo 2**n of sum c_i x**i in the
-    Newton basis N_k = (x-1)(x-3)...(x-2k+1), by Horner's rule with
-    x N_k = N_{k+1} + (2k+1) N_k. Higher entries are cut at every step:
-    those N_k vanish on the odd residues, and none feeds a lower one."""
-    mask = (1 << n) - 1
-    size = len(coeff_widths(n))
-    odds = range(1, 2 * size, 2)  # 2k+1 for k <= d_n
+    """The d_n+1 Newton coefficients of sum c_i x**i in the basis
+    N_k = (x-1)(x-3)...(x-2k+1), slot k modulo 2**w_k, by Horner's rule
+    (_times_x). Slot k is all that _solve reads of it."""
+    masks = _slot_masks(n)
     acc: list[int] = []
     for c in reversed(coeffs):
-        acc = [(low + odd * a) & mask for odd, low, a in zip(odds, [c] + acc, acc + [0])]
-    return acc + [0] * (size - len(acc))
+        acc = _times_x(acc, c, masks)
+    return acc + [0] * (len(masks) - len(acc))
 
 
-@functools.lru_cache(maxsize=64)
-def _top_row(n: int) -> tuple[int, ...]:
-    """T(d_n, k), k <= d_n: the Newton coefficients of x**d_n modulo 2**n."""
-    return tuple(_to_newton((0,) * (len(coeff_widths(n)) - 1) + (1,), n))
+# an entry is 16 MiB at n = 4096; 8 entries hold an inversion's whole ladder up to n = 256
+@functools.lru_cache(maxsize=8)
+def _checkpoints(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The stride B = isqrt(d_n) + 1 and every B-th row of T: T(jB, k),
+    k <= jB, slot k modulo 2**w_k. T(i, .) holds the Newton coefficients
+    of x**i, so the rows climb from T(0, .) = (1,) by _times_x."""
+    masks = _slot_masks(n)
+    step = math.isqrt(len(masks) - 1) + 1
+    rows = [(1,)]
+    for _ in range((len(masks) - 1) // step):
+        row = rows[-1]
+        for _ in range(step):
+            row = _times_x(row, 0, masks)
+        rows.append(tuple(row))
+    return step, tuple(rows)
 
 
 def _solve(newton: Sequence[int], n: int) -> list[int]:
@@ -380,23 +414,23 @@ def _solve(newton: Sequence[int], n: int) -> list[int]:
     sum r_i x**i is sum_{i >= k} r_i T(i,k), and two forms of degree at
     most d_n induce one function exactly when these agree modulo 2**w_k,
     w = coeff_widths(n). So from i = d_n down, r_i is what is left of
-    newton[i] modulo 2**w_i, and r_i T(i,k) leaves every lower slot k;
-    the rows step down by T(i-1,k-1) = T(i,k) - (2k+1) T(i-1,k)."""
-    mask = (1 << n) - 1
-    widths = coeff_widths(n)
+    newton[i] modulo 2**w_i, and r_i T(i,k) leaves every lower slot k,
+    which reads T(i,k) only modulo 2**w_k. The rows are built upward but
+    read downward, so only those of _checkpoints are kept: from the top
+    block down, each block's rows are rebuilt upward from its checkpoint,
+    then read from its top row down."""
+    masks = _slot_masks(n)
+    step, checkpoints = _checkpoints(n)
     acc = list(newton)  # unmasked: the & that reads a slot gives its residue
-    row = _top_row(n)
-    out = [0] * len(widths)
-    for i in range(len(widths) - 1, -1, -1):
-        r = out[i] = acc[i] & ((1 << widths[i]) - 1)
-        if r:
-            acc = [a - r * t for a, t in zip(acc, row)]
-        below = [0] * i  # T(i-1, k), k < i
-        t = 1
-        for k in range(i - 1, -1, -1):
-            below[k] = t
-            t = (row[k] - (2 * k + 1) * t) & mask
-        row = below
+    out = [0] * len(masks)
+    for base in range((len(checkpoints) - 1) * step, -1, -step):
+        rows = [checkpoints[base // step]]
+        for _ in range(base + 1, min(base + step, len(masks))):
+            rows.append(_times_x(rows[-1], 0, masks))
+        for i, row in zip(range(base + len(rows) - 1, -1, -1), reversed(rows)):
+            r = out[i] = acc[i] & masks[i]
+            if r:
+                acc = [a - r * t for a, t in zip(acc, row)]
     return out
 
 

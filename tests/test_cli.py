@@ -195,6 +195,16 @@ def test_inconsistent_table_message_is_pinned(capsys):
     assert json.loads(out) == {"error": {"type": "InconsistentTable", "message": message}}
 
 
+def test_inconsistent_table_message_masks_a_negative_difference(capsys):
+    # the second differences at 1 are -4, 8, -4; -4 is printed as its residue mod 2**8
+    message = "no polynomial function fits: 2**3 does not divide 252 at degree 2"
+    argv = ("interp", "--n", "8", "--values", "1,3,1,7,9")
+    assert invoke(capsys, *argv) == (1, "", f"error: InconsistentTable: {message}\n")
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"error": {"type": "InconsistentTable", "message": message}}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,6 +5,7 @@ the library, so the oracle stays a trustworthy referee for the other
 test files.
 """
 
+import itertools
 import math
 
 import pytest
@@ -22,7 +23,9 @@ from unitpoly.oracle import (
     oracle_is_unit_valued,
     oracle_keller_exponent,
     oracle_max_reduced_degree,
+    oracle_newton_of_power,
     oracle_reduce,
+    oracle_solve,
 )
 
 
@@ -68,6 +71,27 @@ def test_reduce_worked_examples():
     assert oracle_reduce((15, 23, 9, 1), 3).coeffs == (0, 0)
     assert oracle_reduce((-8,), 3).coeffs == (0, 0)
     assert oracle_reduce((), 2).coeffs == (0, 0)
+
+
+def test_newton_of_power_worked_examples():
+    # x**2 = (x-1)(x-3) + 4(x-1) + 1, x**3 = N_3 + 9 N_2 + 13 N_1 + 1
+    assert [oracle_newton_of_power(2, k) for k in range(4)] == [1, 4, 1, 0]
+    assert [oracle_newton_of_power(3, k) for k in range(4)] == [1, 13, 9, 1]
+
+
+def test_newton_of_power_sums_every_monomial():
+    # h_m(1, 3, ..., 2k+1) is the sum of all degree-m monomials in those nodes
+    for i in range(9):
+        for k in range(i + 1):
+            nodes = range(1, 2 * k + 2, 2)
+            monomials = itertools.combinations_with_replacement(nodes, i - k)
+            assert oracle_newton_of_power(i, k) == sum(map(math.prod, monomials))
+
+
+def test_solve_worked_example():
+    # 1 + 3x^5 is 31 + 3x + 2x^2 on the odd residues mod 32, as above
+    newton = [(k == 0) + 3 * oracle_newton_of_power(5, k) for k in range(4)]
+    assert oracle_solve(newton, 5) == [31, 3, 2, 0]
 
 
 def test_function_table_points():

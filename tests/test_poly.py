@@ -36,7 +36,9 @@ from unitpoly.oracle import (
     oracle_is_latin_square,
     oracle_is_permutation,
     oracle_is_unit_valued,
+    oracle_newton_of_power,
     oracle_reduce,
+    oracle_solve,
 )
 
 
@@ -263,6 +265,50 @@ def test_reduce_at_full_width_stays_small(rng):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_checkpoint_cache_is_bounded(rng):
+    # one solve per n must not keep checkpoints for every n alive (about 37 KiB each here)
+    inputs = [
+        [rng.randrange(1 << n) for _ in range(max_reduced_degree(n) + 2)] for n in range(200, 264)
+    ]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n, coeffs in enumerate(inputs, start=200):
+            reduce(coeffs, Context(n))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 19
+
+
+def _newton_vector(n, rng):
+    # negative entries and entries far past their slot width: _solve reads slot k modulo 2**w_k
+    return [rng.randrange(-(1 << (n + 8)), 1 << (n + 8)) for _ in range(max_reduced_degree(n) + 1)]
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_solve_matches_the_oracle(n, rng):
+    for _ in range(3):
+        newton = _newton_vector(n, rng)
+        assert poly._solve(newton, n) == oracle_solve(newton, n)
+
+
+def test_solve_matches_the_oracle_at_a_random_n(rng):
+    n = rng.randrange(65, 301)
+    newton = _newton_vector(n, rng)
+    assert poly._solve(newton, n) == oracle_solve(newton, n)
+
+
+@pytest.mark.parametrize("n", (5, 16, 64))
+def test_to_newton_keeps_each_slot_to_its_width(n, rng):
+    widths = Context(n).coeff_bits
+    coeffs = [rng.randrange(-(1 << n), 1 << n) for _ in range(2 * len(widths))]
+    newton = poly._to_newton(coeffs, n)
+    for k, width in enumerate(widths):
+        exact = sum(c * oracle_newton_of_power(i, k) for i, c in enumerate(coeffs))
+        assert newton[k] == exact % (1 << width)
 
 
 def test_reduce_worked_example():
