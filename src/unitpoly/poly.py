@@ -12,15 +12,15 @@ Every canonical form is reached one way: Newton coefficients in the basis
 N_k = (x-1)(x-3)...(x-2k+1), then the unit-triangular solve _solve. Two
 polynomials of degree at most d_n induce the same function exactly when
 their k-th Newton coefficients agree modulo 2**w_k, w_k = n-k-t_k. reduce
-gets the Newton coefficients of a coefficient vector by Horner's rule
-(_to_newton); the solvers get them from their values at the nodes
-(_node_values) by differences (_fit, through _fit_nodes). Since w falls as
-k rises, multiplying by x (_times_x) is exact slot by slot modulo 2**w_k,
-so Newton vectors and the rows T(i, .) of the solve's table (the Newton
-coefficients of x**i) are all kept to the slot widths. The solve reads the
-rows from the top down, but they are built upward, so only every
-(isqrt(d_n)+1)-th row is kept, cached per n (_checkpoints), and each
-block of rows is rebuilt from its checkpoint when the solve reaches it.
+and invert_permutation take coefficients to them by Horner's rule
+(_to_newton); the solvers take values at the nodes (_node_values) to them
+by a difference table (_fit_nodes). Since w falls as k rises, multiplying
+by x (_times_x) is exact slot by slot modulo 2**w_k, so Newton vectors and
+the rows T(i, .) of the solve's table (the Newton coefficients of x**i)
+are all kept to the slot widths. The solve reads the rows from the top
+down, but they are built upward, so only every (isqrt(d_n)+1)-th row is
+kept, cached per n (_checkpoints), and each block of rows is rebuilt from
+its checkpoint when the solve reaches it.
 """
 
 from __future__ import annotations
@@ -323,27 +323,16 @@ def _node_values(poly, ctx: Context) -> list[int]:
 
 
 def _fit_nodes(vals: list[int], ctx: Context) -> ReducedPoly:
-    """The canonical polynomial taking the values vals at 1, 3, ..., 2d+1."""
-    return ReducedPoly(tuple(_fit(vals, ctx.n)), ctx.n)
-
-
-def _fit(vals: list[int], n: int) -> list[int]:
-    """The d_n+1 canonical coefficients modulo 2**n of the polynomial function
-    taking the first d_n+1 values vals at 1, 3, ..., 2d_n+1.
-
-    The values count modulo 2**n. The k-th step-2 difference at 1 is
-    2**(k + t_k) * odd(k!) times the k-th Newton coefficient, or
-    InconsistentTable is raised; _solve then turns the Newton
-    coefficients into the canonical form. The differences are not
-    reduced: the & that tests one for divisibility and the >> whose
-    result _solve reads modulo 2**w_k both see only its low n bits."""
-    mask = (1 << n) - 1
-    widths = coeff_widths(n)
-    d = len(widths) - 1
-    vals = vals[: d + 1]
+    """The canonical polynomial taking the d+1 values vals (modulo 2**n) at
+    1, 3, ..., 2d+1: the k-th step-2 difference at 1 is 2**(k + t_k) * odd(k!)
+    times the k-th Newton coefficient, or InconsistentTable is raised, and
+    _solve turns the Newton coefficients into the canonical form. The
+    differences are not reduced: the & that tests one for divisibility and
+    the >> whose result _solve reads modulo 2**w_k see only its low n bits."""
+    n, mask, d = ctx.n, ctx.mask, ctx.d
     scaled = []  # the k-th difference over 2**(k + t_k), that is odd(k!) * newton[k]
-    for k in range(d + 1):
-        exponent = n - widths[k]  # k + t_k
+    for k, width in enumerate(ctx.coeff_bits):
+        exponent = n - width  # k + t_k
         diff = vals[0]
         if diff & ((1 << exponent) - 1):
             raise InconsistentTable(
@@ -359,7 +348,7 @@ def _fit(vals: list[int], n: int) -> list[int]:
         newton[k] = (scaled[k] * inverse) & mask
         if k:
             inverse = (inverse * (k >> ((k & -k).bit_length() - 1))) & mask
-    return _solve(newton, n)
+    return ReducedPoly(tuple(_solve(newton, n)), n)
 
 
 def _slot_masks(n: int) -> list[int]:

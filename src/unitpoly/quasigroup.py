@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 from enum import Enum
 
 from .context import Context, DEFAULT_MAX_N
@@ -26,6 +27,20 @@ from .solve import invert_permutation
 
 DEFAULT_LATIN_BUDGET = 1 << 20
 RANDOM_ARITY_BUDGET = 1 << 10  # largest k that QuasigroupSpec.random will draw
+
+
+def _integer(value) -> int:
+    """A document's integer: a JSON integer (not a bool) or a decimal string."""
+    if type(value) is int or type(value) is str and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise TypeError(f"expected an integer or a decimal string, got {type(value).__name__}")
+
+
+def _rows(value) -> list[tuple[int, ...]]:
+    """A document's coefficient vectors: a list of lists of integers."""
+    if type(value) is not list or any(type(row) is not list for row in value):
+        raise TypeError("p and h must be lists of coefficient lists")
+    return [tuple(map(_integer, row)) for row in value]
 
 
 class Mode(Enum):
@@ -235,13 +250,10 @@ class QuasigroupSpec:
                 f"malformed quasigroup document: expected an object, got {type(data).__name__}"
             )
         try:
-            n = int(data["n"])
-            k = int(data["k"])
+            n, k = _integer(data["n"]), _integer(data["k"])
             mode = Mode(str(data["mode"]).upper())
-            p_rows = [tuple(int(c) for c in arr) for arr in data["p"]]
-            h_rows = data.get("h")
-            if h_rows is not None:
-                h_rows = [tuple(int(c) for c in arr) for arr in h_rows]
+            p_rows = _rows(data["p"])
+            h_rows = None if data.get("h") is None else _rows(data["h"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed quasigroup document: {exc}") from None
         ctx = Context(n, max_n=max_n)

@@ -11,14 +11,12 @@ inverting all of them with a single unit_inverse.
 Inverse permutations find their node values, the preimages of the
 nodes, by two-adic Newton iteration up a ladder of precisions m = 2, ...,
 ceil(n/4), ceil(n/2), n. A step to precision m needs p only modulo 2**m
-and the slope p' only modulo 2**ceil(m/2). Modulo 2**m a polynomial
-function is fixed by its values at the first d_m + 1 nodes: the Newton
-coefficients of the difference between p and the fit of those values
-(poly's _fit at precision m, the canonical form modulo 2**m) all vanish
-modulo 2**m, so the fit equals p on every odd residue. Below the top
-level each step therefore runs over a fit of about m/2 terms instead of
-p, and the slope over a fit of p' of about m/4 terms. No step builds a
-Context.
+and the slope p' only modulo 2**ceil(m/2). poly's _solve at precision m
+reads Newton slot k only modulo 2**w_k(m), and w_k(m) = w_k(h) - (h - m)
+for h = ceil(n/2) >= m. So below the top every level reads its canonical
+forms, about m/2 terms of p and m/4 of p', off the first d_m + 1 slots of
+one Newton vector each (poly's _to_newton at precision h, computed once).
+No step builds a Context.
 
 Arbitrary nodes can leave the system underdetermined, so they go through
 row reduction. Two is a zero divisor modulo 2**n, so Gaussian elimination
@@ -36,9 +34,10 @@ from .errors import BudgetExceeded, NotAPermutation, NotAUnitFunction
 from .poly import (
     ReducedPoly,
     _coeffs_for,
-    _fit,
     _fit_nodes,
     _node_values,
+    _solve,
+    _to_newton,
     _values_at,
     evaluate,  # unused here; perfbench's self-test reads solve.evaluate
     induces_function_on_units,
@@ -211,9 +210,9 @@ def invert_permutation(poly, ctx: Context) -> ReducedPoly:
     permutation test makes p' odd at every odd x, so a root right to
     ceil(m/2) bits is one step from a root right to m bits. The steps
     climb the ladder m = 2, ..., ceil(n/2), n of the module notes: below
-    the top level p is replaced by the fit of its node values read modulo
-    2**m, at every level p' by the fit of its node values read modulo
-    2**ceil(m/2), and a slope modulo 2 is 1. The preimages are then
+    the top level p is replaced by its canonical form modulo 2**m, at every
+    level p' by its form modulo 2**ceil(m/2), each solved over a prefix of
+    one Newton vector, and a slope modulo 2 is 1. The preimages are then
     fitted, and the result is checked by composition: p itself is
     evaluated at every fitted preimage, at full precision.
 
@@ -224,17 +223,16 @@ def invert_permutation(poly, ctx: Context) -> ReducedPoly:
         raise NotAPermutation("polynomial does not permute the odd residues")
     coeffs = _coeffs_for(poly, ctx)
     nodes = ctx.interpolation_nodes
-    # p and p' at as many nodes as the widest fit reads, d + 1 for precision ceil(n/2)
-    first = nodes[: len(coeff_widths((ctx.n + 1) // 2))]
-    node_values = _values_at(coeffs, first, ctx.mask)
-    node_slopes = _values_at([i * a for i, a in enumerate(coeffs)][1:], first, ctx.mask)
+    h = (ctx.n + 1) // 2  # no level below the top reads p or p' past precision h
+    newton = _to_newton(coeffs, h)
+    slope_newton = _to_newton([i * a for i, a in enumerate(coeffs)][1:], h)
     preimages = list(nodes)
     for m in _ladder(ctx.n):
-        level_poly = _fit(node_values, m) if m < ctx.n else coeffs
+        level_poly = _solve(newton[: len(coeff_widths(m))], m) if m < ctx.n else coeffs
         half = (m + 1) // 2
         if half > 1:
-            slopes = _values_at(_fit(node_slopes, half), preimages, (1 << half) - 1)
-            inverses = unit_inverses(slopes, half)
+            slope = _solve(slope_newton[: len(coeff_widths(half))], half)
+            inverses = unit_inverses(_values_at(slope, preimages, (1 << half) - 1), half)
         else:
             inverses = [1] * len(preimages)  # p' is odd
         level_mask = (1 << m) - 1

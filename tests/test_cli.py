@@ -351,8 +351,14 @@ def test_qg_missing_file_is_domain_error(capsys):
         '{"n":6,"k":1,"mode":"UNIT_PRODUCT","p":[["1","1"]],"h":7}',
         '{"n":1e400,"k":1,"mode":"UNIT_PRODUCT","p":[["1","1"]]}',
         "[" * 100_000,
+        '{"n":4,"k":1,"mode":"UNIT_PRODUCT","p":["21"]}',
+        '{"n":4.7,"k":1,"mode":"UNIT_PRODUCT","p":[["2","1"]]}',
+        '{"n":4,"k":1,"mode":"UNIT_PRODUCT","p":[[2.5,1]]}',
+        '{"n":4,"k":1,"mode":"UNIT_PRODUCT","p":"2121"}',
+        '{"n":4,"k":1,"mode":"UNIT_PRODUCT","p":[{"2":1}]}',
     ],
-    ids=["missing-keys", "list", "null", "p-int", "p-null", "h-int", "n-inf", "too-deep"],
+    ids=["missing-keys", "list", "null", "p-int", "p-null", "h-int", "n-inf", "too-deep",
+         "p-string-row", "n-float", "p-float", "p-string", "p-object-row"],
 )
 def test_qg_malformed_spec_json_error(capsys, monkeypatch, document):
     monkeypatch.setattr(sys, "stdin", io.StringIO(document))

@@ -236,6 +236,21 @@ def test_mode_names_parse_case_insensitively():
     assert clone.mode is Mode.UNIT_PRODUCT
 
 
+# values of the wrong type: each is named malformed, never coerced into some spec
+_WRONG_TYPES = (
+    lambda d: d.update(p=["21"]),  # a string row, not its digits 2 + x
+    lambda d: d.update(p="2121"),
+    lambda d: d.update(p=[{"2": 1}]),
+    lambda d: d.update(p=[[2.5, 1]]),
+    lambda d: d.update(p=[["2.0", "1"]]),
+    lambda d: d.update(p=[[True, 1]]),
+    lambda d: d.update(n=4.7),
+    lambda d: d.update(n=" 4"),
+    lambda d: d.update(k=True),
+    lambda d: d.update(mode="RING_GLUED", h=["01"]),
+)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -244,14 +259,17 @@ def test_mode_names_parse_case_insensitively():
         lambda d: d.update(mode="DIAGONAL"),
         lambda d: d.update(k=3),
         lambda d: d.update(p=[["4", "4", "1"]]),
+        *_WRONG_TYPES,
     ],
 )
 def test_malformed_documents_rejected(mutate):
     spec = _spec(4, Mode.UNIT_PRODUCT, [(0, 1)])
     data = spec.to_dict()
     mutate(data)
-    with pytest.raises((ValueError, NotAPermutation)):
+    with pytest.raises((ValueError, NotAPermutation)) as caught:
         QuasigroupSpec.from_dict(data)
+    if mutate in _WRONG_TYPES:
+        assert str(caught.value).startswith("malformed quasigroup document: ")
 
 
 def test_from_json_rejects_bad_text():

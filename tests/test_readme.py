@@ -1,0 +1,57 @@
+"""The README's command-line examples print what the README says they print.
+
+Every `$ unitpoly ...` line of the README's console block runs through
+cli.run, one fresh directory per blank-line-separated group of examples,
+so a later command of a group reads the files an earlier one wrote. A
+trailing `> file` writes stdout to that file, stderr counts as output,
+and a `...` line stands for any lines. The lines below a command are
+the output it must print.
+"""
+
+import pathlib
+import re
+import shlex
+
+import pytest
+
+from unitpoly.cli import run
+
+README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+CONSOLE = re.search(r"```console\n(.*?)```", README, re.S).group(1)
+GROUPS = [group.splitlines() for group in CONSOLE.strip().split("\n\n")]
+
+
+def _commands(lines):
+    """(argv, redirect target or None, expected lines) for each command."""
+    commands = []
+    for line in lines:
+        if line.startswith("$ "):
+            words = shlex.split(line[2:])
+            assert words[0] == "unitpoly", line
+            target = None
+            if words[-2:-1] == [">"]:
+                words, target = words[:-2], words[-1]
+            commands.append((words[1:], target, []))
+        else:
+            commands[-1][2].append(line)
+    return commands
+
+
+def _pattern(expected):
+    return "".join("(?:.*\n)*" if line == "..." else re.escape(line) + "\n" for line in expected)
+
+
+def test_the_readme_has_console_examples():
+    assert len(GROUPS) > 1 and all(group[0].startswith("$ unitpoly ") for group in GROUPS)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda group: shlex.split(group[0])[2])
+def test_console_example(group, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv, target, expected in _commands(group):
+        run(argv)
+        captured = capsys.readouterr()
+        if target:
+            (tmp_path / target).write_text(captured.out)
+        output = captured.err if target else captured.out + captured.err
+        assert re.fullmatch(_pattern(expected), output), (argv, output)

@@ -284,6 +284,46 @@ def test_invert_ladder_matches_the_newton_oracle(fixed_n, data):
     assert poly._node_values(inverse, ctx) == oracle_preimages(p, n)
 
 
+@pytest.mark.parametrize("fixed_n", _LADDER_EDGES + (None,))
+def test_every_ladder_level_reads_a_prefix_of_one_newton_vector(fixed_n, rng):
+    # _solve at precision m <= ceil(n/2) reads slot k modulo 2**w_k(m), and
+    # w_k(m) = w_k(ceil(n/2)) - (ceil(n/2) - m): the slots computed once suffice
+    n = fixed_n or rng.randrange(65, 301)
+    ladder = solve._ladder(n)
+    precisions = {m for m in ladder if m < n} | {(m + 1) // 2 for m in ladder if m > 2}
+    for _ in range(3):
+        bound = 1 << (n + 2)
+        p = [rng.randrange(-bound, bound) for _ in range(Context(n).d + 5)]
+        newton = poly._to_newton(p, (n + 1) // 2)
+        for m in precisions:
+            prefix = newton[: len(Context(m).coeff_bits)]
+            assert tuple(poly._solve(prefix, m)) == oracle_reduce(p, m).coeffs
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_inversion_evaluates_p_at_full_width_only_twice(n, monkeypatch, rng):
+    ctx = Context(n)
+    p = random_permutational_poly(ctx, rng)
+    masks, fits = [], []
+
+    def recording_values(coeffs, points, mask):
+        masks.append(mask)
+        return real_values(coeffs, points, mask)
+
+    def recording_fits(vals, ctx):
+        fits.append(len(vals))
+        return real_fit(vals, ctx)
+
+    real_values, real_fit = solve._values_at, solve._fit_nodes
+    monkeypatch.setattr(solve, "_values_at", recording_values)
+    monkeypatch.setattr(solve, "_fit_nodes", recording_fits)
+    invert_permutation(p, ctx)
+    # the top Newton level and the composition check; no node values before the ladder
+    assert masks.count(ctx.mask) == 2
+    # one difference table, of the preimages; every lower level is a Newton prefix
+    assert fits == [ctx.d + 1]
+
+
 @pytest.mark.parametrize("n", [64, 65])
 def test_no_solver_or_product_builds_generators(n, monkeypatch, rng):
     ctx = Context(n)
