@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 DEFAULT_MAX_N = 4096
 
@@ -31,6 +32,16 @@ def two_adic_factorial_valuation(i: int) -> int:
     if i < 0:
         raise ValueError("factorial valuation needs i >= 0")
     return i - i.bit_count()
+
+
+def checked_index(value) -> int:
+    """value as an int, by operator.index: an int or a bool passes, and a
+    float, a string or anything else is a ValueError naming it, never
+    truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{value!r} is not an integer") from None
 
 
 def max_reduced_degree(n: int) -> int:
@@ -145,7 +156,7 @@ class Context:
         return range(1, 2 * self.d + 2, 2)
 
     def check_residue(self, a: int) -> int:
-        a = int(a)
+        a = checked_index(a)
         if not 0 <= a < self.modulus:
             raise ValueError(f"{a} is not a residue modulo 2**{self.n}")
         return a

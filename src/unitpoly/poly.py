@@ -18,16 +18,20 @@ by a difference table (_fit_nodes). Since w falls as k rises, multiplying
 by x (_times_x) is exact slot by slot modulo 2**w_k, so Newton vectors and
 the rows T(i, .) of the solve's table (the Newton coefficients of x**i)
 are all kept to the slot widths. The solve reads the rows from the top
-down, but they are built upward, so only every (isqrt(d_n)+1)-th row is
-kept, cached per n (_checkpoints), and each block of rows is rebuilt from
-its checkpoint when the solve reaches it.
+down, but they are built upward, so each Context gets one store of rows,
+built on its first solve and dropped with it: every row while the whole
+table has at most WHOLE_TABLE_ENTRIES slots (n <= 356), otherwise every
+(isqrt(d_n)+1)-th row, each block of rows being rebuilt from its
+checkpoint when the solve reaches it. A slot kept modulo 2**w_k(n) is
+also right modulo 2**w_k(m) for every m <= n, so one store serves a
+solve at any precision up to n.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -35,6 +39,7 @@ from .context import Context, coeff_widths, two_adic_factorial_valuation, unit_i
 from .errors import BudgetExceeded, InconsistentTable, NotAPermutation
 
 INDICATOR_BUDGET = 1 << 20  # largest unit-indicator exponent that gluing will build
+WHOLE_TABLE_ENTRIES = 1 << 14  # most slots of T a row store keeps whole (0.42 MiB at n = 256)
 
 
 def _trimmed(coeffs: Sequence[int]) -> Sequence[int]:
@@ -348,7 +353,7 @@ def _fit_nodes(vals: list[int], ctx: Context) -> ReducedPoly:
         newton[k] = (scaled[k] * inverse) & mask
         if k:
             inverse = (inverse * (k >> ((k & -k).bit_length() - 1))) & mask
-    return ReducedPoly(tuple(_solve(newton, n)), n)
+    return ReducedPoly(tuple(_solve(newton, n, ctx)), n)
 
 
 def _slot_masks(n: int) -> list[int]:
@@ -379,16 +384,18 @@ def _to_newton(coeffs: Sequence[int], n: int) -> list[int]:
     return acc + [0] * (len(masks) - len(acc))
 
 
-# an entry is 16 MiB at n = 4096; 8 entries hold an inversion's whole ladder up to n = 256
-@functools.lru_cache(maxsize=8)
-def _checkpoints(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The stride B = isqrt(d_n) + 1 and every B-th row of T: T(jB, k),
-    k <= jB, slot k modulo 2**w_k. T(i, .) holds the Newton coefficients
-    of x**i, so the rows climb from T(0, .) = (1,) by _times_x."""
+def _build_rows(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """A row store for precision n: the stride B and every B-th row of T,
+    T(jB, k) for k <= jB, slot k modulo 2**w_k. T(i, .) holds the Newton
+    coefficients of x**i, so the rows climb from T(0, .) = (1,) by
+    _times_x. B is 1, every row, while the whole table has at most
+    WHOLE_TABLE_ENTRIES slots, and isqrt(d_n) + 1 above that (16 MiB of
+    checkpoints at n = 4096)."""
     masks = _slot_masks(n)
-    step = math.isqrt(len(masks) - 1) + 1
+    d = len(masks) - 1
+    step = 1 if (d + 1) * (d + 2) // 2 <= WHOLE_TABLE_ENTRIES else math.isqrt(d) + 1
     rows = [(1,)]
-    for _ in range((len(masks) - 1) // step):
+    for _ in range(d // step):
         row = rows[-1]
         for _ in range(step):
             row = _times_x(row, 0, masks)
@@ -396,30 +403,51 @@ def _checkpoints(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return step, tuple(rows)
 
 
-def _solve(newton: Sequence[int], n: int) -> list[int]:
-    """The canonical coefficients r of the function with Newton coefficients newton.
+# each Context's row store, built on its first solve; it lives exactly as long as the Context
+_row_stores: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _rows_down(masks: Sequence[int], ctx: Context):
+    """(i, T(i, .)) for i from d_m down to 0, m the precision of masks
+    (m <= ctx.n), each slot k right at least modulo 2**w_k(m). Stored rows
+    are yielded as they are; between checkpoints each block's rows are
+    rebuilt upward from its checkpoint with masks, then yielded from its
+    top row down."""
+    store = _row_stores.get(ctx)
+    if store is None:
+        # racing threads may both build; setdefault keeps the first store
+        store = _row_stores.setdefault(ctx, _build_rows(ctx.n))
+    step, rows = store
+    top = len(masks) - 1
+    if step == 1:
+        yield from zip(range(top, -1, -1), rows[top::-1])
+        return
+    for base in range(top - top % step, -1, -step):
+        block = [rows[base // step]]
+        for _ in range(base + 1, min(base + step, top + 1)):
+            block.append(_times_x(block[-1], 0, masks))
+        yield from zip(range(base + len(block) - 1, -1, -1), reversed(block))
+
+
+def _solve(newton: Sequence[int], m: int, ctx: Context) -> list[int]:
+    """The canonical coefficients modulo 2**m (m <= ctx.n) of the function
+    with Newton coefficients newton.
 
     Writing x**i = sum_k T(i,k) N_k, where T(i,i) = 1, coefficient k of
     sum r_i x**i is sum_{i >= k} r_i T(i,k), and two forms of degree at
-    most d_n induce one function exactly when these agree modulo 2**w_k,
-    w = coeff_widths(n). So from i = d_n down, r_i is what is left of
+    most d_m induce one function exactly when these agree modulo 2**w_k,
+    w = coeff_widths(m). So from i = d_m down, r_i is what is left of
     newton[i] modulo 2**w_i, and r_i T(i,k) leaves every lower slot k,
-    which reads T(i,k) only modulo 2**w_k. The rows are built upward but
-    read downward, so only those of _checkpoints are kept: from the top
-    block down, each block's rows are rebuilt upward from its checkpoint,
-    then read from its top row down."""
-    masks = _slot_masks(n)
-    step, checkpoints = _checkpoints(n)
+    which reads T(i,k) only modulo 2**w_k. The rows come from ctx's row
+    store (_rows_down), which holds them modulo 2**w_k(ctx.n) and so
+    serves every precision up to ctx.n."""
+    masks = _slot_masks(m)
     acc = list(newton)  # unmasked: the & that reads a slot gives its residue
     out = [0] * len(masks)
-    for base in range((len(checkpoints) - 1) * step, -1, -step):
-        rows = [checkpoints[base // step]]
-        for _ in range(base + 1, min(base + step, len(masks))):
-            rows.append(_times_x(rows[-1], 0, masks))
-        for i, row in zip(range(base + len(rows) - 1, -1, -1), reversed(rows)):
-            r = out[i] = acc[i] & masks[i]
-            if r:
-                acc = [a - r * t for a, t in zip(acc, row)]
+    for i, row in _rows_down(masks, ctx):
+        r = out[i] = acc[i] & masks[i]
+        if r:
+            acc = [a - r * t for a, t in zip(acc, row)]
     return out
 
 
@@ -434,7 +462,7 @@ def reduce(poly, ctx: Context) -> ReducedPoly:
     coeffs = _trimmed([c & ctx.mask for c in _as_coeffs(poly)])
     widths = ctx.coeff_bits
     if len(coeffs) > len(widths) or any(c >> w for c, w in zip(coeffs, widths)):
-        coeffs = _solve(_to_newton(coeffs, ctx.n), ctx.n)
+        coeffs = _solve(_to_newton(coeffs, ctx.n), ctx.n, ctx)
     return ReducedPoly(tuple(coeffs), ctx.n)
 
 

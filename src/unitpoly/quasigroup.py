@@ -19,7 +19,7 @@ import random
 import re
 from enum import Enum
 
-from .context import Context, DEFAULT_MAX_N
+from .context import Context, DEFAULT_MAX_N, checked_index
 from .errors import BudgetExceeded, CarrierError, NotAPermutation
 from .poly import ReducedPoly, evaluate, induces_permutation_on_units
 from .residue import unit_inverse
@@ -130,7 +130,7 @@ class QuasigroupSpec:
         return self.ctx.ring()
 
     def _check_args(self, args) -> list[int]:
-        out = [int(a) for a in args]
+        out = [checked_index(a) for a in args]
         if len(out) != self.k:
             raise ValueError(f"expected {self.k} arguments, got {len(out)}")
         modulus = self.ctx.modulus

@@ -15,8 +15,9 @@ and the slope p' only modulo 2**ceil(m/2). poly's _solve at precision m
 reads Newton slot k only modulo 2**w_k(m), and w_k(m) = w_k(h) - (h - m)
 for h = ceil(n/2) >= m. So below the top every level reads its canonical
 forms, about m/2 terms of p and m/4 of p', off the first d_m + 1 slots of
-one Newton vector each (poly's _to_newton at precision h, computed once).
-No step builds a Context.
+one Newton vector each (poly's _to_newton at precision h, computed once),
+and every level's solve reads the rows of ctx's one row store. No step
+builds a Context.
 
 Arbitrary nodes can leave the system underdetermined, so they go through
 row reduction. Two is a zero divisor modulo 2**n, so Gaussian elimination
@@ -228,10 +229,10 @@ def invert_permutation(poly, ctx: Context) -> ReducedPoly:
     slope_newton = _to_newton([i * a for i, a in enumerate(coeffs)][1:], h)
     preimages = list(nodes)
     for m in _ladder(ctx.n):
-        level_poly = _solve(newton[: len(coeff_widths(m))], m) if m < ctx.n else coeffs
+        level_poly = _solve(newton[: len(coeff_widths(m))], m, ctx) if m < ctx.n else coeffs
         half = (m + 1) // 2
         if half > 1:
-            slope = _solve(slope_newton[: len(coeff_widths(half))], half)
+            slope = _solve(slope_newton[: len(coeff_widths(half))], half, ctx)
             inverses = unit_inverses(_values_at(slope, preimages, (1 << half) - 1), half)
         else:
             inverses = [1] * len(preimages)  # p' is odd

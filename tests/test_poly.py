@@ -135,6 +135,12 @@ def test_evaluate_checks_domain():
         evaluate((1, 1), -1, ctx)
     with pytest.raises(ValueError):
         evaluate(ReducedPoly((1,), 5), 3, ctx)
+    # a float or a string is refused, not truncated or parsed
+    for bad in (5.7, 3.0, "3"):
+        with pytest.raises(ValueError, match=repr(bad)):
+            evaluate((0, 1), bad, Context(8))
+        with pytest.raises(ValueError, match=repr(bad)):
+            Context(8).check_unit(bad)
 
 
 # -- membership and permutation parity tests ----------------------------------
@@ -292,13 +298,33 @@ def _newton_vector(n, rng):
 def test_solve_matches_the_oracle(n, rng):
     for _ in range(3):
         newton = _newton_vector(n, rng)
-        assert poly._solve(newton, n) == oracle_solve(newton, n)
+        assert poly._solve(newton, n, Context(n)) == oracle_solve(newton, n)
 
 
 def test_solve_matches_the_oracle_at_a_random_n(rng):
     n = rng.randrange(65, 301)
     newton = _newton_vector(n, rng)
-    assert poly._solve(newton, n) == oracle_solve(newton, n)
+    assert poly._solve(newton, n, Context(n)) == oracle_solve(newton, n)
+
+
+def _last_whole_table_n():
+    # the largest n whose whole table T, (d+1)(d+2)/2 slots, fits in one row store
+    n = 2
+    while True:
+        d = max_reduced_degree(n + 1)
+        if (d + 1) * (d + 2) // 2 > poly.WHOLE_TABLE_ENTRIES:
+            return n
+        n += 1
+
+
+_LAST_WHOLE = _last_whole_table_n()
+
+
+@pytest.mark.parametrize("n, whole", [(_LAST_WHOLE, True), (_LAST_WHOLE + 1, False)])
+def test_solve_matches_the_oracle_on_both_sides_of_the_whole_table(n, whole, rng):
+    assert (poly._build_rows(n)[0] == 1) == whole
+    newton = _newton_vector(n, rng)
+    assert poly._solve(newton, n, Context(n)) == oracle_solve(newton, n)
 
 
 @pytest.mark.parametrize("n", (5, 16, 64))

@@ -193,6 +193,11 @@ def test_argument_validation():
         spec.adjoint(0, (3, 5))
     with pytest.raises(ValueError):
         spec.adjoint(3, (3, 5))
+    # a float argument is refused, not answered as for its integer part
+    unit = QuasigroupSpec.random(Context(8), 1, "UNIT_PRODUCT", random.Random(1))
+    for call in (lambda: unit.apply([3.9]), lambda: unit.adjoint(1, [3.9])):
+        with pytest.raises(ValueError, match="3.9"):
+            call()
 
 
 def test_ring_modes_accept_even_arguments():

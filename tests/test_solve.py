@@ -1,6 +1,8 @@
 """Interpolation, inversion, and the canonical-form product."""
 
 import itertools
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -284,20 +286,23 @@ def test_invert_ladder_matches_the_newton_oracle(fixed_n, data):
     assert poly._node_values(inverse, ctx) == oracle_preimages(p, n)
 
 
-@pytest.mark.parametrize("fixed_n", _LADDER_EDGES + (None,))
+# 400 keeps only checkpoints of T, so every precision below it rebuilds its rows from them
+@pytest.mark.parametrize("fixed_n", _LADDER_EDGES + (400, None))
 def test_every_ladder_level_reads_a_prefix_of_one_newton_vector(fixed_n, rng):
     # _solve at precision m <= ceil(n/2) reads slot k modulo 2**w_k(m), and
-    # w_k(m) = w_k(ceil(n/2)) - (ceil(n/2) - m): the slots computed once suffice
+    # w_k(m) = w_k(ceil(n/2)) - (ceil(n/2) - m): the slots computed once suffice,
+    # and so do the rows of T in Context(n)'s one store
     n = fixed_n or rng.randrange(65, 301)
+    ctx = Context(n)
     ladder = solve._ladder(n)
     precisions = {m for m in ladder if m < n} | {(m + 1) // 2 for m in ladder if m > 2}
     for _ in range(3):
         bound = 1 << (n + 2)
-        p = [rng.randrange(-bound, bound) for _ in range(Context(n).d + 5)]
+        p = [rng.randrange(-bound, bound) for _ in range(ctx.d + 5)]
         newton = poly._to_newton(p, (n + 1) // 2)
         for m in precisions:
             prefix = newton[: len(Context(m).coeff_bits)]
-            assert tuple(poly._solve(prefix, m)) == oracle_reduce(p, m).coeffs
+            assert tuple(poly._solve(prefix, m, ctx)) == oracle_reduce(p, m).coeffs
 
 
 @pytest.mark.parametrize("n", [64, 65])
@@ -350,6 +355,79 @@ def test_solvers_build_no_context(n, monkeypatch, rng):
     inverse = invert_permutation(p, ctx)
     assert interpolate(poly._node_values(inverse, ctx), ctx) == inverse
     assert multiply_reduced(p, multiplicative_inverse(p, ctx), ctx) == reduce((1,), ctx)
+
+
+# -- one row store per Context -------------------------------------------------
+
+
+@pytest.fixture
+def store_builds(monkeypatch):
+    """The precision of each row store poly builds, in order."""
+    builds = []
+    real = poly._build_rows
+
+    def counting(n):
+        builds.append(n)
+        return real(n)
+
+    monkeypatch.setattr(poly, "_build_rows", counting)
+    return builds
+
+
+def test_one_inversion_store_serves_every_ladder_level(store_builds, monkeypatch, rng):
+    ctx = Context(600)
+    p = random_permutational_poly(ctx, rng)
+    precisions = []
+
+    def recording(newton, m, ctx):
+        precisions.append(m)
+        return real_solve(newton, m, ctx)
+
+    real_solve = poly._solve
+    monkeypatch.setattr(poly, "_solve", recording)
+    monkeypatch.setattr(solve, "_solve", recording)
+    first = invert_permutation(p, ctx)
+    assert invert_permutation(p, ctx) == first
+    # ten precisions (2, 3, 5, ..., 300, 600), every one read from the one store
+    assert len(set(precisions)) == 10
+    assert store_builds == [600]
+
+
+def test_solvers_on_one_context_share_one_store(store_builds, rng):
+    ctx = Context(256)
+    p = random_permutational_poly(ctx, rng)
+    long = [rng.randrange(1 << 256) for _ in range(2 * ctx.d + 1)]
+    assert reduce(long, ctx) == oracle_reduce(long, 256)
+    assert interpolate(poly._node_values(p, ctx), ctx) == p
+    assert multiply_reduced(p, multiplicative_inverse(p, ctx), ctx) == reduce((1,), ctx)
+    assert store_builds == [256]
+    assert reduce(long, Context(256)) == reduce(long, ctx)
+    assert store_builds == [256, 256]
+
+
+def test_threads_sharing_a_fresh_context_interpolate_consistently(rng):
+    other = Context(128)
+    tables = [poly._node_values(random_permutational_poly(other, rng), other) for _ in range(6)]
+    expected = [interpolate(values, other) for values in tables]
+    ctx = Context(128)  # no solve has built its store yet, so the threads race to build it
+    results = []
+
+    def fit():
+        # a thread that raises appends nothing, so the count below catches it too
+        results.append([interpolate(values, ctx) for values in tables])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fit) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(threads)
 
 
 # -- pointwise multiplicative inverse ------------------------------------------
