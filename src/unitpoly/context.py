@@ -73,7 +73,7 @@ def unit_inverse(a: int, n: int) -> int:
     if n < 1:
         raise ValueError("modulus exponent must be positive")
     mask = (1 << n) - 1
-    a = int(a) & mask
+    a = checked_index(a) & mask
     if a & 1 == 0:
         raise ValueError("only odd residues are invertible modulo 2**n")
     inv = (3 * a ^ 2) & 31

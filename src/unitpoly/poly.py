@@ -6,25 +6,25 @@ same function there is exactly one with degree at most d_n whose i-th
 coefficient lies below 2**(n-i-t_i); that representative is ReducedPoly.
 This module holds the two polynomial types, the rewriting ideal, the one
 multipoint evaluation (_values_at), parity tests on the odd residues and
-the whole ring, and the gluing of two functions into one.
+the whole ring, and the gluing of two functions on the odd residues into
+one on Z_{2**n}. Every fit to values goes through one difference table,
+_newton_fit: in the basis N_k = (x-1)(x-3)...(x-2k+1) from values at the
+odd nodes (_fit_nodes), in the basis x(x-1)...(x-k+1) from values at
+0, 1, 2, ... (_fit_ring).
 
-Every canonical form is reached one way: Newton coefficients in the basis
-N_k = (x-1)(x-3)...(x-2k+1), then the unit-triangular solve _solve. Two
-polynomials of degree at most d_n induce the same function exactly when
-their k-th Newton coefficients agree modulo 2**w_k, w_k = n-k-t_k. reduce
-and invert_permutation take coefficients to them by Horner's rule
-(_to_newton); the solvers take values at the nodes (_node_values) to them
-by a difference table (_fit_nodes). Since w falls as k rises, multiplying
-by x (_times_x) is exact slot by slot modulo 2**w_k, so Newton vectors and
-the rows T(i, .) of the solve's table (the Newton coefficients of x**i)
-are all kept to the slot widths. The solve reads the rows from the top
-down, but they are built upward, so each Context gets one store of rows,
-built on its first solve and dropped with it: every row while the whole
-table has at most WHOLE_TABLE_ENTRIES slots (n <= 356), otherwise every
-(isqrt(d_n)+1)-th row, each block of rows being rebuilt from its
-checkpoint when the solve reaches it. A slot kept modulo 2**w_k(n) is
-also right modulo 2**w_k(m) for every m <= n, so one store serves a
-solve at any precision up to n.
+Every canonical form is Newton coefficients in the basis N_k, then the
+unit-triangular solve _solve; two forms of degree at most d_n induce one
+function exactly when their k-th coefficients agree modulo 2**w_k,
+w_k = n-k-t_k. reduce and invert_permutation reach them from coefficients
+by Horner's rule (_to_newton). As w falls with k, multiplying by x
+(_times_x) is exact slot by slot modulo 2**w_k, so Newton vectors and the
+rows T(i, .) of the solve's table (the Newton coefficients of x**i) are
+kept to the slot widths. Each Context gets one store of rows, built
+upward on its first solve and dropped with it: every row while the table
+has at most WHOLE_TABLE_ENTRIES slots (n <= 356), otherwise every
+(isqrt(d_n)+1)-th row, the solve rebuilding each block from its
+checkpoint as it reads down. A slot kept modulo 2**w_k(n) is right modulo
+2**w_k(m) for every m <= n, so one store serves every precision up to n.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .context import Context, coeff_widths, two_adic_factorial_valuation, unit_inverse
-from .errors import BudgetExceeded, InconsistentTable, NotAPermutation
+from .census import keller_beta
+from .context import Context, checked_index, coeff_widths, unit_inverse
+from .context import two_adic_factorial_valuation
+from .errors import InconsistentTable, NotAPermutation
 
-INDICATOR_BUDGET = 1 << 20  # largest unit-indicator exponent that gluing will build
 WHOLE_TABLE_ENTRIES = 1 << 14  # most slots of T a row store keeps whole (0.42 MiB at n = 256)
 
 
@@ -61,7 +62,7 @@ class IntPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trimmed(tuple(int(c) for c in self.coeffs)))
+        object.__setattr__(self, "coeffs", _trimmed(tuple(map(checked_index, self.coeffs))))
 
     @property
     def degree(self) -> int | None:
@@ -156,11 +157,11 @@ class ReducedPoly:
     n: int
 
     def __post_init__(self):
-        n = int(self.n)
+        n = checked_index(self.n)
         if n < 2:
             raise ValueError(f"modulus exponent must be at least 2, got {n}")
         widths = coeff_widths(n)
-        coeffs = _trimmed(tuple(int(c) for c in self.coeffs))
+        coeffs = _trimmed(tuple(map(checked_index, self.coeffs)))
         if len(coeffs) > len(widths):
             raise ValueError(
                 f"degree {len(coeffs) - 1} exceeds the cap {len(widths) - 1} for n={n}"
@@ -193,7 +194,7 @@ def _as_coeffs(poly) -> tuple[int, ...]:
     """Coefficient tuple of an IntPoly, ReducedPoly, or plain sequence."""
     if isinstance(poly, (IntPoly, ReducedPoly)):
         return poly.coeffs
-    return tuple(int(c) for c in poly)
+    return tuple(map(checked_index, poly))
 
 
 def parse_poly(text: str) -> IntPoly:
@@ -327,33 +328,56 @@ def _node_values(poly, ctx: Context) -> list[int]:
     return _values_at(_coeffs_for(poly, ctx), ctx.interpolation_nodes, ctx.mask)
 
 
-def _fit_nodes(vals: list[int], ctx: Context) -> ReducedPoly:
-    """The canonical polynomial taking the d+1 values vals (modulo 2**n) at
-    1, 3, ..., 2d+1: the k-th step-2 difference at 1 is 2**(k + t_k) * odd(k!)
-    times the k-th Newton coefficient, or InconsistentTable is raised, and
-    _solve turns the Newton coefficients into the canonical form. The
-    differences are not reduced: the & that tests one for divisibility and
-    the >> whose result _solve reads modulo 2**w_k see only its low n bits."""
-    n, mask, d = ctx.n, ctx.mask, ctx.d
-    scaled = []  # the k-th difference over 2**(k + t_k), that is odd(k!) * newton[k]
-    for k, width in enumerate(ctx.coeff_bits):
-        exponent = n - width  # k + t_k
+def _newton_fit(vals: Sequence[int], exponents: Sequence[int], n: int) -> list[int]:
+    """The Newton coefficients of the function taking vals (modulo 2**n) at
+    equally spaced nodes, given that its k-th difference at the first node
+    is 2**exponents[k] * odd(k!) times the k-th coefficient; InconsistentTable
+    when 2**exponents[k] does not divide it. The differences are not reduced:
+    the & that tests one and the >> that divides it see only its low n bits,
+    so coefficient k, returned in [0, 2**n), is right modulo
+    2**(n - exponents[k]), all that a caller reads of it."""
+    mask = (1 << n) - 1
+    newton = []  # the k-th difference over 2**exponents[k], then over odd(k!) too
+    for k, exponent in enumerate(exponents):
         diff = vals[0]
         if diff & ((1 << exponent) - 1):
             raise InconsistentTable(
                 f"no polynomial function fits: 2**{exponent} does not divide "
                 f"{diff & mask} at degree {k}"
             )
-        scaled.append(diff >> exponent)
+        newton.append(diff >> exponent)
         vals = list(map(operator.sub, vals[1:], vals))
-    # one inverse, of odd(d!); odd((k-1)!)**-1 = odd(k!)**-1 * odd(k) sweeps it down
-    inverse = unit_inverse(math.factorial(d) >> two_adic_factorial_valuation(d), n)
-    newton = [0] * (d + 1)
-    for k in range(d, -1, -1):
-        newton[k] = (scaled[k] * inverse) & mask
+    # one inverse, of odd(top!); odd((k-1)!)**-1 = odd(k!)**-1 * odd(k) sweeps it down
+    top = len(newton) - 1
+    inverse = unit_inverse(math.factorial(top) >> two_adic_factorial_valuation(top), n)
+    for k in range(top, -1, -1):
+        newton[k] = (newton[k] * inverse) & mask
         if k:
             inverse = (inverse * (k >> ((k & -k).bit_length() - 1))) & mask
-    return ReducedPoly(tuple(_solve(newton, n, ctx)), n)
+    return newton
+
+
+def _fit_nodes(vals: list[int], ctx: Context) -> ReducedPoly:
+    """The canonical polynomial taking the d+1 values vals (modulo 2**n) at
+    1, 3, ..., 2d+1: there the k-th step-2 difference is 2**(k + t_k) =
+    2**(n - w_k) times odd(k!) times the k-th coefficient in the basis N_k,
+    and _solve takes those coefficients to the canonical form."""
+    newton = _newton_fit(vals, [ctx.n - width for width in ctx.coeff_bits], ctx.n)
+    return ReducedPoly(tuple(_solve(newton, ctx.n, ctx)), ctx.n)
+
+
+def _fit_ring(vals: Sequence[int], n: int) -> IntPoly:
+    """The polynomial of degree below mu = len(vals) = keller_beta(n) taking
+    vals (modulo 2**n) at 0, 1, ..., mu-1, coefficients in [0, 2**n). A
+    polynomial function on Z_{2**n} is sum_{k<mu} a_k x(x-1)...(x-k+1), as
+    2**n divides k! from k = mu on; its k-th step-1 difference at 0 is
+    2**t_k * odd(k!) * a_k, and Horner's rule c <- c*(x-k) + a_k expands it."""
+    newton = _newton_fit(vals, [two_adic_factorial_valuation(k) for k in range(len(vals))], n)
+    mask = (1 << n) - 1
+    coeffs: list[int] = []
+    for k in range(len(newton) - 1, -1, -1):
+        coeffs = [(low - k * c) & mask for low, c in zip([newton[k], *coeffs], [*coeffs, 0])]
+    return IntPoly(coeffs)
 
 
 def _slot_masks(n: int) -> list[int]:
@@ -484,27 +508,11 @@ def conjugate_to_nonunits(poly) -> IntPoly:
     return result - 1
 
 
-def _indicator_exponent(n: int) -> int:
-    # smallest exponent e with a**e == 1 for every odd a modulo 2**n
-    if n == 2:
-        return 2
-    if n == 3:
-        return 4
-    e = 1 << (n - 2)
-    if e > INDICATOR_BUDGET:
-        raise BudgetExceeded(
-            f"the unit indicator x**(2**{n - 2}) exceeds the degree budget {INDICATOR_BUDGET}"
-        )
-    return e
-
-
 def indicator_polys(ctx: Context) -> tuple[IntPoly, IntPoly]:
     """The pair (v0, v1): v0 is 1 on odd residues and 0 on even ones,
-    v1 = 1 - v0 is its complement. v0 is the single monomial x**e with
-    e the exponent of the unit group (odd residues power to 1, even ones
-    power to 0 because e >= n). Raises BudgetExceeded when e = 2**(n-2)
-    is above INDICATOR_BUDGET."""
-    v0 = IntPoly((0,) * _indicator_exponent(ctx.n) + (1,))
+    v1 = 1 - v0 is its complement. v0 is fitted to x & 1 (_fit_ring), so
+    its degree is keller_beta(n) - 1."""
+    v0 = _fit_ring([x & 1 for x in range(keller_beta(ctx.n))], ctx.n)
     return v0, IntPoly((1,)) - v0
 
 
@@ -512,20 +520,17 @@ def glue_polynomial(p, h, ctx: Context) -> IntPoly:
     """One polynomial acting as p on odd residues and as the conjugate of
     h on even residues.
 
-    Built as h' + (p - h') * v0 where h' = h(x+1) - 1 and v0 is the unit
-    indicator: at odd x the indicator is 1 and the value is p(x), at even
-    x it is 0 and the value is h'(x). Since v0 is a monomial the product
-    is just a shift. Raises BudgetExceeded when 2**(n-2) is above
-    INDICATOR_BUDGET.
+    The glued function takes p(x) at odd x and h(x+1) - 1 at even x. So p
+    and h are evaluated once each at the odd x below mu = keller_beta(n),
+    and the values at 0, 1, ..., mu-1 are fitted (_fit_ring): the result
+    has degree below mu and coefficients in [0, 2**n).
     """
-    e = _indicator_exponent(ctx.n)
-    if not induces_permutation_on_units(p):
-        raise NotAPermutation("first argument does not permute the odd residues")
-    if not induces_permutation_on_units(h):
-        raise NotAPermutation("second argument does not permute the odd residues")
-    hp = conjugate_to_nonunits(h)
-    diff = IntPoly(_as_coeffs(p)) - hp
-    return hp + diff.shifted(e)
+    for name, f in (("first", p), ("second", h)):
+        if not induces_permutation_on_units(f):
+            raise NotAPermutation(f"{name} argument does not permute the odd residues")
+    odd = range(1, keller_beta(ctx.n), 2)  # keller_beta(n) is even
+    at_p, at_h = (_values_at(_as_coeffs(f), odd, ctx.mask) for f in (p, h))
+    return _fit_ring([v for hv, pv in zip(at_h, at_p) for v in (hv - 1, pv)], ctx.n)
 
 
 def bivariate_quasigroup_check(coeff_matrix: Sequence[Sequence[int]], n: int) -> bool:
@@ -535,9 +540,9 @@ def bivariate_quasigroup_check(coeff_matrix: Sequence[Sequence[int]], n: int) ->
     that the four specializations P(x,0), P(x,1), P(0,y), P(1,y) each
     permute the ring; a constant specialization means the answer is no.
     """
-    if n < 2:
+    if checked_index(n) < 2:
         raise ValueError("modulus exponent must be at least 2")
-    rows = [tuple(int(c) for c in row) for row in coeff_matrix]
+    rows = [tuple(map(checked_index, row)) for row in coeff_matrix]
     if not rows:
         return False
     width = max(len(row) for row in rows)
@@ -548,10 +553,4 @@ def bivariate_quasigroup_check(coeff_matrix: Sequence[Sequence[int]], n: int) ->
         rows[0],                                   # P(0, y)
         tuple(sum(col) for col in zip(*rows)),     # P(1, y)
     )
-    for coeffs in specializations:
-        poly = IntPoly(coeffs)
-        if poly.degree is None or poly.degree < 1:
-            return False
-        if not rivest_permutes_ring(poly):
-            return False
-    return True
+    return all(len(_trimmed(c)) > 1 and rivest_permutes_ring(c) for c in specializations)

@@ -16,19 +16,22 @@ from unitpoly import (
     evaluate,
     format_poly,
     glue_polynomial,
+    hensel_roots,
     ideal_generators,
     indicator_polys,
     induces_function_on_units,
     induces_permutation_on_units,
     interpolate,
+    keller_beta,
     max_reduced_degree,
     multiply_reduced,
     parse_poly,
     reduce,
     rivest_permutes_ring,
+    unit_inverse,
 )
 from unitpoly import poly
-from unitpoly.errors import BudgetExceeded, NotAPermutation
+from unitpoly.errors import NotAPermutation
 from unitpoly.quasigroup import random_permutational_poly
 from unitpoly.oracle import (
     oracle_bivariate_table,
@@ -141,6 +144,27 @@ def test_evaluate_checks_domain():
             evaluate((0, 1), bad, Context(8))
         with pytest.raises(ValueError, match=repr(bad)):
             Context(8).check_unit(bad)
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda: IntPoly((2.5, 1)), 2.5),
+        (lambda: ReducedPoly((2.5, 1), 4), 2.5),
+        (lambda: ReducedPoly((1,), 4.9), 4.9),
+        (lambda: reduce((2.7, 1.2), Context(4)), 2.7),
+        (lambda: evaluate((2.5, 1), 3, Context(4)), 2.5),
+        (lambda: unit_inverse(3.7, 5), 3.7),
+        (lambda: hensel_roots((-1.5, 0, 1.0), 3), -1.5),
+        (lambda: induces_permutation_on_units((2.5, 1.0)), 2.5),
+        (lambda: bivariate_quasigroup_check([[0, 1.5], [1, 0]], 4), 1.5),
+        (lambda: bivariate_quasigroup_check([[0, 1], [1, 0]], 4.0), 4.0),
+    ],
+)
+def test_float_coefficients_and_precisions_are_refused(call, bad):
+    # each of these once truncated the float and answered as if for int(bad)
+    with pytest.raises(ValueError, match=f"^{bad!r} is not an integer$"):
+        call()
 
 
 # -- membership and permutation parity tests ----------------------------------
@@ -455,14 +479,42 @@ def test_glue_requires_permutations():
         glue_polynomial((2, 1), (4, 4, 1), ctx)
 
 
-@pytest.mark.parametrize("n", [23, 64])
-def test_glue_budget(n):
-    # the indicator x**(2**(n-2)) has more than 2**20 coefficients from n = 23 on
+@pytest.mark.parametrize("n", [23, 64, 1024])
+def test_glue_budget(n, rng):
+    # these n once passed the degree budget of the literal unit indicator x**(2**(n-2));
+    # the fit has degree below keller_beta(n), for these draws exactly keller_beta(n) - 1
     ctx = Context(n)
-    with pytest.raises(BudgetExceeded):
-        indicator_polys(ctx)
-    with pytest.raises(BudgetExceeded):
-        glue_polynomial((2, 1), (2, 1), ctx)
+    p = random_permutational_poly(ctx, rng)
+    h = random_permutational_poly(ctx, rng)
+    g = glue_polynomial(p, h, ctx)
+    for _ in range(40):
+        a = rng.randrange(ctx.modulus)
+        want = evaluate(p, a, ctx) if a & 1 else (evaluate(h, a + 1, ctx) - 1) % ctx.modulus
+        assert evaluate(g, a, ctx) == want
+    assert rivest_permutes_ring(g)
+    assert g.degree == keller_beta(n) - 1
+
+
+@pytest.mark.parametrize("n", [23, 64])
+def test_indicator_fits_beyond_the_old_budget(n, rng):
+    ctx = Context(n)
+    v_units, v_rest = indicator_polys(ctx)
+    for a in [0, 1, ctx.mask - 1, ctx.mask] + [rng.randrange(ctx.modulus) for _ in range(40)]:
+        assert evaluate(v_units, a, ctx) == a & 1
+        assert evaluate(v_rest, a, ctx) == 1 - (a & 1)
+    assert v_units + v_rest == IntPoly((1,))
+    assert v_units.degree == keller_beta(n) - 1
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_glue_matches_the_ring_oracle(n, rng):
+    ctx = Context(n)
+    for _ in range(4):
+        p = random_permutational_poly(ctx, rng)
+        h = random_permutational_poly(ctx, rng)
+        table = oracle_function_of(glue_polynomial(p, h, ctx), n, domain="ring").values
+        assert table[1::2] == oracle_function_of(p, n).values
+        assert table[0::2] == tuple((v - 1) % ctx.modulus for v in oracle_function_of(h, n).values)
 
 
 # -- bivariate quasigroup test ------------------------------------------------
