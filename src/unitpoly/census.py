@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
-from .context import max_reduced_degree
+from .context import checked_index, max_reduced_degree
 
 
 def _require(n: int) -> None:
-    if n < 2:
+    if checked_index(n) < 2:
         raise ValueError(f"modulus exponent must be at least 2, got {n}")
 
 
@@ -71,7 +71,7 @@ def keller_beta(j: int) -> int:
     t_s = s - popcount(s) is below j at s = j, and reaches j within about
     log2(j) steps up from there.
     """
-    if j < 1:
+    if checked_index(j) < 1:
         raise ValueError("keller_beta needs j >= 1")
     s = j
     while s - s.bit_count() < j:

@@ -29,7 +29,7 @@ def two_adic_factorial_valuation(i: int) -> int:
         The sum of floor(i / 2**k) over k >= 1, which in base two is i
         minus the number of one bits of i.
     """
-    if i < 0:
+    if checked_index(i) < 0:
         raise ValueError("factorial valuation needs i >= 0")
     return i - i.bit_count()
 
@@ -51,7 +51,7 @@ def max_reduced_degree(n: int) -> int:
     it is below n at i = (n - 1) // 2; the cap is at most about log2(n) / 2
     steps above that, so no width table is built.
     """
-    if n < 1:
+    if checked_index(n) < 1:
         raise ValueError("modulus exponent must be positive")
     i = (n - 1) // 2
     while 2 * i + 2 - (i + 1).bit_count() < n:
@@ -70,7 +70,7 @@ def unit_inverse(a: int, n: int) -> int:
     precision, only the last step is at full width, and the whole costs
     about two n-bit products.
     """
-    if n < 1:
+    if checked_index(n) < 1:
         raise ValueError("modulus exponent must be positive")
     mask = (1 << n) - 1
     a = checked_index(a) & mask
@@ -113,7 +113,8 @@ def coeff_widths(n: int) -> tuple[int, ...]:
     """Widths n - i - t_i, i <= d_n: canonical coefficient i modulo 2**n
     lies in [0, 2**coeff_widths(n)[i]). i + t_i strictly increases, so the
     widths are one upward scan, cut at the first that is not positive."""
-    scan = (n - i - two_adic_factorial_valuation(i) for i in itertools.count())
+    # n - i - t_i, t_i inline: two_adic_factorial_valuation would check each i's type
+    scan = (n - 2 * i + i.bit_count() for i in itertools.count())
     return tuple(itertools.takewhile(lambda width: width > 0, scan))
 
 
@@ -132,9 +133,9 @@ class Context:
     """
 
     def __init__(self, n: int, max_n: int = DEFAULT_MAX_N):
-        if n < 2:
+        if checked_index(n) < 2:
             raise ValueError(f"modulus exponent must be at least 2, got {n}")
-        if n > max_n:
+        if n > checked_index(max_n):
             raise ValueError(f"modulus exponent {n} exceeds the ceiling {max_n}")
         self.n = n
         self.modulus = 1 << n

@@ -12,19 +12,26 @@ _newton_fit: in the basis N_k = (x-1)(x-3)...(x-2k+1) from values at the
 odd nodes (_fit_nodes), in the basis x(x-1)...(x-k+1) from values at
 0, 1, 2, ... (_fit_ring).
 
-Every canonical form is Newton coefficients in the basis N_k, then the
-unit-triangular solve _solve; two forms of degree at most d_n induce one
-function exactly when their k-th coefficients agree modulo 2**w_k,
-w_k = n-k-t_k. reduce and invert_permutation reach them from coefficients
-by Horner's rule (_to_newton). As w falls with k, multiplying by x
-(_times_x) is exact slot by slot modulo 2**w_k, so Newton vectors and the
-rows T(i, .) of the solve's table (the Newton coefficients of x**i) are
-kept to the slot widths. Each Context gets one store of rows, built
-upward on its first solve and dropped with it: every row while the table
-has at most WHOLE_TABLE_ENTRIES slots (n <= 356), otherwise every
-(isqrt(d_n)+1)-th row, the solve rebuilding each block from its
-checkpoint as it reads down. A slot kept modulo 2**w_k(n) is right modulo
-2**w_k(m) for every m <= n, so one store serves every precision up to n.
+Every canonical form modulo 2**n is Newton coefficients in the basis N_k,
+then the unit-triangular solve _solve at n = ctx.n; two forms of degree at
+most d_n induce one function exactly when their k-th coefficients agree
+modulo 2**w_k, w_k = n-k-t_k. reduce and invert_permutation reach them
+from coefficients by Horner's rule (_to_newton). As w falls with k,
+multiplying by x (_times_x) is exact slot by slot modulo 2**w_k, so
+Newton vectors and the rows T(i, .) of the solve's table (the Newton
+coefficients of x**i) are kept to the slot widths. Each Context gets one
+store of rows, built upward on its first solve and dropped with it: every
+row while the table has at most WHOLE_TABLE_ENTRIES slots (n <= 356),
+otherwise every (isqrt(d_n)+1)-th row, the solve rebuilding each block
+from its checkpoint as it reads down.
+
+Every way back from a basis (x-c_0)(x-c_1)...(x-c_{k-1}) to monomials is
+one Horner fold, _expand, over one step, _times_linear (multiply by x - c,
+add a constant): _fit_ring's basis (c_j = j), the shift in
+conjugate_to_nonunits (every c_j = -1, exact) and invert_permutation's
+ladder, which expands prefixes of N_k vectors (c_j = 2j+1) at precisions
+where any polynomial equal to p will do, so no solve is needed there. The
+products (x+1)(x+3)... of ideal_generators are the same step.
 """
 
 from __future__ import annotations
@@ -291,6 +298,23 @@ def rivest_permutes_ring(poly) -> bool:
     )
 
 
+def _times_linear(coeffs: Sequence[int], node: int, low: int, mask: int) -> list[int]:
+    """The monomial coefficients of coeffs * (x - node) + low, each & mask
+    (a mask of -1 keeps them exact): the one multiplication by a linear
+    factor outside the oracle."""
+    return [(below - node * a) & mask for below, a in zip([low, *coeffs], [*coeffs, 0])]
+
+
+def _expand(newton: Sequence[int], nodes: Sequence[int], mask: int) -> list[int]:
+    """The len(newton) monomial coefficients, each & mask, of
+    sum_k newton[k] (x - nodes[0])(x - nodes[1])...(x - nodes[k-1]), by
+    Horner's rule in that basis (_times_linear)."""
+    coeffs: list[int] = []
+    for k in range(len(newton) - 1, -1, -1):
+        coeffs = _times_linear(coeffs, nodes[k], newton[k], mask)
+    return coeffs
+
+
 def ideal_generators(ctx: Context) -> tuple[IntPoly, ...]:
     """The d+2 generators of the rewriting ideal, built afresh on each call.
 
@@ -300,21 +324,12 @@ def ideal_generators(ctx: Context) -> tuple[IntPoly, ...]:
     vanishes on every odd residue. Canonical forms never need the table;
     it is the ideal's description, for display and checks.
     """
-    mask = ctx.mask
     gens = [IntPoly((ctx.modulus,))]
     prod = [1]
-    for i in range(1, ctx.d + 2):
-        root = 2 * i - 1
-        new = [0] * (len(prod) + 1)
-        for j, c in enumerate(prod):
-            new[j] = (new[j] + c * root) & mask
-            new[j + 1] = (new[j + 1] + c) & mask
-        prod = new
-        if i <= ctx.d:
-            scale = 1 << ctx.coeff_bits[i]
-            gens.append(IntPoly(tuple((c * scale) & mask for c in prod)))
-        else:
-            gens.append(IntPoly(tuple(prod)))
+    # width 0 leaves the last, monic product unscaled
+    for i, width in enumerate((*ctx.coeff_bits[1:], 0), start=1):
+        prod = _times_linear(prod, 1 - 2 * i, 0, ctx.mask)
+        gens.append(IntPoly(tuple((c << width) & ctx.mask for c in prod)))
     return tuple(gens)
 
 
@@ -363,7 +378,7 @@ def _fit_nodes(vals: list[int], ctx: Context) -> ReducedPoly:
     2**(n - w_k) times odd(k!) times the k-th coefficient in the basis N_k,
     and _solve takes those coefficients to the canonical form."""
     newton = _newton_fit(vals, [ctx.n - width for width in ctx.coeff_bits], ctx.n)
-    return ReducedPoly(tuple(_solve(newton, ctx.n, ctx)), ctx.n)
+    return ReducedPoly(tuple(_solve(newton, ctx)), ctx.n)
 
 
 def _fit_ring(vals: Sequence[int], n: int) -> IntPoly:
@@ -371,13 +386,10 @@ def _fit_ring(vals: Sequence[int], n: int) -> IntPoly:
     vals (modulo 2**n) at 0, 1, ..., mu-1, coefficients in [0, 2**n). A
     polynomial function on Z_{2**n} is sum_{k<mu} a_k x(x-1)...(x-k+1), as
     2**n divides k! from k = mu on; its k-th step-1 difference at 0 is
-    2**t_k * odd(k!) * a_k, and Horner's rule c <- c*(x-k) + a_k expands it."""
-    newton = _newton_fit(vals, [two_adic_factorial_valuation(k) for k in range(len(vals))], n)
-    mask = (1 << n) - 1
-    coeffs: list[int] = []
-    for k in range(len(newton) - 1, -1, -1):
-        coeffs = [(low - k * c) & mask for low, c in zip([newton[k], *coeffs], [*coeffs, 0])]
-    return IntPoly(coeffs)
+    2**t_k * odd(k!) * a_k, and _expand takes it to monomials."""
+    # t_k inline: two_adic_factorial_valuation would check each k's type
+    newton = _newton_fit(vals, [k - k.bit_count() for k in range(len(vals))], n)
+    return IntPoly(_expand(newton, range(len(newton)), (1 << n) - 1))
 
 
 def _slot_masks(n: int) -> list[int]:
@@ -431,44 +443,41 @@ def _build_rows(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 _row_stores: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _rows_down(masks: Sequence[int], ctx: Context):
-    """(i, T(i, .)) for i from d_m down to 0, m the precision of masks
-    (m <= ctx.n), each slot k right at least modulo 2**w_k(m). Stored rows
-    are yielded as they are; between checkpoints each block's rows are
-    rebuilt upward from its checkpoint with masks, then yielded from its
-    top row down."""
+def _rows_down(ctx: Context):
+    """(i, T(i, .)) for i from d_n down to 0, n = ctx.n, slot k modulo
+    2**w_k, from ctx's row store. Stored rows are yielded as they are;
+    between checkpoints each block's rows are rebuilt upward from its
+    checkpoint, then yielded from its top row down."""
     store = _row_stores.get(ctx)
     if store is None:
         # racing threads may both build; setdefault keeps the first store
         store = _row_stores.setdefault(ctx, _build_rows(ctx.n))
     step, rows = store
-    top = len(masks) - 1
     if step == 1:
-        yield from zip(range(top, -1, -1), rows[top::-1])
+        yield from zip(range(ctx.d, -1, -1), reversed(rows))
         return
-    for base in range(top - top % step, -1, -step):
+    masks = _slot_masks(ctx.n)
+    for base in range(ctx.d - ctx.d % step, -1, -step):
         block = [rows[base // step]]
-        for _ in range(base + 1, min(base + step, top + 1)):
+        for _ in range(base + 1, min(base + step, ctx.d + 1)):
             block.append(_times_x(block[-1], 0, masks))
         yield from zip(range(base + len(block) - 1, -1, -1), reversed(block))
 
 
-def _solve(newton: Sequence[int], m: int, ctx: Context) -> list[int]:
-    """The canonical coefficients modulo 2**m (m <= ctx.n) of the function
+def _solve(newton: Sequence[int], ctx: Context) -> list[int]:
+    """The canonical coefficients modulo 2**n (n = ctx.n) of the function
     with Newton coefficients newton.
 
     Writing x**i = sum_k T(i,k) N_k, where T(i,i) = 1, coefficient k of
     sum r_i x**i is sum_{i >= k} r_i T(i,k), and two forms of degree at
-    most d_m induce one function exactly when these agree modulo 2**w_k,
-    w = coeff_widths(m). So from i = d_m down, r_i is what is left of
-    newton[i] modulo 2**w_i, and r_i T(i,k) leaves every lower slot k,
-    which reads T(i,k) only modulo 2**w_k. The rows come from ctx's row
-    store (_rows_down), which holds them modulo 2**w_k(ctx.n) and so
-    serves every precision up to ctx.n."""
-    masks = _slot_masks(m)
+    most d_n induce one function exactly when these agree modulo 2**w_k.
+    So from i = d_n down, r_i is what is left of newton[i] modulo 2**w_i,
+    and r_i T(i,k) leaves every lower slot k, which reads T(i,k) only
+    modulo 2**w_k. The rows come from ctx's row store (_rows_down)."""
+    masks = _slot_masks(ctx.n)
     acc = list(newton)  # unmasked: the & that reads a slot gives its residue
     out = [0] * len(masks)
-    for i, row in _rows_down(masks, ctx):
+    for i, row in _rows_down(ctx):
         r = out[i] = acc[i] & masks[i]
         if r:
             acc = [a - r * t for a, t in zip(acc, row)]
@@ -486,7 +495,7 @@ def reduce(poly, ctx: Context) -> ReducedPoly:
     coeffs = _trimmed([c & ctx.mask for c in _as_coeffs(poly)])
     widths = ctx.coeff_bits
     if len(coeffs) > len(widths) or any(c >> w for c, w in zip(coeffs, widths)):
-        coeffs = _solve(_to_newton(coeffs, ctx.n), ctx.n, ctx)
+        coeffs = _solve(_to_newton(coeffs, ctx.n), ctx)
     return ReducedPoly(tuple(coeffs), ctx.n)
 
 
@@ -499,13 +508,11 @@ def conjugate_to_nonunits(poly) -> IntPoly:
     """The polynomial h(x+1) - 1, exact over the integers.
 
     Conjugation by the shift x -> x+1 transports a map on odd residues to
-    a map on even residues and back.
+    a map on even residues and back. h(x+1) is sum_k h_k (x+1)**k, which
+    _expand takes to monomials with every node -1.
     """
-    result = IntPoly()
-    shift = IntPoly((1, 1))
-    for c in reversed(_as_coeffs(poly)):
-        result = result * shift + int(c)
-    return result - 1
+    coeffs = _as_coeffs(poly)
+    return IntPoly(_expand(coeffs, [-1] * len(coeffs), -1)) - 1
 
 
 def indicator_polys(ctx: Context) -> tuple[IntPoly, IntPoly]:
@@ -543,9 +550,9 @@ def bivariate_quasigroup_check(coeff_matrix: Sequence[Sequence[int]], n: int) ->
     if checked_index(n) < 2:
         raise ValueError("modulus exponent must be at least 2")
     rows = [tuple(map(checked_index, row)) for row in coeff_matrix]
-    if not rows:
+    width = max(map(len, rows), default=0)
+    if not width:  # every specialization of the zero polynomial is constant
         return False
-    width = max(len(row) for row in rows)
     rows = [row + (0,) * (width - len(row)) for row in rows]
     specializations = (
         tuple(row[0] for row in rows),             # P(x, 0)

@@ -171,7 +171,7 @@ class QuasigroupSpec:
         arguments in their own positions: the returned b satisfies
         apply(args with position i replaced by b) == args[i-1].
         """
-        if not 1 <= i <= self.k:
+        if not 1 <= checked_index(i) <= self.k:
             raise ValueError(f"coordinate must be in 1..{self.k}, got {i}")
         args = self._check_args(args)
         idx = i - 1
@@ -213,7 +213,7 @@ class QuasigroupSpec:
         """
         bits = self.n - 1 if self.mode is Mode.UNIT_PRODUCT else self.n
         # 2**(k*bits) > budget exactly when k*bits reaches budget's bit length
-        if budget < 0 or self.k * bits >= budget.bit_length():
+        if checked_index(budget) < 0 or self.k * bits >= budget.bit_length():
             raise BudgetExceeded(
                 f"carrier size (2**{bits})**{self.k} exceeds the exhaustion budget {budget}"
             )
@@ -279,7 +279,7 @@ class QuasigroupSpec:
         Raises:
             BudgetExceeded: k is above RANDOM_ARITY_BUDGET; nothing is drawn.
         """
-        if k > RANDOM_ARITY_BUDGET:
+        if checked_index(k) > RANDOM_ARITY_BUDGET:
             raise BudgetExceeded(
                 f"arity {k} exceeds the random spec budget {RANDOM_ARITY_BUDGET}"
             )

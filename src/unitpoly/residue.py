@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import unit_inverse  # re-exported: this is its public home
+from .context import checked_index, unit_inverse  # unit_inverse: re-exported, its public home
 from .errors import BudgetExceeded
 from .poly import _as_coeffs, _eval_masked
 
@@ -35,8 +35,9 @@ def hensel_roots(poly, n: int, *, branch_limit: int = DEFAULT_BRANCH_LIMIT) -> l
     Raises:
         BudgetExceeded: when the frontier outgrows branch_limit.
     """
-    if n < 1:
+    if checked_index(n) < 1:
         raise ValueError("modulus exponent must be positive")
+    branch_limit = checked_index(branch_limit)
     full_mask = (1 << n) - 1
     coeffs = [c & full_mask for c in _as_coeffs(poly)]
     frontier = [0]
@@ -81,7 +82,7 @@ def check_unit_group_structure(n: int) -> UnitGroupReport:
     value must be 2**(n-1) + 1, and one more squaring must reach 1 while
     the halfway value itself is not 1 (so the order is not smaller).
     """
-    if n < 3:
+    if checked_index(n) < 3:
         raise ValueError("the structure check needs n >= 3")
     mask = (1 << n) - 1
     v = 5

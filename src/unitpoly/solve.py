@@ -11,13 +11,17 @@ inverting all of them with a single unit_inverse.
 Inverse permutations find their node values, the preimages of the
 nodes, by two-adic Newton iteration up a ladder of precisions m = 2, ...,
 ceil(n/4), ceil(n/2), n. A step to precision m needs p only modulo 2**m
-and the slope p' only modulo 2**ceil(m/2). poly's _solve at precision m
-reads Newton slot k only modulo 2**w_k(m), and w_k(m) = w_k(h) - (h - m)
-for h = ceil(n/2) >= m. So below the top every level reads its canonical
-forms, about m/2 terms of p and m/4 of p', off the first d_m + 1 slots of
-one Newton vector each (poly's _to_newton at precision h, computed once),
-and every level's solve reads the rows of ctx's one row store. No step
-builds a Context.
+and the slope p' only modulo 2**ceil(m/2), and any polynomial equal to
+each modulo its precision will do, not only the canonical one. At odd x,
+N_k(x) is divisible by 2**(k + t_k) = 2**(m - w_k(m)), so modulo 2**m a
+sum over the N_k reads slot k only modulo 2**w_k(m) and no slot past d_m.
+p and p' each go to Newton coefficients once, by poly's _to_newton at
+h = ceil(n/2), which keeps slot k modulo 2**w_k(h), and w_k(h) >= w_k(m)
+for every m <= h. So below the top every level expands the first d_m + 1
+slots of p's vector to monomials modulo 2**m (poly's _expand), and the
+slope the first d_ceil(m/2) + 1 of p''s modulo 2**ceil(m/2). The top level
+evaluates p's own coefficients, the one fit of the preimages is the only
+solve, and no step builds a Context.
 
 Arbitrary nodes can leave the system underdetermined, so they go through
 row reduction. Two is a zero divisor modulo 2**n, so Gaussian elimination
@@ -35,9 +39,9 @@ from .errors import BudgetExceeded, NotAPermutation, NotAUnitFunction
 from .poly import (
     ReducedPoly,
     _coeffs_for,
+    _expand,
     _fit_nodes,
     _node_values,
-    _solve,
     _to_newton,
     _values_at,
     evaluate,  # unused here; perfbench's self-test reads solve.evaluate
@@ -211,11 +215,11 @@ def invert_permutation(poly, ctx: Context) -> ReducedPoly:
     permutation test makes p' odd at every odd x, so a root right to
     ceil(m/2) bits is one step from a root right to m bits. The steps
     climb the ladder m = 2, ..., ceil(n/2), n of the module notes: below
-    the top level p is replaced by its canonical form modulo 2**m, at every
-    level p' by its form modulo 2**ceil(m/2), each solved over a prefix of
-    one Newton vector, and a slope modulo 2 is 1. The preimages are then
-    fitted, and the result is checked by composition: p itself is
-    evaluated at every fitted preimage, at full precision.
+    the top level p is replaced by a polynomial equal to it modulo 2**m, at
+    every level p' by one equal to it modulo 2**ceil(m/2), each expanded
+    from a prefix of one Newton vector, and a slope modulo 2 is 1. The
+    preimages are then fitted, and the result is checked by composition: p
+    itself is evaluated at every fitted preimage, at full precision.
 
     Raises:
         NotAPermutation: the polynomial does not permute the odd residues.
@@ -229,14 +233,16 @@ def invert_permutation(poly, ctx: Context) -> ReducedPoly:
     slope_newton = _to_newton([i * a for i, a in enumerate(coeffs)][1:], h)
     preimages = list(nodes)
     for m in _ladder(ctx.n):
-        level_poly = _solve(newton[: len(coeff_widths(m))], m, ctx) if m < ctx.n else coeffs
+        level_mask = (1 << m) - 1
+        level_poly = coeffs
+        if m < ctx.n:
+            level_poly = _expand(newton[: len(coeff_widths(m))], nodes, level_mask)
         half = (m + 1) // 2
         if half > 1:
-            slope = _solve(slope_newton[: len(coeff_widths(half))], half, ctx)
+            slope = _expand(slope_newton[: len(coeff_widths(half))], nodes, (1 << half) - 1)
             inverses = unit_inverses(_values_at(slope, preimages, (1 << half) - 1), half)
         else:
             inverses = [1] * len(preimages)  # p' is odd
-        level_mask = (1 << m) - 1
         values = _values_at(level_poly, preimages, level_mask)
         preimages = [
             (x - (y - c) * inverse) & level_mask

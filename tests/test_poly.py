@@ -1,5 +1,6 @@
 """Polynomial types, canonical reduction, and the parity predicates."""
 
+import math
 import tracemalloc
 
 import pytest
@@ -11,6 +12,7 @@ from unitpoly import (
     IntPoly,
     ReducedPoly,
     bivariate_quasigroup_check,
+    check_unit_group_structure,
     conjugate_to_nonunits,
     equivalent,
     evaluate,
@@ -23,11 +25,13 @@ from unitpoly import (
     induces_permutation_on_units,
     interpolate,
     keller_beta,
+    keller_identity_check,
     max_reduced_degree,
     multiply_reduced,
     parse_poly,
     reduce,
     rivest_permutes_ring,
+    two_adic_factorial_valuation,
     unit_inverse,
 )
 from unitpoly import poly
@@ -159,10 +163,24 @@ def test_evaluate_checks_domain():
         (lambda: induces_permutation_on_units((2.5, 1.0)), 2.5),
         (lambda: bivariate_quasigroup_check([[0, 1.5], [1, 0]], 4), 1.5),
         (lambda: bivariate_quasigroup_check([[0, 1], [1, 0]], 4.0), 4.0),
+        pytest.param(lambda: Context(4.0), 4.0, id="Context-4.0"),
+        pytest.param(lambda: Context("5"), "5", id="Context-str"),
+        pytest.param(lambda: Context(5, max_n=9.5), 9.5, id="Context-max_n"),
+        pytest.param(lambda: unit_inverse(3, 4.5), 4.5, id="unit_inverse-n"),
+        pytest.param(lambda: hensel_roots((1, 1), 3.0), 3.0, id="hensel_roots-n"),
+        pytest.param(
+            lambda: hensel_roots((1, 1), 3, branch_limit=2.5), 2.5, id="hensel_roots-branch_limit"
+        ),
+        pytest.param(lambda: check_unit_group_structure(3.5), 3.5, id="unit_group-n"),
+        pytest.param(lambda: max_reduced_degree(4.5), 4.5, id="max_reduced_degree-n"),
+        pytest.param(lambda: two_adic_factorial_valuation(4.5), 4.5, id="factorial_valuation-i"),
+        pytest.param(lambda: keller_beta(4.5), 4.5, id="keller_beta-j"),
+        pytest.param(lambda: keller_identity_check(4.5), 4.5, id="keller_identity_check-n"),
     ],
 )
 def test_float_coefficients_and_precisions_are_refused(call, bad):
-    # each of these once truncated the float and answered as if for int(bad)
+    # each of these once truncated the float and answered as if for int(bad), or
+    # raised a bare TypeError or AttributeError
     with pytest.raises(ValueError, match=f"^{bad!r} is not an integer$"):
         call()
 
@@ -322,13 +340,13 @@ def _newton_vector(n, rng):
 def test_solve_matches_the_oracle(n, rng):
     for _ in range(3):
         newton = _newton_vector(n, rng)
-        assert poly._solve(newton, n, Context(n)) == oracle_solve(newton, n)
+        assert poly._solve(newton, Context(n)) == oracle_solve(newton, n)
 
 
 def test_solve_matches_the_oracle_at_a_random_n(rng):
     n = rng.randrange(65, 301)
     newton = _newton_vector(n, rng)
-    assert poly._solve(newton, n, Context(n)) == oracle_solve(newton, n)
+    assert poly._solve(newton, Context(n)) == oracle_solve(newton, n)
 
 
 def _last_whole_table_n():
@@ -348,7 +366,32 @@ _LAST_WHOLE = _last_whole_table_n()
 def test_solve_matches_the_oracle_on_both_sides_of_the_whole_table(n, whole, rng):
     assert (poly._build_rows(n)[0] == 1) == whole
     newton = _newton_vector(n, rng)
-    assert poly._solve(newton, n, Context(n)) == oracle_solve(newton, n)
+    assert poly._solve(newton, Context(n)) == oracle_solve(newton, n)
+
+
+def _linear(node):
+    return IntPoly((-node, 1))
+
+
+@pytest.mark.parametrize("n", (5, 64))
+def test_times_linear_and_expand_match_exact_products(n, rng):
+    wide = 1 << (n + 8)
+    for mask in (-1, (1 << n) - 1):  # -1 keeps every coefficient exact
+        for length in (0, 1, 2, 17):
+            coeffs = [rng.randrange(-wide, wide) for _ in range(length)]
+            nodes = [rng.randrange(-wide, wide) for _ in range(length)]
+            node, low = rng.randrange(-wide, wide), rng.randrange(-wide, wide)
+            got = poly._times_linear(coeffs, node, low, mask)
+            exact = IntPoly(coeffs) * _linear(node) + low
+            assert len(got) == length + 1
+            assert IntPoly(got) == IntPoly([c & mask for c in exact.coeffs])
+            # sum_k coeffs[k] (x - nodes[0])...(x - nodes[k-1]), term by term
+            exact, basis = IntPoly(), IntPoly((1,))
+            for c, node in zip(coeffs, nodes):
+                exact, basis = exact + c * basis, basis * _linear(node)
+            got = poly._expand(coeffs, nodes, mask)
+            assert len(got) == length
+            assert IntPoly(got) == IntPoly([c & mask for c in exact.coeffs])
 
 
 @pytest.mark.parametrize("n", (5, 16, 64))
@@ -444,6 +487,17 @@ def test_conjugate_shifts_argument():
         assert hp(x) == h(x + 1) - 1
 
 
+def test_conjugate_matches_the_binomial_taylor_shift(rng):
+    # h(x+1) - 1 has sum_k h_k C(k, j) at x**j, less 1 at j = 0: exact, whatever the widths
+    for length in (30, 41):
+        h = [rng.randrange(-(1 << 90), 1 << 90) >> rng.randrange(90) for _ in range(length)]
+        h[-1] |= 1
+        shifted = [sum(c * math.comb(k, j) for k, c in enumerate(h)) for j in range(length)]
+        shifted[0] -= 1
+        assert conjugate_to_nonunits(h) == conjugate_to_nonunits(IntPoly(h)) == IntPoly(shifted)
+    assert conjugate_to_nonunits(()) == IntPoly((-1,))
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_indicator_values(n):
     ctx = Context(n)
@@ -527,6 +581,10 @@ def test_bivariate_known_cases():
     assert bivariate_quasigroup_check(((0, 1), (1, 2)), 4)
     assert not bivariate_quasigroup_check(((0, 0), (0, 1)), 4)
     assert not bivariate_quasigroup_check(((5,),), 4)
+    # empty rows are the zero polynomial, whose every specialization is constant
+    assert not bivariate_quasigroup_check([], 4)
+    assert not bivariate_quasigroup_check([[]], 4)
+    assert not bivariate_quasigroup_check([[], []], 4)
     with pytest.raises(ValueError):
         bivariate_quasigroup_check(x_plus_y, 1)
 

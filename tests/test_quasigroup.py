@@ -126,6 +126,8 @@ def test_latin_check_budget():
     spec = QuasigroupSpec.random(ctx, 3, Mode.RING_ADDITIVE, random.Random(0))
     with pytest.raises(BudgetExceeded):
         spec.latin_check(budget=100)
+    with pytest.raises(ValueError, match=r"^10\.5 is not an integer$"):
+        spec.latin_check(budget=10.5)
 
 
 def test_latin_check_budget_message_names_the_size_by_its_exponent():
@@ -198,6 +200,8 @@ def test_argument_validation():
     for call in (lambda: unit.apply([3.9]), lambda: unit.adjoint(1, [3.9])):
         with pytest.raises(ValueError, match="3.9"):
             call()
+    with pytest.raises(ValueError, match=r"^1\.0 is not an integer$"):
+        unit.adjoint(1.0, [3])
 
 
 def test_ring_modes_accept_even_arguments():
@@ -330,6 +334,8 @@ def test_random_arity_budget_is_checked_before_drawing():
     # no generator at all: any draw would fail with AttributeError instead
     with pytest.raises(BudgetExceeded):
         QuasigroupSpec.random(Context(8), RANDOM_ARITY_BUDGET + 1, Mode.UNIT_PRODUCT, None)
+    with pytest.raises(ValueError, match=r"^2\.5 is not an integer$"):
+        QuasigroupSpec.random(Context(8), 2.5, Mode.UNIT_PRODUCT, None)
 
 
 def test_random_spec_is_deterministic():
