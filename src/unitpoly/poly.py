@@ -32,10 +32,23 @@ conjugate_to_nonunits (every c_j = -1, exact) and invert_permutation's
 ladder, which expands prefixes of N_k vectors (c_j = 2j+1) at precisions
 where any polynomial equal to p will do, so no solve is needed there. The
 products (x+1)(x+3)... of ideal_generators are the same step.
+
+A polynomial evaluated at many odd points, as a quasigroup's are, goes
+through _OddEvaluator: Horner's rule over its coefficients until its
+class heads are due (_heads_due), then over the head of the point's
+class modulo 2**HEAD_DEPTH, ceil(n/HEAD_DEPTH) terms. The heads are
+Taylor coefficients at the odd classes, from a 2-adic tree of Taylor
+shifts by additions only (_class_heads; von zur Gathen and Gerhard, "Fast
+algorithms for Taylor shifts and certain difference equations", ISSAC
+1997). Depth 0 is one class, the coefficients themselves, so
+_eval_masked stays the one Horner loop; evaluate and _values_at run at
+depth 0.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 import weakref
@@ -48,6 +61,7 @@ from .context import two_adic_factorial_valuation
 from .errors import InconsistentTable, NotAPermutation
 
 WHOLE_TABLE_ENTRIES = 1 << 14  # most slots of T a row store keeps whole (0.42 MiB at n = 256)
+HEAD_DEPTH = 4  # class depth of _OddEvaluator: 2**(s-1) heads, about 2**s/s times p's bits
 
 
 def _trimmed(coeffs: Sequence[int]) -> Sequence[int]:
@@ -336,6 +350,103 @@ def ideal_generators(ctx: Context) -> tuple[IntPoly, ...]:
 def _values_at(coeffs: Sequence[int], points: Iterable[int], mask: int) -> list[int]:
     """Values of one polynomial at many points, by masked Horner at each."""
     return [_eval_masked(coeffs, x, mask) for x in points]
+
+
+def _head_count(n: int, depth: int) -> int:
+    """ceil(n / depth): the terms of a class head that survive modulo 2**n."""
+    return -(-n // depth)
+
+
+def _shifted_class(heads: Sequence[int], level: int, masks: Sequence[int]) -> tuple[int, ...]:
+    """The Taylor coefficients at a + 2**level, term j & masks[j], from
+    heads, those at a. Term j is sum_{i >= j} C(i, j) heads[i] 2**(level (i-j)),
+    so the vector heads[i] 2**(level i) is shifted by 1 with additions only:
+    one synthetic division by z - 1, an accumulate from the highest term,
+    leaves the next term last. Each term is then shifted back right."""
+    rest = [c << (level * i) for i, c in enumerate(heads)][::-1]
+    out = []
+    for j, mask in enumerate(masks):
+        rest = list(itertools.accumulate(rest))
+        out.append((rest.pop() >> (level * j)) & mask)
+    return tuple(out)
+
+
+def _class_heads(coeffs: Sequence[int], n: int, depth: int) -> tuple[tuple[int, ...], ...]:
+    """The class heads of sum c_i x**i at depth s = depth: for each odd
+    a < 2**s, at index a >> 1, its first ceil(n/s) Taylor coefficients
+    at a, term i modulo 2**(n - s i). As p(x) = sum_i heads[i] (x - a)**i
+    and 2**s divides x - a, no later term counts modulo 2**n. Depth 0 is
+    the one class a = 0: the coefficients themselves.
+
+    A 2-adic tree of Taylor shifts, level by level from a = 0: the class a
+    stays, masked to the next level's widths, and a + 2**level is its
+    shift (_shifted_class). Level 0 keeps only the odd class, a = 1."""
+    classes = [tuple(coeffs)]
+    for level in range(depth):
+        length = min(len(coeffs), _head_count(n, level + 1))
+        masks = [(1 << (n - (level + 1) * i)) - 1 for i in range(length)]
+        kept = [tuple(c & m for c, m in zip(t, masks)) for t in classes] if level else []
+        classes = kept + [_shifted_class(t, level, masks) for t in classes]
+    return tuple(classes)
+
+
+def _tree_additions(length: int, n: int, depth: int) -> int:
+    """The additions _class_heads makes for length coefficients: a shift
+    to m terms from a class of w costs sum_{j<m} (w - j - 1)."""
+    total, width = 0, length
+    for level in range(depth):
+        m = min(length, _head_count(n, level + 1))
+        total += (1 << max(level - 1, 0)) * (m * width - m * (m + 1) // 2)
+        width = m
+    return total
+
+
+def _eval_heads(heads: Sequence[Sequence[int]], depth: int, x: int, mask: int) -> int:
+    """The value at x, odd unless depth is 0, from _class_heads(., ., depth)."""
+    a = x & ((1 << depth) - 1)
+    return _eval_masked(heads[a >> 1], x - a, mask)
+
+
+@functools.lru_cache(maxsize=64)
+def _heads_due(length: int, n: int) -> int | None:
+    """The query at which _OddEvaluator builds the class heads of a
+    polynomial of length coefficients, None if they would save nothing.
+
+    A query on the heads at depth s = min(HEAD_DEPTH, n - 1) saves
+    length - ceil(n/s) Horner steps. A step multiplies two n-bit numbers,
+    ceil(n/64)**2 word products, where an addition of the tree
+    (_tree_additions) costs ceil(n/64) words. So the heads are due when
+    the saved steps, each weighed as ceil(n/64) additions, reach the
+    tree's additions: about 170 queries at every n from 64 to 4096. This
+    is ski rental, within about twice the cheaper choice."""
+    depth = min(HEAD_DEPTH, n - 1)
+    saved = (length - _head_count(n, depth)) * -(-n // 64)
+    return -(-_tree_additions(length, n, depth) // saved) if saved > 0 else None
+
+
+class _OddEvaluator:
+    """One polynomial's values modulo 2**n at odd points: Horner's rule
+    over the coefficients (depth 0) until its class heads are due
+    (_heads_due), over the head of the point's class from then on.
+    (depth, heads) is swapped in as one tuple, and racing threads build
+    the same heads, so a shared evaluator stays safe."""
+
+    __slots__ = ("_coeffs", "_n", "_mask", "_state", "_queries", "_due")
+
+    def __init__(self, coeffs: Sequence[int], n: int):
+        self._coeffs, self._n, self._mask = coeffs, n, (1 << n) - 1
+        self._state = (0, (coeffs,))
+        self._queries = 0
+        self._due = _heads_due(len(coeffs), n)
+
+    def __call__(self, x: int) -> int:
+        # the count a thread computes is its own, so some thread reaches _due exactly
+        queries = self._queries = self._queries + 1
+        if queries == self._due:
+            depth = min(HEAD_DEPTH, self._n - 1)
+            self._state = (depth, _class_heads(self._coeffs, self._n, depth))
+        depth, heads = self._state
+        return _eval_heads(heads, depth, x, self._mask)
 
 
 def _node_values(poly, ctx: Context) -> list[int]:

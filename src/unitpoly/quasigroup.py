@@ -9,6 +9,15 @@ half. Each coordinate's inverse permutation is computed on first use,
 by the adjoint that reads it, and kept on the spec, so adjoint solving
 never searches and building, applying or serializing a spec inverts
 nothing.
+
+Every apply and adjoint evaluates fixed polynomials at odd points, each
+through its own evaluator (poly._OddEvaluator). An evaluator runs
+Horner's rule over all d + 1 coefficients until the work its class heads
+would have saved reaches the cost of building them, about 170 queries at
+any n from 64 to 4096. From then on it runs Horner's rule over the head
+of the point's class modulo 2**HEAD_DEPTH: ceil(n/4) terms instead of
+d + 1, so a query costs about half. A spec that answers a few queries,
+as one command line call does, builds no heads.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from enum import Enum
 
 from .context import Context, DEFAULT_MAX_N, checked_index
 from .errors import BudgetExceeded, CarrierError, NotAPermutation
-from .poly import ReducedPoly, evaluate, induces_permutation_on_units
+from .poly import ReducedPoly, _OddEvaluator, induces_permutation_on_units
 from .residue import unit_inverse
 from .solve import invert_permutation
 
@@ -72,10 +81,12 @@ class QuasigroupSpec:
         p_polys: the k coordinate permutations (canonical forms).
         h_polys: the k even-half permutations, RING_GLUED only.
 
-    A spec holds at most one inverse per polynomial (2k for RING_GLUED,
-    k otherwise), each computed by the first adjoint that reads it.
-    Filling a slot is idempotent, since every fill computes the same
-    canonical form, so a spec stays safe to share, as a Context is.
+    A spec holds one evaluator (poly._OddEvaluator) per polynomial it
+    reads: each p and h, made by the first query that evaluates it, and at
+    most one inverse per polynomial (2k for RING_GLUED, k otherwise),
+    computed by the first adjoint that reads it. Filling a slot is
+    idempotent, since every fill computes the same canonical form and the
+    same class heads, so a spec stays safe to share, as a Context is.
     """
 
     def __init__(self, ctx: Context, mode, p_polys, h_polys=None):
@@ -98,12 +109,10 @@ class QuasigroupSpec:
             if h_polys is not None:
                 raise ValueError(f"mode {self.mode.value} does not take h polynomials")
             self.h_polys = None
-        self._p_inv = [None] * self.k
-        # the even half conjugates h by x+1; RING_ADDITIVE is RING_GLUED with h = p
-        if self.h_polys is None:
-            self._h, self._h_inv = self.p_polys, self._p_inv
-        else:
-            self._h, self._h_inv = self.h_polys, [None] * self.k
+        # per (odd half, inverse): one evaluator slot per coordinate, filled on first use
+        halves = (True,) if self.h_polys is None else (True, False)
+        self._evaluators = {(odd, inverse): [None] * self.k
+                            for odd in halves for inverse in (False, True)}
 
     def _validate_polys(self, polys, label):
         for idx, p in enumerate(polys):
@@ -114,12 +123,17 @@ class QuasigroupSpec:
             if not induces_permutation_on_units(p):
                 raise NotAPermutation(f"{label}[{idx}] does not permute the odd residues")
 
-    def _inverse(self, idx: int, odd: bool = True) -> ReducedPoly:
-        """The inverse of p[idx] (odd) or of the even half h[idx], computed
-        on first use; the only inversion in this module."""
-        polys, slots = (self.p_polys, self._p_inv) if odd else (self._h, self._h_inv)
+    def _evaluator(self, idx: int, odd: bool = True, inverse: bool = False) -> _OddEvaluator:
+        """The evaluator of p[idx] (odd) or of the even half h[idx], or of
+        its inverse, made on first use. The inverse is computed then, the
+        only inversion in this module."""
+        odd = odd or self.h_polys is None  # RING_ADDITIVE is RING_GLUED with h = p
+        slots = self._evaluators[odd, inverse]
         if slots[idx] is None:
-            slots[idx] = invert_permutation(polys[idx], self.ctx)
+            poly = (self.p_polys if odd else self.h_polys)[idx]
+            if inverse:
+                poly = invert_permutation(poly, self.ctx)
+            slots[idx] = _OddEvaluator(poly.coeffs, self.n)
         return slots[idx]
 
     # -- carrier handling ---------------------------------------------------
@@ -143,12 +157,12 @@ class QuasigroupSpec:
 
     # -- the operation and its adjoints -------------------------------------
 
-    def _glued(self, odd, even, a: int) -> int:
-        # the ring permutation acting as odd on odd a and as even, conjugated
-        # by x+1, on even a (RING modes; inverses glue the same way)
+    def _glued(self, idx: int, a: int, inverse: bool = False) -> int:
+        # the ring permutation acting as p[idx] on odd a and as h[idx],
+        # conjugated by x+1, on even a (RING modes; inverses glue the same way)
         if a & 1:
-            return evaluate(odd, a, self.ctx)
-        return (evaluate(even, a + 1, self.ctx) - 1) & self.ctx.mask
+            return self._evaluator(idx, True, inverse)(a)
+        return (self._evaluator(idx, False, inverse)(a + 1) - 1) & self.ctx.mask
 
     def apply(self, args) -> int:
         """The quasigroup operation on a full argument tuple."""
@@ -156,12 +170,12 @@ class QuasigroupSpec:
         mask = self.ctx.mask
         if self.mode is Mode.UNIT_PRODUCT:
             out = 1
-            for p, a in zip(self.p_polys, args):
-                out = (out * evaluate(p, a, self.ctx)) & mask
+            for idx, a in enumerate(args):
+                out = (out * self._evaluator(idx)(a)) & mask
             return out
         total = 0
         for idx, a in enumerate(args):
-            total = (total + self._glued(self.p_polys[idx], self._h[idx], a)) & mask
+            total = (total + self._glued(idx, a)) & mask
         return total
 
     def adjoint(self, i: int, args) -> int:
@@ -182,16 +196,15 @@ class QuasigroupSpec:
             others = 1
             for j in range(self.k):
                 if j != idx:
-                    others = (others * evaluate(self.p_polys[j], args[j], self.ctx)) & mask
+                    others = (others * self._evaluator(j)(args[j])) & mask
             acc = (target * unit_inverse(others, self.n)) & mask
-            return evaluate(self._inverse(idx), acc, self.ctx)
+            return self._evaluator(idx, inverse=True)(acc)
         acc = target
         for j in range(self.k):
             if j != idx:
-                acc = (acc - self._glued(self.p_polys[j], self._h[j], args[j])) & mask
-        # _glued reads only the half that acc falls in, so invert only that one
-        inverse = self._inverse(idx, odd=bool(acc & 1))
-        return self._glued(inverse, inverse, acc)
+                acc = (acc - self._glued(j, args[j])) & mask
+        # _glued reads only the half that acc falls in, so it inverts only that one
+        return self._glued(idx, acc, inverse=True)
 
     # -- verification --------------------------------------------------------
 

@@ -34,7 +34,7 @@ away its odd part leaves a pure power of two on the diagonal.
 
 from __future__ import annotations
 
-from .context import Context, coeff_widths, unit_inverse, unit_inverses
+from .context import Context, checked_index, coeff_widths, unit_inverse, unit_inverses
 from .errors import BudgetExceeded, NotAPermutation, NotAUnitFunction
 from .poly import (
     ReducedPoly,
@@ -147,6 +147,8 @@ def interpolate_at_nodes(
             unless given (None lifts it); exceeding it raises BudgetExceeded
             instead of enumerating an enormous set.
     """
+    if max_solutions is not None:
+        max_solutions = checked_index(max_solutions)
     node_list = [ctx.check_unit(v) for v in nodes]
     value_list = [ctx.check_unit(v) for v in values]
     if len(node_list) != len(value_list):

@@ -35,3 +35,19 @@ def inversions(monkeypatch):
 
     monkeypatch.setattr(quasigroup, "invert_permutation", counting)
     return calls
+
+
+@pytest.fixture
+def head_builds(monkeypatch):
+    """The coefficient vectors whose class heads an evaluator builds, in order."""
+    from unitpoly import poly
+
+    calls = []
+    real = poly._class_heads
+
+    def counting(coeffs, n, depth):
+        calls.append(coeffs)
+        return real(coeffs, n, depth)
+
+    monkeypatch.setattr(poly, "_class_heads", counting)
+    return calls

@@ -24,6 +24,7 @@ from unitpoly import (
     induces_function_on_units,
     induces_permutation_on_units,
     interpolate,
+    interpolate_at_nodes,
     keller_beta,
     keller_identity_check,
     max_reduced_degree,
@@ -150,6 +151,97 @@ def test_evaluate_checks_domain():
             Context(8).check_unit(bad)
 
 
+# -- class heads: one polynomial at many odd points ------------------------------
+
+
+def _head_inputs(n, rng):
+    """A canonical polynomial, then one with negative and oversized coefficients."""
+    yield [rng.randrange(1 << width) for width in Context(n).coeff_bits]
+    yield [rng.randrange(-(1 << (n + 8)), 1 << (n + 8)) for _ in range(max_reduced_degree(n) + 4)]
+
+
+def _head_points(n, depth, rng):
+    """Random odd points, and per class a one with x - a exactly divisible by
+    2**depth, where a wrong bit of any head term changes the value."""
+    mask = (1 << n) - 1
+    points = [rng.randrange(1 << n) | 1 for _ in range(8)]
+    for a in range(1, 1 << depth, 2):
+        points += [a, (a + ((2 * rng.randrange(1 << n) + 1) << depth)) & mask]
+    return points
+
+
+def _heads_agree(coeffs, n, depth, heads, rng):
+    exact, mask = IntPoly(coeffs), (1 << n) - 1
+    return all(poly._eval_heads(heads, depth, x, mask) == exact(x) & mask
+               for x in _head_points(n, depth, rng))
+
+
+def _check_heads_at(n, rng):
+    for coeffs in _head_inputs(n, rng):
+        for depth in range(min(6, n - 1) + 1):
+            heads = poly._class_heads(coeffs, n, depth)
+            assert len(heads) == max(1, (1 << depth) // 2)
+            assert _heads_agree(coeffs, n, depth, heads, rng)
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_class_heads_match_exact_evaluation(n, rng):
+    _check_heads_at(n, rng)
+
+
+def test_class_heads_match_exact_evaluation_at_a_random_n(rng):
+    _check_heads_at(rng.randrange(65, 301), rng)
+
+
+def test_depth_zero_is_horner_over_the_coefficients():
+    coeffs = (5, -3, 1 << 40, 7)
+    assert poly._class_heads(coeffs, 8, 0) == (coeffs,)
+
+
+@pytest.mark.parametrize("n, depth", [(12, 3), (24, 4), (40, 6)])
+def test_a_flipped_bit_in_any_class_head_is_caught(n, depth, rng):
+    coeffs = next(_head_inputs(n, rng))
+    heads = poly._class_heads(coeffs, n, depth)
+    assert _heads_agree(coeffs, n, depth, heads, rng)
+    for index, head in enumerate(heads):
+        for i, term in enumerate(head):
+            bit = rng.randrange(n - depth * i)  # inside term i's width
+            planted = list(heads)
+            planted[index] = head[:i] + (term ^ (1 << bit),) + head[i + 1:]
+            assert not _heads_agree(coeffs, n, depth, planted, rng)
+
+
+def test_evaluator_builds_its_heads_once_they_pay(head_builds, rng):
+    n = 16
+    ctx = Context(n)
+    coeffs = next(_head_inputs(n, rng))
+    evaluator = poly._OddEvaluator(coeffs, n)
+    due = -(-poly._tree_additions(len(coeffs), n, 4) // (len(coeffs) - 4))
+    assert due == poly._heads_due(len(coeffs), n)
+    for query in range(1, 3 * due):
+        x = rng.randrange(1 << n) | 1
+        assert evaluator(x) == evaluate(coeffs, x, ctx)
+        assert len(head_builds) == (query >= due)
+
+
+def test_heads_pay_off_after_the_same_query_count_at_every_scale():
+    # a Horner step costs ceil(n/64) tree additions: measured 1.3, 4.1, 28 and 92
+    # times one at n = 64, 256, 1024 and 4096, so the break-even stays near 170
+    for n in (64, 256, 1024, 4096):
+        assert 150 < poly._heads_due(len(Context(n).coeff_bits), n) < 200
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluator_builds_no_heads_that_save_nothing(n, head_builds):
+    # one class head would be as long as p itself
+    evaluator = poly._OddEvaluator((1, 1), n)
+    for _ in range(200):
+        assert [evaluator(x) for x in range(1, 1 << n, 2)] == [
+            (x + 1) % (1 << n) for x in range(1, 1 << n, 2)
+        ]
+    assert head_builds == []
+
+
 @pytest.mark.parametrize(
     "call, bad",
     [
@@ -170,6 +262,10 @@ def test_evaluate_checks_domain():
         pytest.param(lambda: hensel_roots((1, 1), 3.0), 3.0, id="hensel_roots-n"),
         pytest.param(
             lambda: hensel_roots((1, 1), 3, branch_limit=2.5), 2.5, id="hensel_roots-branch_limit"
+        ),
+        pytest.param(
+            lambda: interpolate_at_nodes([1], [1], Context(5), max_solutions=2.5), 2.5,
+            id="interpolate_at_nodes-max_solutions",
         ),
         pytest.param(lambda: check_unit_group_structure(3.5), 3.5, id="unit_group-n"),
         pytest.param(lambda: max_reduced_degree(4.5), 4.5, id="max_reduced_degree-n"),

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from unitpoly import (
     reduce,
 )
 from unitpoly import induces_permutation_on_units
-from unitpoly.oracle import oracle_is_latin_square
+from unitpoly.oracle import oracle_function_of, oracle_is_latin_square
 from unitpoly.quasigroup import RANDOM_ARITY_BUDGET
 
 
@@ -428,3 +429,139 @@ def test_threads_sharing_a_spec_fill_its_slots_consistently(inversions):
     filled = len(inversions)
     assert [spec.adjoint(i, probe) for i, probe, _ in cases] == expected
     assert len(inversions) == filled > 0
+
+
+# -- class heads on queries ----------------------------------------------------
+
+
+def _oracle_maps(spec):
+    """Each coordinate's odd and even halves as dicts over the odd residues,
+    from oracle tables, with their inverses."""
+    halves = []
+    for idx in range(spec.k):
+        pair = []
+        for poly in (spec.p_polys[idx], (spec.h_polys or spec.p_polys)[idx]):
+            table = oracle_function_of(poly, spec.n)
+            forward = dict(zip(table.points(), table.values))
+            pair.append((forward, {v: x for x, v in forward.items()}))
+        halves.append(pair)
+    return halves
+
+
+def _oracle_glued(half_maps, a, mask, inverse=False):
+    (p, p_inv), (h, h_inv) = half_maps
+    if a & 1:
+        return (p_inv if inverse else p)[a]
+    return ((h_inv if inverse else h)[a + 1] - 1) & mask
+
+
+def _oracle_adjoint(spec, maps, i, probe):
+    mask, idx = spec.ctx.mask, i - 1
+    others = [j for j in range(spec.k) if j != idx]
+    if spec.mode is Mode.UNIT_PRODUCT:
+        product = 1
+        for j in others:
+            product = product * maps[j][0][0][probe[j]] & mask
+        return maps[idx][0][1][probe[idx] * pow(product, -1, mask + 1) & mask]
+    acc = probe[idx] - sum(_oracle_glued(maps[j], probe[j], mask) for j in others)
+    return _oracle_glued(maps[idx], acc & mask, mask, inverse=True)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_queries_past_break_even_agree_with_the_oracle(mode, head_builds, inversions):
+    # n = 10: every evaluator builds its heads within about 25 queries
+    spec = QuasigroupSpec.random(Context(10), 2, mode, random.Random(8))
+    maps, mask = _oracle_maps(spec), spec.ctx.mask
+    rng = random.Random(9)
+    carrier = list(spec.carrier())
+    for _ in range(300):
+        args = [rng.choice(carrier) for _ in range(spec.k)]
+        expected = 1 if mode is Mode.UNIT_PRODUCT else 0
+        for j, a in enumerate(args):
+            if mode is Mode.UNIT_PRODUCT:
+                expected = expected * maps[j][0][0][a] & mask
+            else:
+                expected = expected + _oracle_glued(maps[j], a, mask) & mask
+        assert spec.apply(args) == expected
+        for i in range(1, spec.k + 1):
+            probe = list(args)
+            probe[i - 1] = rng.choice(carrier)
+            assert spec.adjoint(i, probe) == _oracle_adjoint(spec, maps, i, probe)
+    polys = spec.p_polys + (spec.h_polys or ())
+    assert sorted(inversions, key=lambda p: p.coeffs) == sorted(polys, key=lambda p: p.coeffs)
+    # each polynomial and each inverse built its heads once
+    assert len(head_builds) == 2 * len(polys)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_one_query_per_polynomial_builds_no_heads(mode, head_builds, inversions):
+    # a command line call: a fresh spec, one apply or one adjoint on each coordinate
+    text = QuasigroupSpec.random(Context(64), 3, mode, random.Random(10)).to_json()
+    args = (3, 9, 21)
+    value = QuasigroupSpec.from_json(text).apply(args)
+    for i in range(1, 4):
+        probe = list(args)
+        probe[i - 1] = value
+        assert QuasigroupSpec.from_json(text).adjoint(i, probe) == args[i - 1]
+    assert head_builds == []
+    assert len(inversions) == 3
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_threads_sharing_a_fresh_spec_past_break_even_agree(mode, head_builds):
+    text = QuasigroupSpec.random(Context(16), 3, mode, random.Random(11)).to_json()
+    reference, shared = QuasigroupSpec.from_json(text), QuasigroupSpec.from_json(text)
+    rng = random.Random(12)
+    carrier = shared.carrier()
+    cases = []
+    for _ in range(120):
+        args = [carrier[rng.randrange(len(carrier))] for _ in range(3)]
+        i = rng.randint(1, 3)
+        cases.append((args, i, _probe(reference, i, args)))
+    expected = [(reference.apply(args), reference.adjoint(i, probe)) for args, i, probe in cases]
+    built = len(head_builds)
+    assert built > 0
+    results = []
+
+    def query():
+        results.append([(shared.apply(args), shared.adjoint(i, probe)) for args, i, probe in cases])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=query) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(threads)
+    # the shared spec went past break-even too: racing builds may repeat, never skip
+    assert len(head_builds) >= 2 * built
+
+
+def test_retained_heads_of_a_glued_spec_are_bounded():
+    n, k = 256, 3
+    spec = QuasigroupSpec.random(Context(n), k, Mode.RING_GLUED, random.Random(13))
+    rng = random.Random(14)
+
+    def queries(count):
+        # odd arguments read p, even ones h
+        for parity in (1, 0):
+            for _ in range(count):
+                spec.apply([rng.getrandbits(n) & -2 | parity for _ in range(k)])
+
+    queries(100)
+    assert not any(e._state[0] for slots in spec._evaluators.values() for e in slots if e)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        queries(100)  # past every break-even, 173 queries at n = 256
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(e._state[0] == 4 for e in spec._evaluators[True, False] + spec._evaluators[False, False])
+    # six polynomials, each 8 heads of 64 falling-width terms: about 28 KiB
+    assert retained < 6 * (32 << 10)

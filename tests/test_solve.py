@@ -194,6 +194,8 @@ def test_interp_nodes_solution_cap():
         interpolate_at_nodes((1, 5, 9), (9, 9, 9), ctx, max_solutions=2)
     fits = interpolate_at_nodes((1, 5, 9), (9, 9, 9), ctx, max_solutions=4)
     assert len(fits) == 4
+    # None lifts the cap; it is the one non-integer the type check lets through
+    assert interpolate_at_nodes((1, 5, 9), (9, 9, 9), ctx, max_solutions=None) == fits
 
 
 def test_interp_nodes_has_a_default_budget():
