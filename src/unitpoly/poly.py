@@ -4,13 +4,14 @@ A polynomial with integer coefficients induces a function on the odd
 residues by evaluation modulo 2**n. Among all polynomials inducing the
 same function there is exactly one with degree at most d_n whose i-th
 coefficient lies below 2**(n-i-t_i); that representative is ReducedPoly.
-This module holds the two polynomial types, the rewriting ideal, the one
-multipoint evaluation (_values_at), parity tests on the odd residues and
-the whole ring, and the gluing of two functions on the odd residues into
-one on Z_{2**n}. Every fit to values goes through one difference table,
-_newton_fit: in the basis N_k = (x-1)(x-3)...(x-2k+1) from values at the
-odd nodes (_fit_nodes), in the basis x(x-1)...(x-k+1) from values at
-0, 1, 2, ... (_fit_ring).
+This module holds the two polynomial types, the rewriting ideal,
+multipoint evaluation (_values_at by Horner's rule, _head_values through
+class heads), parity tests on the odd residues and the whole ring, and
+the gluing of two functions on the odd residues into one on Z_{2**n}.
+Every fit to values goes through one difference table, _newton_fit: in
+the basis N_k = (x-1)(x-3)...(x-2k+1) from values at the odd nodes
+(_fit_nodes), in the basis x(x-1)...(x-k+1) from values at 0, 1, 2, ...
+(_fit_ring).
 
 Every canonical form modulo 2**n is Newton coefficients in the basis N_k,
 then the unit-triangular solve _solve at n = ctx.n; two forms of degree at
@@ -33,16 +34,21 @@ ladder, which expands prefixes of N_k vectors (c_j = 2j+1) at precisions
 where any polynomial equal to p will do, so no solve is needed there. The
 products (x+1)(x+3)... of ideal_generators are the same step.
 
-A polynomial evaluated at many odd points, as a quasigroup's are, goes
-through _OddEvaluator: Horner's rule over its coefficients until its
-class heads are due (_heads_due), then over the head of the point's
-class modulo 2**HEAD_DEPTH, ceil(n/HEAD_DEPTH) terms. The heads are
-Taylor coefficients at the odd classes, from a 2-adic tree of Taylor
-shifts by additions only (_class_heads; von zur Gathen and Gerhard, "Fast
-algorithms for Taylor shifts and certain difference equations", ISSAC
-1997). Depth 0 is one class, the coefficients themselves, so
-_eval_masked stays the one Horner loop; evaluate and _values_at run at
-depth 0.
+A polynomial evaluated at many odd points may go through the Taylor
+coefficients of its odd classes modulo 2**s, its class heads, from a
+2-adic tree of Taylor shifts by additions only (_class_heads; von zur
+Gathen and Gerhard, "Fast algorithms for Taylor shifts and certain
+difference equations", ISSAC 1997). As 2**s divides x - a for x in class
+a, term i of a head counts only modulo 2**(n - s i): ceil(n/s) terms, and
+_eval_heads runs Horner's rule over them with each step masked to its
+term's falling width, one mask tuple per (n, s) (_head_masks). Depth 0
+is one class, the coefficients themselves, and _eval_heads is then
+_eval_masked, the one Horner loop that evaluate, _node_values and every
+_values_at run. A quasigroup's polynomials go through _OddEvaluator:
+depth 0 until the heads at HEAD_DEPTH are due (_heads_due), those heads
+from then on. invert_permutation, whose points are known up front, builds
+one tree (_head_tree) at the depth _tree_depth weighs for them, and reads
+p' modulo 2**ceil(n/2) off it too (_slope_tree).
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from .errors import InconsistentTable, NotAPermutation
 
 WHOLE_TABLE_ENTRIES = 1 << 14  # most slots of T a row store keeps whole (0.42 MiB at n = 256)
 HEAD_DEPTH = 4  # class depth of _OddEvaluator: 2**(s-1) heads, about 2**s/s times p's bits
+TREE_DEPTH_LIMIT = 8  # deepest tree _tree_depth weighs: 128 heads, about 32 times p's bits
 
 
 def _trimmed(coeffs: Sequence[int]) -> Sequence[int]:
@@ -401,10 +408,59 @@ def _tree_additions(length: int, n: int, depth: int) -> int:
     return total
 
 
-def _eval_heads(heads: Sequence[Sequence[int]], depth: int, x: int, mask: int) -> int:
-    """The value at x, odd unless depth is 0, from _class_heads(., ., depth)."""
+@functools.lru_cache(maxsize=64)
+def _head_masks(n: int, depth: int) -> tuple[int, ...]:
+    """2**(n - s i) - 1 for each term i < ceil(n/s) of a class head at depth
+    s = depth >= 1, lowest term first: one tuple per (n, s), shared by every
+    evaluation at that depth."""
+    return tuple((1 << (n - depth * i)) - 1 for i in range(_head_count(n, depth)))
+
+
+def _head_tree(coeffs: Sequence[int], n: int, depth: int):
+    """(depth, heads, masks): what _eval_heads reads to evaluate sum c_i x**i
+    modulo 2**n at depth s = depth. Depth 0 is the coefficients and the one
+    mask 2**n - 1, and builds nothing; above it the heads are _class_heads
+    and masks the masks of their terms' widths (_head_masks)."""
+    if not depth:
+        return 0, (coeffs,), ((1 << n) - 1,)
+    return depth, _class_heads(coeffs, n, depth), _head_masks(n, depth)
+
+
+def _slope_tree(tree, n: int):
+    """The tree of p' modulo 2**n from p's tree at depth s >= 1, which must
+    hold p modulo 2**N for some N >= n + s. As p(a + y) = sum_i c_i y**i,
+    p'(a + y) = sum_i i c_i y**(i-1): its term i - 1 counts modulo
+    2**(n - s(i-1)), no more than the 2**(N - s i) that c_i is kept to."""
+    depth, heads, _ = tree
+    masks = _head_masks(n, depth)
+    slopes = tuple(
+        tuple((i * c) & mask for i, c, mask in zip(range(1, len(head)), head[1:], masks))
+        for head in heads
+    )
+    return depth, slopes, masks
+
+
+def _eval_heads(heads: Sequence[Sequence[int]], depth: int, x: int, masks: Sequence[int]) -> int:
+    """The value at x, odd unless depth is 0, from (depth, heads, masks) of
+    _head_tree. Depth 0 is _eval_masked. Above it, Horner's rule in
+    y = x - a over the head of x's class a: 2**depth divides y, so the
+    partial value from term i up counts only modulo 2**(n - depth i), and
+    each step is masked to its term's width."""
+    if not depth:
+        return _eval_masked(heads[0], x, masks[0])
     a = x & ((1 << depth) - 1)
-    return _eval_masked(heads[a >> 1], x - a, mask)
+    y = x - a
+    head = heads[a >> 1]
+    value = 0
+    for i in range(len(head) - 1, -1, -1):
+        value = (value * y + head[i]) & masks[i]
+    return value
+
+
+def _head_values(tree, points: Iterable[int]) -> list[int]:
+    """Values of one polynomial at many points from its _head_tree."""
+    depth, heads, masks = tree
+    return [_eval_heads(heads, depth, x, masks) for x in points]
 
 
 @functools.lru_cache(maxsize=64)
@@ -424,18 +480,44 @@ def _heads_due(length: int, n: int) -> int | None:
     return -(-_tree_additions(length, n, depth) // saved) if saved > 0 else None
 
 
+def _tree_depth(length: int, n: int, count: int, bits: int) -> int:
+    """The depth s of the one tree (_head_tree) through which a polynomial
+    of length coefficients is evaluated modulo 2**n at count points known
+    up front, each below 2**bits.
+
+    It is 0, Horner's rule over the coefficients, for points below 2**16,
+    whose products are cheap, and at n <= 256, where two passes over d + 1
+    points take a few milliseconds, so small sizes keep the one Horner
+    path. Otherwise it is the s <= TREE_DEPTH_LIMIT of least cost in the
+    word units of _heads_due: the tree's additions, ceil(n/64) words each,
+    plus count queries, each step of which multiplies a partial value of
+    w bits by the point, ceil(w/64) * ceil(bits/64) word products."""
+    if bits <= 16 or n <= 256:
+        return 0
+    words = lambda width: -(-width // 64)
+
+    def cost(depth: int) -> int:
+        if not depth:
+            return count * length * words(n) * words(bits)
+        terms = min(length, _head_count(n, depth))
+        steps = sum(words(n - depth * i) for i in range(1, terms + 1))
+        return _tree_additions(length, n, depth) * words(n) + count * steps * words(bits)
+
+    return min(range(TREE_DEPTH_LIMIT + 1), key=cost)
+
+
 class _OddEvaluator:
     """One polynomial's values modulo 2**n at odd points: Horner's rule
     over the coefficients (depth 0) until its class heads are due
     (_heads_due), over the head of the point's class from then on.
-    (depth, heads) is swapped in as one tuple, and racing threads build
-    the same heads, so a shared evaluator stays safe."""
+    (depth, heads, masks) is swapped in as one tuple, and racing threads
+    build the same heads, so a shared evaluator stays safe."""
 
-    __slots__ = ("_coeffs", "_n", "_mask", "_state", "_queries", "_due")
+    __slots__ = ("_coeffs", "_n", "_state", "_queries", "_due")
 
     def __init__(self, coeffs: Sequence[int], n: int):
-        self._coeffs, self._n, self._mask = coeffs, n, (1 << n) - 1
-        self._state = (0, (coeffs,))
+        self._coeffs, self._n = coeffs, n
+        self._state = _head_tree(coeffs, n, 0)
         self._queries = 0
         self._due = _heads_due(len(coeffs), n)
 
@@ -443,10 +525,9 @@ class _OddEvaluator:
         # the count a thread computes is its own, so some thread reaches _due exactly
         queries = self._queries = self._queries + 1
         if queries == self._due:
-            depth = min(HEAD_DEPTH, self._n - 1)
-            self._state = (depth, _class_heads(self._coeffs, self._n, depth))
-        depth, heads = self._state
-        return _eval_heads(heads, depth, x, self._mask)
+            self._state = _head_tree(self._coeffs, self._n, min(HEAD_DEPTH, self._n - 1))
+        depth, heads, masks = self._state
+        return _eval_heads(heads, depth, x, masks)
 
 
 def _node_values(poly, ctx: Context) -> list[int]:

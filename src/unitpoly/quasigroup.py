@@ -16,8 +16,10 @@ Horner's rule over all d + 1 coefficients until the work its class heads
 would have saved reaches the cost of building them, about 170 queries at
 any n from 64 to 4096. From then on it runs Horner's rule over the head
 of the point's class modulo 2**HEAD_DEPTH: ceil(n/4) terms instead of
-d + 1, so a query costs about half. A spec that answers a few queries,
-as one command line call does, builds no heads.
+d + 1, the step of term i masked to its width n - 4i, so a query costs
+0.5 to 0.6 of Horner's over the coefficients at n = 64, 0.4 at n = 256
+and under 0.3 at n = 1024. A spec that answers a few queries, as one
+command line call does, builds no heads.
 """
 
 from __future__ import annotations

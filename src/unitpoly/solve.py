@@ -3,8 +3,7 @@
 Each problem shape has one solver. Every solver at the standard nodes
 1, 3, ..., 2d+1 hands its node values to poly's _fit_nodes, which reads
 their Newton coefficients off a difference table and ends in the
-triangular solve that reduce also ends in, and every evaluation at many
-points goes through poly's _values_at. Multiplicative inverses and
+triangular solve that reduce also ends in. Multiplicative inverses and
 products compute their node values pointwise from poly's _node_values,
 inverting all of them with a single unit_inverse.
 
@@ -19,9 +18,15 @@ p and p' each go to Newton coefficients once, by poly's _to_newton at
 h = ceil(n/2), which keeps slot k modulo 2**w_k(h), and w_k(h) >= w_k(m)
 for every m <= h. So below the top every level expands the first d_m + 1
 slots of p's vector to monomials modulo 2**m (poly's _expand), and the
-slope the first d_ceil(m/2) + 1 of p''s modulo 2**ceil(m/2). The top level
-evaluates p's own coefficients, the one fit of the preimages is the only
-solve, and no step builds a Context.
+slope the first d_ceil(m/2) + 1 of p''s modulo 2**ceil(m/2), each by
+poly's _values_at. Only the top level and the composition check read p
+at full width, at 2(d+1) points in all, so both read one tree of p's
+class heads (poly's _head_tree), at the depth s poly's _tree_depth weighs
+for them: 0, Horner's rule over p's coefficients, up to n = 256, and for
+a degree-d p 4 at n = 512, 5 at 1024, 6 at 2048 and 7 at 4096. For
+0 < s <= floor(n/2) the top level's slope, p' modulo 2**ceil(n/2), comes
+from that tree too (poly's _slope_tree). The one fit of the preimages is
+the only solve, and no step builds a Context.
 
 Arbitrary nodes can leave the system underdetermined, so they go through
 row reduction. Two is a zero divisor modulo 2**n, so Gaussian elimination
@@ -41,8 +46,12 @@ from .poly import (
     _coeffs_for,
     _expand,
     _fit_nodes,
+    _head_tree,
+    _head_values,
     _node_values,
+    _slope_tree,
     _to_newton,
+    _tree_depth,
     _values_at,
     evaluate,  # unused here; perfbench's self-test reads solve.evaluate
     induces_function_on_units,
@@ -221,7 +230,9 @@ def invert_permutation(poly, ctx: Context) -> ReducedPoly:
     every level p' by one equal to it modulo 2**ceil(m/2), each expanded
     from a prefix of one Newton vector, and a slope modulo 2 is 1. The
     preimages are then fitted, and the result is checked by composition: p
-    itself is evaluated at every fitted preimage, at full precision.
+    itself is evaluated at every fitted preimage, at full precision. The
+    top level, its slope included, and the check read p through one tree
+    of its class heads.
 
     Raises:
         NotAPermutation: the polynomial does not permute the odd residues.
@@ -230,28 +241,34 @@ def invert_permutation(poly, ctx: Context) -> ReducedPoly:
         raise NotAPermutation("polynomial does not permute the odd residues")
     coeffs = _coeffs_for(poly, ctx)
     nodes = ctx.interpolation_nodes
+    # the top level and the composition check read p at full width, at 2(d+1) points in all
+    tree = _head_tree(coeffs, ctx.n, _tree_depth(len(coeffs), ctx.n, 2 * len(nodes), ctx.n))
     h = (ctx.n + 1) // 2  # no level below the top reads p or p' past precision h
     newton = _to_newton(coeffs, h)
     slope_newton = _to_newton([i * a for i, a in enumerate(coeffs)][1:], h)
     preimages = list(nodes)
     for m in _ladder(ctx.n):
         level_mask = (1 << m) - 1
-        level_poly = coeffs
-        if m < ctx.n:
-            level_poly = _expand(newton[: len(coeff_widths(m))], nodes, level_mask)
         half = (m + 1) // 2
-        if half > 1:
+        # _slope_tree reads p' modulo 2**half off heads kept modulo 2**(n - s i): s <= n - half
+        if m == ctx.n and 0 < tree[0] <= ctx.n - half:
+            inverses = unit_inverses(_head_values(_slope_tree(tree, half), preimages), half)
+        elif half > 1:
             slope = _expand(slope_newton[: len(coeff_widths(half))], nodes, (1 << half) - 1)
             inverses = unit_inverses(_values_at(slope, preimages, (1 << half) - 1), half)
         else:
             inverses = [1] * len(preimages)  # p' is odd
-        values = _values_at(level_poly, preimages, level_mask)
+        if m < ctx.n:
+            level_poly = _expand(newton[: len(coeff_widths(m))], nodes, level_mask)
+            values = _values_at(level_poly, preimages, level_mask)
+        else:
+            values = _head_values(tree, preimages)
         preimages = [
             (x - (y - c) * inverse) & level_mask
             for x, y, c, inverse in zip(preimages, values, nodes, inverses)
         ]
     inverse = _fit_nodes(preimages, ctx)
-    if _values_at(coeffs, _node_values(inverse, ctx), ctx.mask) != list(nodes):
+    if _head_values(tree, _node_values(inverse, ctx)) != list(nodes):
         raise RuntimeError("inverse failed its composition check")
     return inverse
 

@@ -161,10 +161,12 @@ def _head_inputs(n, rng):
 
 
 def _head_points(n, depth, rng):
-    """Random odd points, and per class a one with x - a exactly divisible by
+    """Random odd points, odd points below 2**ceil(n/2) as the top Newton level
+    of an inversion reads, and per class a one with x - a exactly divisible by
     2**depth, where a wrong bit of any head term changes the value."""
     mask = (1 << n) - 1
     points = [rng.randrange(1 << n) | 1 for _ in range(8)]
+    points += [rng.randrange(1 << ((n + 1) // 2)) | 1 for _ in range(8)]
     for a in range(1, 1 << depth, 2):
         points += [a, (a + ((2 * rng.randrange(1 << n) + 1) << depth)) & mask]
     return points
@@ -172,8 +174,29 @@ def _head_points(n, depth, rng):
 
 def _heads_agree(coeffs, n, depth, heads, rng):
     exact, mask = IntPoly(coeffs), (1 << n) - 1
-    return all(poly._eval_heads(heads, depth, x, mask) == exact(x) & mask
+    masks = poly._head_tree(coeffs, n, depth)[2]
+    return all(poly._eval_heads(heads, depth, x, masks) == exact(x) & mask
                for x in _head_points(n, depth, rng))
+
+
+def _with_junk_above_each_width(heads, n, depth, rng):
+    """The heads with random bits set above term i's width n - depth*i, which
+    no value may read."""
+    return tuple(
+        tuple(term | (rng.getrandbits(16) << (n - depth * i)) for i, term in enumerate(head))
+        for head in heads
+    )
+
+
+def _slopes_agree(coeffs, n, depth, rng):
+    """p' modulo 2**k from p's tree, for k = n - depth and ceil(n/2) when it
+    is no more, agrees with exact evaluation of the derivative."""
+    tree = poly._head_tree(coeffs, n, depth)
+    slope = IntPoly([i * c for i, c in enumerate(coeffs)][1:])
+    for k in {n - depth, min((n + 1) // 2, n - depth)}:
+        points = _head_points(n, depth, rng)
+        values = poly._head_values(poly._slope_tree(tree, k), points)
+        assert values == [slope(x) % (1 << k) for x in points]
 
 
 def _check_heads_at(n, rng):
@@ -182,6 +205,10 @@ def _check_heads_at(n, rng):
             heads = poly._class_heads(coeffs, n, depth)
             assert len(heads) == max(1, (1 << depth) // 2)
             assert _heads_agree(coeffs, n, depth, heads, rng)
+            junk = _with_junk_above_each_width(heads, n, depth, rng)
+            assert _heads_agree(coeffs, n, depth, junk, rng)
+            if depth:
+                _slopes_agree(coeffs, n, depth, rng)
 
 
 @pytest.mark.parametrize("n", range(2, 65))
@@ -196,6 +223,9 @@ def test_class_heads_match_exact_evaluation_at_a_random_n(rng):
 def test_depth_zero_is_horner_over_the_coefficients():
     coeffs = (5, -3, 1 << 40, 7)
     assert poly._class_heads(coeffs, 8, 0) == (coeffs,)
+    assert poly._head_tree(coeffs, 8, 0) == (0, (coeffs,), (255,))
+    assert all(poly._eval_heads((coeffs,), 0, x, (255,)) == poly._eval_masked(coeffs, x, 255)
+               for x in range(256))
 
 
 @pytest.mark.parametrize("n, depth", [(12, 3), (24, 4), (40, 6)])
@@ -209,6 +239,27 @@ def test_a_flipped_bit_in_any_class_head_is_caught(n, depth, rng):
             planted = list(heads)
             planted[index] = head[:i] + (term ^ (1 << bit),) + head[i + 1:]
             assert not _heads_agree(coeffs, n, depth, planted, rng)
+
+
+def test_trees_at_one_depth_share_one_mask_tuple(rng):
+    n = 40
+    first, second = (poly._head_tree(next(_head_inputs(n, rng)), n, 5) for _ in range(2))
+    assert first[2] is second[2] == tuple((1 << (n - 5 * i)) - 1 for i in range(8))
+
+
+def test_the_tree_depth_rule_keeps_horner_where_a_tree_does_not_pay():
+    for n in (2, 3, 64, 256, 257, 512, 1024, 2048, 4096):
+        length = max_reduced_degree(n) + 1
+        # the standard nodes 1, 3, ..., 2d+1
+        nodes = 2 * length - 1
+        assert poly._tree_depth(length, n, nodes, nodes.bit_length()) == 0
+        # points below 2**16, as glue_polynomial's and _node_values' are, in any number
+        assert poly._tree_depth(length, n, 1 << 20, 16) == 0
+    for n in range(2, 257):
+        length = max_reduced_degree(n) + 1
+        # d + 1 full-width points, and the 2(d + 1) of an inversion
+        assert poly._tree_depth(length, n, length, n) == 0
+        assert poly._tree_depth(length, n, 2 * length, n) == 0
 
 
 def test_evaluator_builds_its_heads_once_they_pay(head_builds, rng):

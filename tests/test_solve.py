@@ -318,18 +318,65 @@ def test_inversion_evaluates_p_at_full_width_only_twice(n, monkeypatch, rng):
         masks.append(mask)
         return real_values(coeffs, points, mask)
 
+    def recording_head_values(tree, points):
+        masks.append(tree[2][0])  # term 0's mask: the precision of the pass
+        return real_head_values(tree, points)
+
     def recording_fits(vals, ctx):
         fits.append(len(vals))
         return real_fit(vals, ctx)
 
-    real_values, real_fit = solve._values_at, solve._fit_nodes
+    real_values, real_head_values, real_fit = solve._values_at, solve._head_values, solve._fit_nodes
     monkeypatch.setattr(solve, "_values_at", recording_values)
+    monkeypatch.setattr(solve, "_head_values", recording_head_values)
     monkeypatch.setattr(solve, "_fit_nodes", recording_fits)
     invert_permutation(p, ctx)
     # the top Newton level and the composition check; no node values before the ladder
     assert masks.count(ctx.mask) == 2
     # one difference table, of the preimages; every lower level is a Newton prefix
     assert fits == [ctx.d + 1]
+
+
+def _permutation_with_wide_coefficients(n, rng):
+    """A permutation of the odd residues of degree d+4, with negative and
+    oversized coefficients."""
+    bound = 1 << (n + 2)
+    coeffs = [rng.randrange(-bound, bound) for _ in range(Context(n).d + 5)]
+    coeffs[1] += ~sum(coeffs[1::2]) & 1
+    coeffs[0] += ~sum(coeffs) & 1
+    return IntPoly(tuple(coeffs))
+
+
+def _invert_at_depth(p, ctx, depth, monkeypatch):
+    monkeypatch.setattr(solve, "_tree_depth", lambda *args: depth)
+    return invert_permutation(p, ctx)
+
+
+def test_inversion_through_a_forced_tree_depth_matches_horner_and_the_oracle(monkeypatch, rng):
+    for n in (rng.randrange(65, 301), *range(8, 65)):
+        ctx = Context(n)
+        for p in (random_permutational_poly(ctx, rng), _permutation_with_wide_coefficients(n, rng)):
+            expected = interpolate(oracle_preimages(p, n), ctx)
+            assert _invert_at_depth(p, ctx, 0, monkeypatch) == expected
+            for depth in range(1, 7):
+                assert _invert_at_depth(p, ctx, depth, monkeypatch) == expected
+
+
+def test_inversion_reads_one_tree_where_the_rule_builds_one(monkeypatch, rng):
+    n = 512
+    ctx = Context(n)
+    p = random_permutational_poly(ctx, rng)
+    trees = []
+
+    def recording_tree(coeffs, n, depth):
+        trees.append(depth)
+        return real_tree(coeffs, n, depth)
+
+    real_tree = solve._head_tree
+    monkeypatch.setattr(solve, "_head_tree", recording_tree)
+    inverse = invert_permutation(p, ctx)
+    assert len(trees) == 1 and trees[0] > 0
+    assert _invert_at_depth(p, ctx, 0, monkeypatch) == inverse
 
 
 @pytest.mark.parametrize("n", [64, 65])
