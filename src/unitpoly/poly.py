@@ -16,23 +16,21 @@ the basis N_k = (x-1)(x-3)...(x-2k+1) from values at the odd nodes
 Every canonical form modulo 2**n is Newton coefficients in the basis N_k,
 then the unit-triangular solve _solve at n = ctx.n; two forms of degree at
 most d_n induce one function exactly when their k-th coefficients agree
-modulo 2**w_k, w_k = n-k-t_k. reduce and invert_permutation reach them
-from coefficients by Horner's rule (_to_newton). As w falls with k,
-multiplying by x (_times_x) is exact slot by slot modulo 2**w_k, so
-Newton vectors and the rows T(i, .) of the solve's table (the Newton
-coefficients of x**i) are kept to the slot widths. Each Context gets one
-store of rows, built upward on its first solve and dropped with it: every
-row while the table has at most WHOLE_TABLE_ENTRIES slots (n <= 356),
-otherwise every (isqrt(d_n)+1)-th row, the solve rebuilding each block
-from its checkpoint as it reads down.
+modulo 2**w_k, w_k = n-k-t_k. reduce reaches them from coefficients by
+Horner's rule (_to_newton). As w falls with k, multiplying by x
+(_times_x) is exact slot by slot modulo 2**w_k, so Newton vectors and the
+rows T(i, .) of the solve's table (the Newton coefficients of x**i) are
+kept to the slot widths. Each Context gets one store of rows, built
+upward on its first solve and dropped with it: every row while the table
+has at most WHOLE_TABLE_ENTRIES slots (n <= 356), otherwise every
+(isqrt(d_n)+1)-th row, the solve rebuilding each block from its
+checkpoint as it reads down.
 
 Every way back from a basis (x-c_0)(x-c_1)...(x-c_{k-1}) to monomials is
 one Horner fold, _expand, over one step, _times_linear (multiply by x - c,
-add a constant): _fit_ring's basis (c_j = j), the shift in
-conjugate_to_nonunits (every c_j = -1, exact) and invert_permutation's
-ladder, which expands prefixes of N_k vectors (c_j = 2j+1) at precisions
-where any polynomial equal to p will do, so no solve is needed there. The
-products (x+1)(x+3)... of ideal_generators are the same step.
+add a constant): _fit_ring's basis (c_j = j) and the shift in
+conjugate_to_nonunits (every c_j = -1, exact). The products
+(x+1)(x+3)... of ideal_generators are the same step.
 
 A polynomial evaluated at many odd points may go through the Taylor
 coefficients of its odd classes modulo 2**s, its class heads, from a
@@ -46,9 +44,10 @@ is one class, the coefficients themselves, and _eval_heads is then
 _eval_masked, the one Horner loop that evaluate, _node_values and every
 _values_at run. A quasigroup's polynomials go through _OddEvaluator:
 depth 0 until the heads at HEAD_DEPTH are due (_heads_due), those heads
-from then on. invert_permutation, whose points are known up front, builds
-one tree (_head_tree) at the depth _tree_depth weighs for them, and reads
-p' modulo 2**ceil(n/2) off it too (_slope_tree).
+from then on. invert_permutation builds one tree of p (_head_tree) at the
+depth _tree_depth weighs for its whole ladder of precisions (_ladder),
+takes p''s heads off it once (_slope_tree), and reads both at every
+precision m <= n through their first ceil(m/s) terms (_level_tree).
 """
 
 from __future__ import annotations
@@ -68,7 +67,8 @@ from .errors import InconsistentTable, NotAPermutation
 
 WHOLE_TABLE_ENTRIES = 1 << 14  # most slots of T a row store keeps whole (0.42 MiB at n = 256)
 HEAD_DEPTH = 4  # class depth of _OddEvaluator: 2**(s-1) heads, about 2**s/s times p's bits
-TREE_DEPTH_LIMIT = 8  # deepest tree _tree_depth weighs: 128 heads, about 32 times p's bits
+TREE_DEPTH_LIMIT = 7  # deepest inversion tree: 64 heads; 8 was no faster at n = 4096, 11 MiB more
+SHIFT_STEPS = 6  # one-word Horner steps a shifted term costs past its additions: 6.7 measured
 
 
 def _trimmed(coeffs: Sequence[int]) -> Sequence[int]:
@@ -390,9 +390,8 @@ def _class_heads(coeffs: Sequence[int], n: int, depth: int) -> tuple[tuple[int, 
     shift (_shifted_class). Level 0 keeps only the odd class, a = 1."""
     classes = [tuple(coeffs)]
     for level in range(depth):
-        length = min(len(coeffs), _head_count(n, level + 1))
-        masks = [(1 << (n - (level + 1) * i)) - 1 for i in range(length)]
-        kept = [tuple(c & m for c, m in zip(t, masks)) for t in classes] if level else []
+        masks = _head_masks(n, level + 1)[: len(coeffs)]
+        kept = [tuple(map(operator.and_, t, masks)) for t in classes] if level else []
         classes = kept + [_shifted_class(t, level, masks) for t in classes]
     return tuple(classes)
 
@@ -434,10 +433,17 @@ def _slope_tree(tree, n: int):
     depth, heads, _ = tree
     masks = _head_masks(n, depth)
     slopes = tuple(
-        tuple((i * c) & mask for i, c, mask in zip(range(1, len(head)), head[1:], masks))
+        tuple(map(operator.and_, map(operator.mul, range(1, len(head)), head[1:]), masks))
         for head in heads
     )
     return depth, slopes, masks
+
+
+def _level_tree(tree, m: int):
+    """p's tree modulo 2**m from its tree modulo 2**N, N >= m, at depth s >= 1:
+    the same heads, read to ceil(m/s) terms, term i modulo 2**(m - s i)."""
+    depth, heads, _ = tree
+    return depth, heads, _head_masks(m, depth)
 
 
 def _eval_heads(heads: Sequence[Sequence[int]], depth: int, x: int, masks: Sequence[int]) -> int:
@@ -458,9 +464,22 @@ def _eval_heads(heads: Sequence[Sequence[int]], depth: int, x: int, masks: Seque
 
 
 def _head_values(tree, points: Iterable[int]) -> list[int]:
-    """Values of one polynomial at many points from its _head_tree."""
+    """Values of one polynomial at many odd points from its tree at depth
+    s >= 1 (_head_tree, _level_tree): _eval_heads, its loop inlined, as a
+    call per point costs as much as the few steps of a low ladder level."""
     depth, heads, masks = tree
-    return [_eval_heads(heads, depth, x, masks) for x in points]
+    low = (1 << depth) - 1
+    terms = range(min(len(heads[0]), len(masks)) - 1, -1, -1)
+    values = []
+    for x in points:
+        a = x & low
+        y = x - a
+        head = heads[a >> 1]
+        value = 0
+        for i in terms:
+            value = (value * y + head[i]) & masks[i]
+        values.append(value)
+    return values
 
 
 @functools.lru_cache(maxsize=64)
@@ -480,30 +499,43 @@ def _heads_due(length: int, n: int) -> int | None:
     return -(-_tree_additions(length, n, depth) // saved) if saved > 0 else None
 
 
-def _tree_depth(length: int, n: int, count: int, bits: int) -> int:
-    """The depth s of the one tree (_head_tree) through which a polynomial
-    of length coefficients is evaluated modulo 2**n at count points known
-    up front, each below 2**bits.
+def _ladder(n: int) -> list[int]:
+    """The Newton precisions 2, ..., ceil(n/4), ceil(n/2), n, ascending:
+    each level starts from a root right to the ceiling of half its bits."""
+    levels = [n]
+    while levels[-1] > 2:
+        levels.append((levels[-1] + 1) // 2)
+    return levels[::-1]
 
-    It is 0, Horner's rule over the coefficients, for points below 2**16,
-    whose products are cheap, and at n <= 256, where two passes over d + 1
-    points take a few milliseconds, so small sizes keep the one Horner
-    path. Otherwise it is the s <= TREE_DEPTH_LIMIT of least cost in the
-    word units of _heads_due: the tree's additions, ceil(n/64) words each,
-    plus count queries, each step of which multiplies a partial value of
-    w bits by the point, ceil(w/64) * ceil(bits/64) word products."""
-    if bits <= 16 or n <= 256:
-        return 0
+
+@functools.lru_cache(maxsize=64)
+def _tree_depth(length: int, n: int) -> int:
+    """The depth s of the one tree (_head_tree) through which
+    invert_permutation reads p, of length coefficients, at d_n + 1 points
+    modulo 2**m for each ladder level m, its slope's ceil(m/2), and n for
+    the composition check: the s in [1, min(TREE_DEPTH_LIMIT, floor(n/2))]
+    (past floor(n/2) the top slope is out of the tree's reach) of least
+    cost in the word units of _heads_due. The tree costs its additions,
+    ceil(n/64) words each, and SHIFT_STEPS one-word steps per term a shift
+    produces; a step at precision m multiplies term i's m - s i bits by a
+    point weighed at m bits. For a degree-d p the picks rise from 1 below
+    n = 8 to 7 from n = 1960; in interleaved timings of whole inversions
+    at n = 8 to 2048 each was the fastest or within 5 % of it, but for 3
+    at n = 128, 7 % behind 4."""
     words = lambda width: -(-width // 64)
+    ladder = _ladder(n)
+    precisions = [*ladder, *((m + 1) // 2 for m in ladder), n]
 
     def cost(depth: int) -> int:
-        if not depth:
-            return count * length * words(n) * words(bits)
-        terms = min(length, _head_count(n, depth))
-        steps = sum(words(n - depth * i) for i in range(1, terms + 1))
-        return _tree_additions(length, n, depth) * words(n) + count * steps * words(bits)
+        shifts = sum(min(length, _head_count(n, k + 1)) << max(k - 1, 0) for k in range(depth))
+        steps = 0
+        for m in precisions:
+            terms = min(length, _head_count(m, depth))
+            steps += sum(words(m - depth * i) for i in range(terms)) * words(m)
+        tree = _tree_additions(length, n, depth) * words(n) + SHIFT_STEPS * shifts
+        return tree + len(coeff_widths(n)) * steps
 
-    return min(range(TREE_DEPTH_LIMIT + 1), key=cost)
+    return min(range(1, min(TREE_DEPTH_LIMIT, n // 2) + 1), key=cost)
 
 
 class _OddEvaluator:

@@ -19,7 +19,8 @@ of the point's class modulo 2**HEAD_DEPTH: ceil(n/4) terms instead of
 d + 1, the step of term i masked to its width n - 4i, so a query costs
 0.5 to 0.6 of Horner's over the coefficients at n = 64, 0.4 at n = 256
 and under 0.3 at n = 1024. A spec that answers a few queries, as one
-command line call does, builds no heads.
+command line call does, builds no evaluator heads; each inversion reads
+p through one tree of its own (solve.invert_permutation).
 """
 
 from __future__ import annotations

@@ -9,24 +9,16 @@ inverting all of them with a single unit_inverse.
 
 Inverse permutations find their node values, the preimages of the
 nodes, by two-adic Newton iteration up a ladder of precisions m = 2, ...,
-ceil(n/4), ceil(n/2), n. A step to precision m needs p only modulo 2**m
-and the slope p' only modulo 2**ceil(m/2), and any polynomial equal to
-each modulo its precision will do, not only the canonical one. At odd x,
-N_k(x) is divisible by 2**(k + t_k) = 2**(m - w_k(m)), so modulo 2**m a
-sum over the N_k reads slot k only modulo 2**w_k(m) and no slot past d_m.
-p and p' each go to Newton coefficients once, by poly's _to_newton at
-h = ceil(n/2), which keeps slot k modulo 2**w_k(h), and w_k(h) >= w_k(m)
-for every m <= h. So below the top every level expands the first d_m + 1
-slots of p's vector to monomials modulo 2**m (poly's _expand), and the
-slope the first d_ceil(m/2) + 1 of p''s modulo 2**ceil(m/2), each by
-poly's _values_at. Only the top level and the composition check read p
-at full width, at 2(d+1) points in all, so both read one tree of p's
-class heads (poly's _head_tree), at the depth s poly's _tree_depth weighs
-for them: 0, Horner's rule over p's coefficients, up to n = 256, and for
-a degree-d p 4 at n = 512, 5 at 1024, 6 at 2048 and 7 at 4096. For
-0 < s <= floor(n/2) the top level's slope, p' modulo 2**ceil(n/2), comes
-from that tree too (poly's _slope_tree). The one fit of the preimages is
-the only solve, and no step builds a Context.
+ceil(n/4), ceil(n/2), n; a step to precision m needs p only modulo 2**m
+and the slope p' only modulo 2**ceil(m/2). Both come off one tree of p's
+class heads (poly's _head_tree) at the depth s, 1 <= s <= floor(n/2),
+that poly's _tree_depth weighs for the whole ladder. As 2**s divides
+x - a for x in class a, term i of a head counts only modulo 2**(m - s i),
+so precision m reads the first ceil(m/s) terms of the same heads (poly's
+_level_tree), and p''s heads, taken off p's once at ceil(n/2) (poly's
+_slope_tree), are read the same way. The composition check reads the
+full tree. The one fit of the preimages is the only solve, and no step
+builds a Context.
 
 Arbitrary nodes can leave the system underdetermined, so they go through
 row reduction. Two is a zero divisor modulo 2**n, so Gaussian elimination
@@ -39,20 +31,19 @@ away its odd part leaves a pure power of two on the diagonal.
 
 from __future__ import annotations
 
-from .context import Context, checked_index, coeff_widths, unit_inverse, unit_inverses
+from .context import Context, checked_index, unit_inverse, unit_inverses
 from .errors import BudgetExceeded, NotAPermutation, NotAUnitFunction
 from .poly import (
     ReducedPoly,
     _coeffs_for,
-    _expand,
     _fit_nodes,
     _head_tree,
     _head_values,
+    _ladder,
+    _level_tree,
     _node_values,
     _slope_tree,
-    _to_newton,
     _tree_depth,
-    _values_at,
     evaluate,  # unused here; perfbench's self-test reads solve.evaluate
     induces_function_on_units,
     induces_permutation_on_units,
@@ -209,15 +200,6 @@ def interpolate_at_nodes(
     return [ReducedPoly(coeffs, ctx.n) for coeffs in solutions]
 
 
-def _ladder(n: int) -> list[int]:
-    """The Newton precisions 2, ..., ceil(n/4), ceil(n/2), n, ascending:
-    each level starts from a root right to the ceiling of half its bits."""
-    levels = [n]
-    while levels[-1] > 2:
-        levels.append((levels[-1] + 1) // 2)
-    return levels[::-1]
-
-
 def invert_permutation(poly, ctx: Context) -> ReducedPoly:
     """Canonical polynomial inducing the inverse permutation.
 
@@ -225,14 +207,12 @@ def invert_permutation(poly, ctx: Context) -> ReducedPoly:
     iteration x <- x - (p(x) - c) / p'(x), starting from x = c. The
     permutation test makes p' odd at every odd x, so a root right to
     ceil(m/2) bits is one step from a root right to m bits. The steps
-    climb the ladder m = 2, ..., ceil(n/2), n of the module notes: below
-    the top level p is replaced by a polynomial equal to it modulo 2**m, at
-    every level p' by one equal to it modulo 2**ceil(m/2), each expanded
-    from a prefix of one Newton vector, and a slope modulo 2 is 1. The
+    climb the ladder m = 2, ..., ceil(n/2), n of the module notes, each
+    reading p modulo 2**m and p' modulo 2**ceil(m/2) off one tree of p's
+    class heads; at m = 2 the slope is read modulo 2, where it is 1. The
     preimages are then fitted, and the result is checked by composition: p
-    itself is evaluated at every fitted preimage, at full precision. The
-    top level, its slope included, and the check read p through one tree
-    of its class heads.
+    itself is evaluated at every fitted preimage, at full precision,
+    through the same tree.
 
     Raises:
         NotAPermutation: the polynomial does not permute the odd residues.
@@ -241,28 +221,14 @@ def invert_permutation(poly, ctx: Context) -> ReducedPoly:
         raise NotAPermutation("polynomial does not permute the odd residues")
     coeffs = _coeffs_for(poly, ctx)
     nodes = ctx.interpolation_nodes
-    # the top level and the composition check read p at full width, at 2(d+1) points in all
-    tree = _head_tree(coeffs, ctx.n, _tree_depth(len(coeffs), ctx.n, 2 * len(nodes), ctx.n))
-    h = (ctx.n + 1) // 2  # no level below the top reads p or p' past precision h
-    newton = _to_newton(coeffs, h)
-    slope_newton = _to_newton([i * a for i, a in enumerate(coeffs)][1:], h)
+    tree = _head_tree(coeffs, ctx.n, _tree_depth(len(coeffs), ctx.n))
+    slopes = _slope_tree(tree, (ctx.n + 1) // 2)
     preimages = list(nodes)
     for m in _ladder(ctx.n):
         level_mask = (1 << m) - 1
         half = (m + 1) // 2
-        # _slope_tree reads p' modulo 2**half off heads kept modulo 2**(n - s i): s <= n - half
-        if m == ctx.n and 0 < tree[0] <= ctx.n - half:
-            inverses = unit_inverses(_head_values(_slope_tree(tree, half), preimages), half)
-        elif half > 1:
-            slope = _expand(slope_newton[: len(coeff_widths(half))], nodes, (1 << half) - 1)
-            inverses = unit_inverses(_values_at(slope, preimages, (1 << half) - 1), half)
-        else:
-            inverses = [1] * len(preimages)  # p' is odd
-        if m < ctx.n:
-            level_poly = _expand(newton[: len(coeff_widths(m))], nodes, level_mask)
-            values = _values_at(level_poly, preimages, level_mask)
-        else:
-            values = _head_values(tree, preimages)
+        inverses = unit_inverses(_head_values(_level_tree(slopes, half), preimages), half)
+        values = _head_values(_level_tree(tree, m), preimages)
         preimages = [
             (x - (y - c) * inverse) & level_mask
             for x, y, c, inverse in zip(preimages, values, nodes, inverses)

@@ -39,15 +39,19 @@ def inversions(monkeypatch):
 
 @pytest.fixture
 def head_builds(monkeypatch):
-    """The coefficient vectors whose class heads an evaluator builds, in order."""
+    """The coefficient vectors whose class heads an evaluator (poly._OddEvaluator)
+    builds, in order. Evaluators reach the heads through poly's own _head_tree;
+    invert_permutation builds its tree through solve's binding, so an inversion's
+    tree is not counted."""
     from unitpoly import poly
 
     calls = []
-    real = poly._class_heads
+    real = poly._head_tree
 
     def counting(coeffs, n, depth):
-        calls.append(coeffs)
+        if depth:  # depth 0 is the coefficients themselves and builds nothing
+            calls.append(coeffs)
         return real(coeffs, n, depth)
 
-    monkeypatch.setattr(poly, "_class_heads", counting)
+    monkeypatch.setattr(poly, "_head_tree", counting)
     return calls

@@ -308,15 +308,44 @@ def test_every_ladder_level_reads_a_prefix_of_one_newton_vector(fixed_n, rng):
             assert oracle_reduce(level, m) == oracle_reduce(p, m)
 
 
+def _value_mod(coeffs, x, n):
+    """The integer value at x modulo 2**n, by Horner's rule with %."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * x + c) % (1 << n)
+    return value
+
+
+# 400 climbs to rung m = 200, past every other fixed n here; None is one seeded n in 65..300
+@pytest.mark.parametrize("fixed_n", (*range(2, 70), 400, None))
+def test_every_ladder_level_reads_p_and_its_slope_off_one_cut_tree(fixed_n, rng):
+    # one tree of p modulo 2**n, read to ceil(m/s) terms, is p modulo 2**m at every rung m,
+    # and its slope tree, built once at ceil(n/2), is p' modulo 2**ceil(m/2), at every
+    # depth 1..min(8, floor(n/2))
+    n = fixed_n or rng.randrange(65, 301)
+    ladder = solve._ladder(n)
+    # one odd point in each class modulo 2**8, so in each class of every tree
+    points = [a + (rng.randrange(1 << n) << 8) for a in range(1, 256, 2)]
+    for _ in range(2):
+        p = _permutation_with_wide_coefficients(n, rng)
+        slope = tuple(i * c for i, c in enumerate(p.coeffs))[1:]
+        exact = [(_value_mod(p.coeffs, x, n), _value_mod(slope, x, n)) for x in points]
+        for depth in range(1, min(8, n // 2) + 1):
+            tree = poly._head_tree(p.coeffs, n, depth)
+            slope_tree = poly._slope_tree(tree, (n + 1) // 2)
+            for m in ladder:
+                half = (m + 1) // 2
+                level = poly._head_values(poly._level_tree(tree, m), points)
+                slopes = poly._head_values(poly._level_tree(slope_tree, half), points)
+                assert level == [y % (1 << m) for y, _ in exact]
+                assert slopes == [dy % (1 << half) for _, dy in exact]
+
+
 @pytest.mark.parametrize("n", [64, 65])
 def test_inversion_evaluates_p_at_full_width_only_twice(n, monkeypatch, rng):
     ctx = Context(n)
     p = random_permutational_poly(ctx, rng)
     masks, fits = [], []
-
-    def recording_values(coeffs, points, mask):
-        masks.append(mask)
-        return real_values(coeffs, points, mask)
 
     def recording_head_values(tree, points):
         masks.append(tree[2][0])  # term 0's mask: the precision of the pass
@@ -326,14 +355,22 @@ def test_inversion_evaluates_p_at_full_width_only_twice(n, monkeypatch, rng):
         fits.append(len(vals))
         return real_fit(vals, ctx)
 
-    real_values, real_head_values, real_fit = solve._values_at, solve._head_values, solve._fit_nodes
-    monkeypatch.setattr(solve, "_values_at", recording_values)
+    def no_basis_change(*args):
+        raise AssertionError("the inversion changed basis")
+
+    real_head_values, real_fit = solve._head_values, solve._fit_nodes
     monkeypatch.setattr(solve, "_head_values", recording_head_values)
     monkeypatch.setattr(solve, "_fit_nodes", recording_fits)
+    monkeypatch.setattr(poly, "_to_newton", no_basis_change)
+    monkeypatch.setattr(poly, "_expand", no_basis_change)
     invert_permutation(p, ctx)
     # the top Newton level and the composition check; no node values before the ladder
     assert masks.count(ctx.mask) == 2
-    # one difference table, of the preimages; every lower level is a Newton prefix
+    # every rung and its slope read the one tree
+    assert sorted(masks) == sorted(
+        (1 << m) - 1 for m in (*solve._ladder(n), *((m + 1) // 2 for m in solve._ladder(n)), n)
+    )
+    # one difference table, of the preimages
     assert fits == [ctx.d + 1]
 
 
@@ -353,19 +390,17 @@ def _invert_at_depth(p, ctx, depth, monkeypatch):
 
 
 def test_inversion_through_a_forced_tree_depth_matches_horner_and_the_oracle(monkeypatch, rng):
-    for n in (rng.randrange(65, 301), *range(8, 65)):
+    # every depth the tree may have: from 1, where each head is Horner's rule in x - a
+    # over the Taylor coefficients at a, up to floor(n/2), where the top slope still reads it
+    for n in (rng.randrange(65, 301), *range(2, 65)):
         ctx = Context(n)
         for p in (random_permutational_poly(ctx, rng), _permutation_with_wide_coefficients(n, rng)):
             expected = interpolate(oracle_preimages(p, n), ctx)
-            assert _invert_at_depth(p, ctx, 0, monkeypatch) == expected
-            for depth in range(1, 7):
+            for depth in range(1, min(8, n // 2) + 1):
                 assert _invert_at_depth(p, ctx, depth, monkeypatch) == expected
 
 
 def test_inversion_reads_one_tree_where_the_rule_builds_one(monkeypatch, rng):
-    n = 512
-    ctx = Context(n)
-    p = random_permutational_poly(ctx, rng)
     trees = []
 
     def recording_tree(coeffs, n, depth):
@@ -374,9 +409,17 @@ def test_inversion_reads_one_tree_where_the_rule_builds_one(monkeypatch, rng):
 
     real_tree = solve._head_tree
     monkeypatch.setattr(solve, "_head_tree", recording_tree)
-    inverse = invert_permutation(p, ctx)
-    assert len(trees) == 1 and trees[0] > 0
-    assert _invert_at_depth(p, ctx, 0, monkeypatch) == inverse
+    for n in (2, 3, 16, 64, 512):
+        ctx = Context(n)
+        p = random_permutational_poly(ctx, rng)
+        trees.clear()
+        monkeypatch.setattr(solve, "_tree_depth", poly._tree_depth)  # the rule, not a forced depth
+        inverse = invert_permutation(p, ctx)
+        assert trees == [poly._tree_depth(len(p.coeffs), n)]
+        # a second depth where there is one: at n = 2 and 3 only depth 1 is readable
+        other = trees[0] + 1 if trees[0] < n // 2 else max(trees[0] - 1, 1)
+        assert _invert_at_depth(p, ctx, other, monkeypatch) == inverse
+        assert trees == [trees[0], other]
 
 
 @pytest.mark.parametrize("n", [64, 65])
