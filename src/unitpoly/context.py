@@ -44,6 +44,14 @@ def checked_index(value) -> int:
         raise ValueError(f"{value!r} is not an integer") from None
 
 
+def checked_budget(value, name: str) -> int:
+    """value as an int (checked_index); a negative budget is a ValueError naming it."""
+    value = checked_index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
 def max_reduced_degree(n: int) -> int:
     """Largest i with n - i - t_i > 0, the degree cap for canonical forms.
 

@@ -42,12 +42,12 @@ _eval_heads runs Horner's rule over them with each step masked to its
 term's falling width, one mask tuple per (n, s) (_head_masks). Depth 0
 is one class, the coefficients themselves, and _eval_heads is then
 _eval_masked, the one Horner loop that evaluate, _node_values and every
-_values_at run. A quasigroup's polynomials go through _OddEvaluator:
-depth 0 until the heads at HEAD_DEPTH are due (_heads_due), those heads
-from then on. invert_permutation builds one tree of p (_head_tree) at the
-depth _tree_depth weighs for its whole ladder of precisions (_ladder),
-takes p''s heads off it once (_slope_tree), and reads both at every
-precision m <= n through their first ceil(m/s) terms (_level_tree).
+_values_at run. A tree read modulo 2**m for m <= n reads the same heads
+to ceil(m/s) terms (_level_tree), and p''s tree comes off p's (_slope_tree).
+Every tree has one price, in one-word steps: _tree_cost to build it and
+_read_cost per point read. A quasigroup's polynomials go through
+_OddEvaluator: depth 0 until the heads at HEAD_DEPTH are due (_heads_due,
+the break-even of those two prices), those heads from then on.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .errors import InconsistentTable, NotAPermutation
 
 WHOLE_TABLE_ENTRIES = 1 << 14  # most slots of T a row store keeps whole (0.42 MiB at n = 256)
 HEAD_DEPTH = 4  # class depth of _OddEvaluator: 2**(s-1) heads, about 2**s/s times p's bits
-TREE_DEPTH_LIMIT = 7  # deepest inversion tree: 64 heads; 8 was no faster at n = 4096, 11 MiB more
 SHIFT_STEPS = 6  # one-word Horner steps a shifted term costs past its additions: 6.7 measured
 
 
@@ -396,15 +395,26 @@ def _class_heads(coeffs: Sequence[int], n: int, depth: int) -> tuple[tuple[int, 
     return tuple(classes)
 
 
-def _tree_additions(length: int, n: int, depth: int) -> int:
-    """The additions _class_heads makes for length coefficients: a shift
-    to m terms from a class of w costs sum_{j<m} (w - j - 1)."""
-    total, width = 0, length
+def _tree_cost(length: int, n: int, depth: int) -> int:
+    """The cost of _class_heads for length coefficients modulo 2**n at depth
+    s = depth, in one-word steps: a shift to m terms from a class of w makes
+    sum_{j<m} (w - j - 1) additions of ceil(n/64) words each, and each of
+    its m terms costs SHIFT_STEPS more."""
+    total, width, words = 0, length, -(-n // 64)
     for level in range(depth):
         m = min(length, _head_count(n, level + 1))
-        total += (1 << max(level - 1, 0)) * (m * width - m * (m + 1) // 2)
+        total += (1 << max(level - 1, 0)) * (m * (2 * width - m - 1) // 2 * words + SHIFT_STEPS * m)
         width = m
     return total
+
+
+def _read_cost(length: int, m: int, depth: int) -> int:
+    """The cost of one point modulo 2**m from a tree of length coefficients
+    at depth s = depth, in one-word steps: a step multiplies term i's
+    m - s i bits by a point weighed at m bits. At depth 0 every term is
+    read at width m, Horner's rule over the coefficients."""
+    terms = min(length, _head_count(m, depth)) if depth else length
+    return sum(-(-(m - depth * i) // 64) for i in range(terms)) * -(-m // 64)
 
 
 @functools.lru_cache(maxsize=64)
@@ -448,10 +458,8 @@ def _level_tree(tree, m: int):
 
 def _eval_heads(heads: Sequence[Sequence[int]], depth: int, x: int, masks: Sequence[int]) -> int:
     """The value at x, odd unless depth is 0, from (depth, heads, masks) of
-    _head_tree. Depth 0 is _eval_masked. Above it, Horner's rule in
-    y = x - a over the head of x's class a: 2**depth divides y, so the
-    partial value from term i up counts only modulo 2**(n - depth i), and
-    each step is masked to its term's width."""
+    _head_tree: _eval_masked at depth 0, above it Horner's rule in y = x - a
+    over the head of x's class a, each step masked to its term's width."""
     if not depth:
         return _eval_masked(heads[0], x, masks[0])
     a = x & ((1 << depth) - 1)
@@ -484,58 +492,13 @@ def _head_values(tree, points: Iterable[int]) -> list[int]:
 
 @functools.lru_cache(maxsize=64)
 def _heads_due(length: int, n: int) -> int | None:
-    """The query at which _OddEvaluator builds the class heads of a
-    polynomial of length coefficients, None if they would save nothing.
-
-    A query on the heads at depth s = min(HEAD_DEPTH, n - 1) saves
-    length - ceil(n/s) Horner steps. A step multiplies two n-bit numbers,
-    ceil(n/64)**2 word products, where an addition of the tree
-    (_tree_additions) costs ceil(n/64) words. So the heads are due when
-    the saved steps, each weighed as ceil(n/64) additions, reach the
-    tree's additions: about 170 queries at every n from 64 to 4096. This
-    is ski rental, within about twice the cheaper choice."""
+    """The query at which _OddEvaluator builds the heads of length
+    coefficients at depth s = min(HEAD_DEPTH, n - 1), None if a query on
+    them saves nothing: where the _read_cost saved reaches their _tree_cost.
+    This is ski rental, within about twice the cheaper choice."""
     depth = min(HEAD_DEPTH, n - 1)
-    saved = (length - _head_count(n, depth)) * -(-n // 64)
-    return -(-_tree_additions(length, n, depth) // saved) if saved > 0 else None
-
-
-def _ladder(n: int) -> list[int]:
-    """The Newton precisions 2, ..., ceil(n/4), ceil(n/2), n, ascending:
-    each level starts from a root right to the ceiling of half its bits."""
-    levels = [n]
-    while levels[-1] > 2:
-        levels.append((levels[-1] + 1) // 2)
-    return levels[::-1]
-
-
-@functools.lru_cache(maxsize=64)
-def _tree_depth(length: int, n: int) -> int:
-    """The depth s of the one tree (_head_tree) through which
-    invert_permutation reads p, of length coefficients, at d_n + 1 points
-    modulo 2**m for each ladder level m, its slope's ceil(m/2), and n for
-    the composition check: the s in [1, min(TREE_DEPTH_LIMIT, floor(n/2))]
-    (past floor(n/2) the top slope is out of the tree's reach) of least
-    cost in the word units of _heads_due. The tree costs its additions,
-    ceil(n/64) words each, and SHIFT_STEPS one-word steps per term a shift
-    produces; a step at precision m multiplies term i's m - s i bits by a
-    point weighed at m bits. For a degree-d p the picks rise from 1 below
-    n = 8 to 7 from n = 1960; in interleaved timings of whole inversions
-    at n = 8 to 2048 each was the fastest or within 5 % of it, but for 3
-    at n = 128, 7 % behind 4."""
-    words = lambda width: -(-width // 64)
-    ladder = _ladder(n)
-    precisions = [*ladder, *((m + 1) // 2 for m in ladder), n]
-
-    def cost(depth: int) -> int:
-        shifts = sum(min(length, _head_count(n, k + 1)) << max(k - 1, 0) for k in range(depth))
-        steps = 0
-        for m in precisions:
-            terms = min(length, _head_count(m, depth))
-            steps += sum(words(m - depth * i) for i in range(terms)) * words(m)
-        tree = _tree_additions(length, n, depth) * words(n) + SHIFT_STEPS * shifts
-        return tree + len(coeff_widths(n)) * steps
-
-    return min(range(1, min(TREE_DEPTH_LIMIT, n // 2) + 1), key=cost)
+    saved = _read_cost(length, n, 0) - _read_cost(length, n, depth)
+    return -(-_tree_cost(length, n, depth) // saved) if saved > 0 else None
 
 
 class _OddEvaluator:

@@ -11,16 +11,11 @@ never searches and building, applying or serializing a spec inverts
 nothing.
 
 Every apply and adjoint evaluates fixed polynomials at odd points, each
-through its own evaluator (poly._OddEvaluator). An evaluator runs
-Horner's rule over all d + 1 coefficients until the work its class heads
-would have saved reaches the cost of building them, about 170 queries at
-any n from 64 to 4096. From then on it runs Horner's rule over the head
-of the point's class modulo 2**HEAD_DEPTH: ceil(n/4) terms instead of
-d + 1, the step of term i masked to its width n - 4i, so a query costs
-0.5 to 0.6 of Horner's over the coefficients at n = 64, 0.4 at n = 256
-and under 0.3 at n = 1024. A spec that answers a few queries, as one
-command line call does, builds no evaluator heads; each inversion reads
-p through one tree of its own (solve.invert_permutation).
+through its own evaluator (poly._OddEvaluator), which reads the
+polynomial's class heads once they are due (poly._heads_due). A spec that
+answers a few queries, as one command line call does, builds no evaluator
+heads; each inversion reads p through one tree of its own
+(solve.invert_permutation).
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ import random
 import re
 from enum import Enum
 
-from .context import Context, DEFAULT_MAX_N, checked_index
+from .context import Context, DEFAULT_MAX_N, checked_budget, checked_index
 from .errors import BudgetExceeded, CarrierError, NotAPermutation
 from .poly import ReducedPoly, _OddEvaluator, induces_permutation_on_units
 from .residue import unit_inverse
@@ -226,10 +221,11 @@ class QuasigroupSpec:
                 n alone, before the carrier is touched. The size is a power
                 of two, compared and printed by its exponent, so the check
                 and its message stay short at any n.
+            ValueError: a negative budget.
         """
         bits = self.n - 1 if self.mode is Mode.UNIT_PRODUCT else self.n
         # 2**(k*bits) > budget exactly when k*bits reaches budget's bit length
-        if checked_index(budget) < 0 or self.k * bits >= budget.bit_length():
+        if self.k * bits >= checked_budget(budget, "budget").bit_length():
             raise BudgetExceeded(
                 f"carrier size (2**{bits})**{self.k} exceeds the exhaustion budget {budget}"
             )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import checked_index, unit_inverse  # unit_inverse: re-exported, its public home
+from .context import checked_budget, checked_index, unit_inverse  # unit_inverse: re-exported
 from .errors import BudgetExceeded
 from .poly import _as_coeffs, _eval_masked
 
@@ -34,10 +34,11 @@ def hensel_roots(poly, n: int, *, branch_limit: int = DEFAULT_BRANCH_LIMIT) -> l
 
     Raises:
         BudgetExceeded: when the frontier outgrows branch_limit.
+        ValueError: n below 1 or a negative branch_limit.
     """
     if checked_index(n) < 1:
         raise ValueError("modulus exponent must be positive")
-    branch_limit = checked_index(branch_limit)
+    branch_limit = checked_budget(branch_limit, "branch_limit")
     full_mask = (1 << n) - 1
     coeffs = [c & full_mask for c in _as_coeffs(poly)]
     frontier = [0]

@@ -11,14 +11,12 @@ Inverse permutations find their node values, the preimages of the
 nodes, by two-adic Newton iteration up a ladder of precisions m = 2, ...,
 ceil(n/4), ceil(n/2), n; a step to precision m needs p only modulo 2**m
 and the slope p' only modulo 2**ceil(m/2). Both come off one tree of p's
-class heads (poly's _head_tree) at the depth s, 1 <= s <= floor(n/2),
-that poly's _tree_depth weighs for the whole ladder. As 2**s divides
-x - a for x in class a, term i of a head counts only modulo 2**(m - s i),
-so precision m reads the first ceil(m/s) terms of the same heads (poly's
-_level_tree), and p''s heads, taken off p's once at ceil(n/2) (poly's
-_slope_tree), are read the same way. The composition check reads the
-full tree. The one fit of the preimages is the only solve, and no step
-builds a Context.
+class heads (poly's _head_tree) at the depth s that _tree_depth prices
+for the whole ladder. Precision m reads the first ceil(m/s) terms of its
+heads (poly's _level_tree), and p''s heads, taken off p's once at
+ceil(n/2) (poly's _slope_tree), are read the same way. The composition
+check reads the full tree. The one fit of the preimages is the only
+solve, and no step builds a Context.
 
 Arbitrary nodes can leave the system underdetermined, so they go through
 row reduction. Two is a zero divisor modulo 2**n, so Gaussian elimination
@@ -31,7 +29,9 @@ away its odd part leaves a pure power of two on the diagonal.
 
 from __future__ import annotations
 
-from .context import Context, checked_index, unit_inverse, unit_inverses
+import functools
+
+from .context import Context, checked_budget, coeff_widths, unit_inverse, unit_inverses
 from .errors import BudgetExceeded, NotAPermutation, NotAUnitFunction
 from .poly import (
     ReducedPoly,
@@ -39,17 +39,47 @@ from .poly import (
     _fit_nodes,
     _head_tree,
     _head_values,
-    _ladder,
     _level_tree,
     _node_values,
+    _read_cost,
     _slope_tree,
-    _tree_depth,
+    _tree_cost,
     evaluate,  # unused here; perfbench's self-test reads solve.evaluate
     induces_function_on_units,
     induces_permutation_on_units,
 )
 
 DEFAULT_SOLUTION_BUDGET = 1 << 12  # most fits interpolate_at_nodes enumerates by default
+TREE_DEPTH_LIMIT = 7  # deepest inversion tree: 64 heads; 8 was no faster at n = 4096, 11 MiB more
+
+
+def _ladder(n: int) -> list[int]:
+    """The Newton precisions 2, ..., ceil(n/4), ceil(n/2), n, ascending:
+    each level starts from a root right to the ceiling of half its bits."""
+    levels = [n]
+    while levels[-1] > 2:
+        levels.append((levels[-1] + 1) // 2)
+    return levels[::-1]
+
+
+@functools.lru_cache(maxsize=64)
+def _tree_depth(length: int, n: int) -> int:
+    """The depth s of invert_permutation's tree of p, of length coefficients:
+    the s in [1, min(TREE_DEPTH_LIMIT, floor(n/2))] (past floor(n/2) the
+    top slope is out of reach) of least _tree_cost plus _read_cost at
+    d_n + 1 points for each precision read. For a degree-d p the picks rise
+    from 1 below n = 8 to 7 from n = 1960; each was the fastest or within
+    5 % of it in interleaved timings at n = 8 to 2048, but for 3 at
+    n = 128, 7 % behind 4."""
+    ladder = _ladder(n)
+    precisions = [*ladder, *((m + 1) // 2 for m in ladder), n]
+    points = len(coeff_widths(n))
+
+    def cost(depth: int) -> int:
+        reads = sum(_read_cost(length, m, depth) for m in precisions)
+        return _tree_cost(length, n, depth) + points * reads
+
+    return min(range(1, min(TREE_DEPTH_LIMIT, n // 2) + 1), key=cost)
 
 
 def _vandermonde_rows(nodes, width: int, ctx: Context) -> list[list[int]]:
@@ -145,10 +175,11 @@ def interpolate_at_nodes(
     Args:
         max_solutions: cap on the solution count, DEFAULT_SOLUTION_BUDGET
             unless given (None lifts it); exceeding it raises BudgetExceeded
-            instead of enumerating an enormous set.
+            instead of enumerating an enormous set, and a negative one is
+            a ValueError.
     """
     if max_solutions is not None:
-        max_solutions = checked_index(max_solutions)
+        max_solutions = checked_budget(max_solutions, "max_solutions")
     node_list = [ctx.check_unit(v) for v in nodes]
     value_list = [ctx.check_unit(v) for v in values]
     if len(node_list) != len(value_list):

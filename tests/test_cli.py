@@ -82,6 +82,13 @@ def test_interp_nodes_has_a_default_budget(capsys):
     assert err.startswith("error: BudgetExceeded:")
 
 
+def test_a_negative_budget_exits_1(capsys):
+    code, out, err = invoke(capsys, "hensel-roots", "--n", "4", "--poly", "1",
+                            "--branch-limit", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: ValueError: branch_limit must be non-negative, got -1\n"
+
+
 def test_interp_nodes_budget_at_large_n(capsys):
     # d = 1024 free coefficients: the enumeration must not recurse per degree
     code, out, _ = invoke(capsys, "interp-nodes", "--n", "2048", "--nodes", "1", "--values", "1",

@@ -35,7 +35,7 @@ from unitpoly import (
     two_adic_factorial_valuation,
     unit_inverse,
 )
-from unitpoly import poly
+from unitpoly import poly, solve
 from unitpoly.errors import NotAPermutation
 from unitpoly.quasigroup import random_permutational_poly
 from unitpoly.oracle import (
@@ -252,10 +252,10 @@ def test_the_tree_depth_rule_picks_a_depth_every_ladder_level_can_read():
     for n in (*range(2, 301), *range(512, 4097, 89), 4096):
         d = max_reduced_degree(n)
         for length in (2, d + 1, d + 5):
-            assert 1 <= poly._tree_depth(length, n) <= min(poly.TREE_DEPTH_LIMIT, n // 2)
+            assert 1 <= solve._tree_depth(length, n) <= min(solve.TREE_DEPTH_LIMIT, n // 2)
     # a degree-d p: each pick was within a few percent of the fastest depth in interleaved
     # timings of the whole inversion
-    picks = {n: poly._tree_depth(max_reduced_degree(n) + 1, n) for n in (16, 64, 256, 1024, 2048)}
+    picks = {n: solve._tree_depth(max_reduced_degree(n) + 1, n) for n in (16, 64, 256, 1024, 2048)}
     assert picks == {16: 2, 64: 3, 256: 4, 1024: 6, 2048: 7}
 
 
@@ -264,24 +264,27 @@ def test_evaluator_builds_its_heads_once_they_pay(head_builds, rng):
     ctx = Context(n)
     coeffs = next(_head_inputs(n, rng))
     evaluator = poly._OddEvaluator(coeffs, n)
-    due = -(-poly._tree_additions(len(coeffs), n, 4) // (len(coeffs) - 4))
-    assert due == poly._heads_due(len(coeffs), n)
+    # the first query by which the steps the heads save reach the cost of the tree
+    saved = poly._read_cost(len(coeffs), n, 0) - poly._read_cost(len(coeffs), n, 4)
+    due = poly._heads_due(len(coeffs), n)
+    assert (due - 1) * saved < poly._tree_cost(len(coeffs), n, 4) <= due * saved
     for query in range(1, 3 * due):
         x = rng.randrange(1 << n) | 1
         assert evaluator(x) == evaluate(coeffs, x, ctx)
         assert len(head_builds) == (query >= due)
 
 
-def test_heads_pay_off_after_the_same_query_count_at_every_scale():
-    # a Horner step costs ceil(n/64) tree additions: measured 1.3, 4.1, 28 and 92
-    # times one at n = 64, 256, 1024 and 4096, so the break-even stays near 170
-    for n in (64, 256, 1024, 4096):
-        assert 150 < poly._heads_due(len(Context(n).coeff_bits), n) < 200
+def test_heads_are_due_at_one_priced_break_even_at_every_scale():
+    # one price for every tree: measured break-evens (tree build over the time a query
+    # saves) were about 149, 80, 116 and 67 queries at n = 16, 64, 256 and 1024
+    due = {n: poly._heads_due(len(Context(n).coeff_bits), n) for n in (16, 64, 256, 1024, 4096)}
+    assert due == {16: 91, 64: 228, 256: 129, 1024: 119, 4096: 117}
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_evaluator_builds_no_heads_that_save_nothing(n, head_builds):
     # one class head would be as long as p itself
+    assert poly._heads_due(len(Context(n).coeff_bits), n) is None
     evaluator = poly._OddEvaluator((1, 1), n)
     for _ in range(200):
         assert [evaluator(x) for x in range(1, 1 << n, 2)] == [

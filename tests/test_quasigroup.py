@@ -469,7 +469,7 @@ def _oracle_adjoint(spec, maps, i, probe):
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_queries_past_break_even_agree_with_the_oracle(mode, head_builds, inversions):
-    # n = 10: every evaluator builds its heads within about 25 queries
+    # n = 10: every evaluator builds its heads at its 87th query
     spec = QuasigroupSpec.random(Context(10), 2, mode, random.Random(8))
     maps, mask = _oracle_maps(spec), spec.ctx.mask
     rng = random.Random(9)
@@ -558,7 +558,7 @@ def test_retained_heads_of_a_glued_spec_are_bounded():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        queries(100)  # past every break-even, 173 queries at n = 256
+        queries(100)  # past every break-even, 129 queries at n = 256
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -1,6 +1,7 @@
 """Interpolation, inversion, and the canonical-form product."""
 
 import itertools
+import random
 import sys
 import threading
 
@@ -11,8 +12,11 @@ from hypothesis import strategies as st
 from unitpoly import (
     Context,
     IntPoly,
+    Mode,
+    QuasigroupSpec,
     ReducedPoly,
     evaluate,
+    hensel_roots,
     interpolate,
     interpolate_at_nodes,
     invert_permutation,
@@ -203,6 +207,23 @@ def test_interp_nodes_has_a_default_budget():
     assert solve.DEFAULT_SOLUTION_BUDGET == 1 << 12
     with pytest.raises(BudgetExceeded, match="more than 4096 polynomials fit the table"):
         interpolate_at_nodes([1], [1], Context(16))
+
+
+@pytest.mark.parametrize("name, call", [
+    # (1,) has no roots: its frontier is empty from bit 0 on
+    ("branch_limit", lambda budget: hensel_roots((1,), 4, branch_limit=budget)),
+    ("max_solutions",
+     lambda budget: interpolate_at_nodes([1], [1], Context(8), max_solutions=budget)),
+    ("budget", lambda budget: QuasigroupSpec.random(
+        Context(4), 2, Mode.UNIT_PRODUCT, random.Random(0)).latin_check(budget=budget)),
+])
+def test_a_negative_budget_is_refused_by_name(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+        call(-1)
+    try:
+        call(0)  # zero is a budget: the call runs, and may outgrow it
+    except BudgetExceeded:
+        pass
 
 
 @pytest.mark.parametrize("nodes, values", [((1,), (5,)), ((1, 3), (5, 7)), ((3, 7), (9, 1))])
@@ -407,15 +428,15 @@ def test_inversion_reads_one_tree_where_the_rule_builds_one(monkeypatch, rng):
         trees.append(depth)
         return real_tree(coeffs, n, depth)
 
-    real_tree = solve._head_tree
+    real_tree, rule = solve._head_tree, solve._tree_depth
     monkeypatch.setattr(solve, "_head_tree", recording_tree)
     for n in (2, 3, 16, 64, 512):
         ctx = Context(n)
         p = random_permutational_poly(ctx, rng)
         trees.clear()
-        monkeypatch.setattr(solve, "_tree_depth", poly._tree_depth)  # the rule, not a forced depth
+        monkeypatch.setattr(solve, "_tree_depth", rule)  # the rule, not a forced depth
         inverse = invert_permutation(p, ctx)
-        assert trees == [poly._tree_depth(len(p.coeffs), n)]
+        assert trees == [rule(len(p.coeffs), n)]
         # a second depth where there is one: at n = 2 and 3 only depth 1 is readable
         other = trees[0] + 1 if trees[0] < n // 2 else max(trees[0] - 1, 1)
         assert _invert_at_depth(p, ctx, other, monkeypatch) == inverse
