@@ -39,15 +39,20 @@ Gathen and Gerhard, "Fast algorithms for Taylor shifts and certain
 difference equations", ISSAC 1997). As 2**s divides x - a for x in class
 a, term i of a head counts only modulo 2**(n - s i): ceil(n/s) terms, and
 _eval_heads runs Horner's rule over them with each step masked to its
-term's falling width, one mask tuple per (n, s) (_head_masks). Depth 0
-is one class, the coefficients themselves, and _eval_heads is then
-_eval_masked, the one Horner loop that evaluate, _node_values and every
-_values_at run. A tree read modulo 2**m for m <= n reads the same heads
-to ceil(m/s) terms (_level_tree), and p''s tree comes off p's (_slope_tree).
-Every tree has one price, in one-word steps: _tree_cost to build it and
-_read_cost per point read. A quasigroup's polynomials go through
-_OddEvaluator: depth 0 until the heads at HEAD_DEPTH are due (_heads_due,
-the break-even of those two prices), those heads from then on.
+term's falling width, one mask tuple per (n, s, terms) (_head_masks).
+Depth 0 is one class, the coefficients themselves, with the mask 2**n - 1
+for every term: Horner's rule, as _eval_masked runs it for evaluate,
+_node_values and every _values_at. A tree read modulo 2**m for m <= n
+reads the same heads to ceil(m/s) terms (_level_tree), p''s tree comes off
+p's (_slope_tree), and a deeper tree grows from a shallower one's heads
+(_deepened). Every tree has one price, in one-word steps: _tree_cost to
+build it and _read_cost per point read, and one depth rule,
+_cheapest_depth: the depth of least build plus reads. invert_permutation
+applies it once, to the reads of its ladder. A quasigroup's polynomials
+go through _OddEvaluator, which applies it at every query count
+(_stages): it starts at depth 0 and deepens in stages, up to the deepest
+tree it may keep (_kept_depth, at most KEPT_TREE_RATIO times the bits of
+a canonical form).
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ import functools
 import itertools
 import math
 import operator
+import threading
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -66,7 +72,7 @@ from .context import two_adic_factorial_valuation
 from .errors import InconsistentTable, NotAPermutation
 
 WHOLE_TABLE_ENTRIES = 1 << 14  # most slots of T a row store keeps whole (0.42 MiB at n = 256)
-HEAD_DEPTH = 4  # class depth of _OddEvaluator: 2**(s-1) heads, about 2**s/s times p's bits
+KEPT_TREE_RATIO = 12  # most bits an evaluator's tree keeps over a canonical form's: depth 6 from n = 11
 SHIFT_STEPS = 6  # one-word Horner steps a shifted term costs past its additions: 6.7 measured
 
 
@@ -358,9 +364,10 @@ def _values_at(coeffs: Sequence[int], points: Iterable[int], mask: int) -> list[
     return [_eval_masked(coeffs, x, mask) for x in points]
 
 
-def _head_count(n: int, depth: int) -> int:
-    """ceil(n / depth): the terms of a class head that survive modulo 2**n."""
-    return -(-n // depth)
+def _head_count(length: int, n: int, depth: int) -> int:
+    """The terms of a class head at depth s = depth, of length coefficients,
+    that count modulo 2**n: at most ceil(n/s), and at depth 0 every one."""
+    return min(length, -(-n // depth)) if depth else length
 
 
 def _shifted_class(heads: Sequence[int], level: int, masks: Sequence[int]) -> tuple[int, ...]:
@@ -377,6 +384,18 @@ def _shifted_class(heads: Sequence[int], level: int, masks: Sequence[int]) -> tu
     return tuple(out)
 
 
+def _grown_heads(classes: Sequence[Sequence[int]], n: int, start: int, depth: int):
+    """The class heads at depth `depth` from classes, those at depth start:
+    levels start, ..., depth - 1 of the 2-adic tree of _class_heads. Level s
+    reads term i of a class only modulo 2**(n - s i), the width a head at
+    depth s keeps, so growing a tree from its heads is exact."""
+    for level in range(start, depth):
+        masks = _head_masks(n, level + 1, _head_count(len(classes[0]), n, level + 1))
+        kept = [tuple(map(operator.and_, t, masks)) for t in classes] if level else []
+        classes = kept + [_shifted_class(t, level, masks) for t in classes]
+    return tuple(classes)
+
+
 def _class_heads(coeffs: Sequence[int], n: int, depth: int) -> tuple[tuple[int, ...], ...]:
     """The class heads of sum c_i x**i at depth s = depth: for each odd
     a < 2**s, at index a >> 1, its first ceil(n/s) Taylor coefficients
@@ -384,25 +403,21 @@ def _class_heads(coeffs: Sequence[int], n: int, depth: int) -> tuple[tuple[int, 
     and 2**s divides x - a, no later term counts modulo 2**n. Depth 0 is
     the one class a = 0: the coefficients themselves.
 
-    A 2-adic tree of Taylor shifts, level by level from a = 0: the class a
-    stays, masked to the next level's widths, and a + 2**level is its
-    shift (_shifted_class). Level 0 keeps only the odd class, a = 1."""
-    classes = [tuple(coeffs)]
-    for level in range(depth):
-        masks = _head_masks(n, level + 1)[: len(coeffs)]
-        kept = [tuple(map(operator.and_, t, masks)) for t in classes] if level else []
-        classes = kept + [_shifted_class(t, level, masks) for t in classes]
-    return tuple(classes)
+    A 2-adic tree of Taylor shifts, level by level from a = 0 (_grown_heads):
+    the class a stays, masked to the next level's widths, and a + 2**level
+    is its shift (_shifted_class). Level 0 keeps only the odd class, a = 1."""
+    return _grown_heads((tuple(coeffs),), n, 0, depth)
 
 
 def _tree_cost(length: int, n: int, depth: int) -> int:
     """The cost of _class_heads for length coefficients modulo 2**n at depth
     s = depth, in one-word steps: a shift to m terms from a class of w makes
     sum_{j<m} (w - j - 1) additions of ceil(n/64) words each, and each of
-    its m terms costs SHIFT_STEPS more."""
+    its m terms costs SHIFT_STEPS more. Growing a tree from depth s to s'
+    costs the difference of the two."""
     total, width, words = 0, length, -(-n // 64)
     for level in range(depth):
-        m = min(length, _head_count(n, level + 1))
+        m = _head_count(length, n, level + 1)
         total += (1 << max(level - 1, 0)) * (m * (2 * width - m - 1) // 2 * words + SHIFT_STEPS * m)
         width = m
     return total
@@ -413,35 +428,69 @@ def _read_cost(length: int, m: int, depth: int) -> int:
     at depth s = depth, in one-word steps: a step multiplies term i's
     m - s i bits by a point weighed at m bits. At depth 0 every term is
     read at width m, Horner's rule over the coefficients."""
-    terms = min(length, _head_count(m, depth)) if depth else length
+    terms = _head_count(length, m, depth)
     return sum(-(-(m - depth * i) // 64) for i in range(terms)) * -(-m // 64)
 
 
-@functools.lru_cache(maxsize=64)
-def _head_masks(n: int, depth: int) -> tuple[int, ...]:
-    """2**(n - s i) - 1 for each term i < ceil(n/s) of a class head at depth
-    s = depth >= 1, lowest term first: one tuple per (n, s), shared by every
-    evaluation at that depth."""
-    return tuple((1 << (n - depth * i)) - 1 for i in range(_head_count(n, depth)))
+def _tree_bits(length: int, n: int, depth: int) -> int:
+    """The bits a tree of length coefficients modulo 2**n keeps at depth
+    s = depth >= 1: 2**(s-1) heads, term i of each n - s i bits wide. That
+    is about 2**s/s times the bits of a canonical form at every n."""
+    terms = _head_count(length, n, depth)
+    return (1 << (depth - 1)) * (terms * n - depth * terms * (terms - 1) // 2)
+
+
+def _tree_prices(length: int, n: int, precisions: Sequence[int], deepest: int):
+    """[(build, read)] for a tree of length coefficients modulo 2**n at each
+    depth 0, ..., deepest: its _tree_cost, and the _read_cost of one point
+    at every precision in precisions together."""
+    return [
+        (_tree_cost(length, n, depth), sum(_read_cost(length, m, depth) for m in precisions))
+        for depth in range(deepest + 1)
+    ]
+
+
+def _cheapest_depth(prices: Sequence[tuple[int, int]], points: int) -> int:
+    """The one depth rule of every tree of class heads: the depth of least
+    build + points * read over prices (_tree_prices), the shallowest of a tie."""
+    return min(range(len(prices)), key=lambda depth: prices[depth][0] + points * prices[depth][1])
+
+
+@functools.lru_cache(maxsize=128)
+def _head_masks(n: int, depth: int, terms: int) -> tuple[int, ...]:
+    """2**(n - s i) - 1 for each term i < terms of a class head at depth
+    s = depth, lowest term first; at depth 0 one shared 2**n - 1 for each.
+    One tuple per (n, s, terms), shared by every tree that reads it."""
+    if not depth:
+        return ((1 << n) - 1,) * terms
+    return tuple((1 << (n - depth * i)) - 1 for i in range(terms))
 
 
 def _head_tree(coeffs: Sequence[int], n: int, depth: int):
     """(depth, heads, masks): what _eval_heads reads to evaluate sum c_i x**i
-    modulo 2**n at depth s = depth. Depth 0 is the coefficients and the one
-    mask 2**n - 1, and builds nothing; above it the heads are _class_heads
-    and masks the masks of their terms' widths (_head_masks)."""
-    if not depth:
-        return 0, (coeffs,), ((1 << n) - 1,)
-    return depth, _class_heads(coeffs, n, depth), _head_masks(n, depth)
+    modulo 2**n at depth s = depth. The heads are _class_heads, at depth 0
+    the coefficients, which builds nothing, and masks the masks of their
+    terms' widths (_head_masks), at depth 0 2**n - 1 for every term."""
+    heads = _class_heads(coeffs, n, depth)
+    return depth, heads, _head_masks(n, depth, len(heads[0]))
+
+
+def _deepened(tree, n: int, depth: int):
+    """The same polynomial's tree modulo 2**n at depth `depth` from its tree
+    at a shallower depth: the missing levels grown from its heads
+    (_grown_heads), not rebuilt from the coefficients."""
+    start, heads, _ = tree
+    heads = _grown_heads(heads, n, start, depth)
+    return depth, heads, _head_masks(n, depth, len(heads[0]))
 
 
 def _slope_tree(tree, n: int):
-    """The tree of p' modulo 2**n from p's tree at depth s >= 1, which must
-    hold p modulo 2**N for some N >= n + s. As p(a + y) = sum_i c_i y**i,
+    """The tree of p' modulo 2**n from p's tree at depth s, which must hold
+    p modulo 2**N for some N >= n + s. As p(a + y) = sum_i c_i y**i,
     p'(a + y) = sum_i i c_i y**(i-1): its term i - 1 counts modulo
     2**(n - s(i-1)), no more than the 2**(N - s i) that c_i is kept to."""
     depth, heads, _ = tree
-    masks = _head_masks(n, depth)
+    masks = _head_masks(n, depth, _head_count(len(heads[0]) - 1, n, depth))
     slopes = tuple(
         tuple(map(operator.and_, map(operator.mul, range(1, len(head)), head[1:]), masks))
         for head in heads
@@ -450,18 +499,17 @@ def _slope_tree(tree, n: int):
 
 
 def _level_tree(tree, m: int):
-    """p's tree modulo 2**m from its tree modulo 2**N, N >= m, at depth s >= 1:
-    the same heads, read to ceil(m/s) terms, term i modulo 2**(m - s i)."""
+    """p's tree modulo 2**m from its tree modulo 2**N, N >= m: the same
+    heads, read to ceil(m/s) terms at depth s, term i modulo 2**(m - s i)."""
     depth, heads, _ = tree
-    return depth, heads, _head_masks(m, depth)
+    return depth, heads, _head_masks(m, depth, _head_count(len(heads[0]), m, depth))
 
 
 def _eval_heads(heads: Sequence[Sequence[int]], depth: int, x: int, masks: Sequence[int]) -> int:
     """The value at x, odd unless depth is 0, from (depth, heads, masks) of
-    _head_tree: _eval_masked at depth 0, above it Horner's rule in y = x - a
-    over the head of x's class a, each step masked to its term's width."""
-    if not depth:
-        return _eval_masked(heads[0], x, masks[0])
+    _head_tree: Horner's rule in y = x - a over the head of x's class a,
+    each step masked to its term's width; at depth 0, a = 0 and the head is
+    the coefficients."""
     a = x & ((1 << depth) - 1)
     y = x - a
     head = heads[a >> 1]
@@ -472,12 +520,12 @@ def _eval_heads(heads: Sequence[Sequence[int]], depth: int, x: int, masks: Seque
 
 
 def _head_values(tree, points: Iterable[int]) -> list[int]:
-    """Values of one polynomial at many odd points from its tree at depth
-    s >= 1 (_head_tree, _level_tree): _eval_heads, its loop inlined, as a
-    call per point costs as much as the few steps of a low ladder level."""
+    """Values of one polynomial at many odd points from its tree (_head_tree,
+    _level_tree), read to its masks' terms: _eval_heads, its loop inlined,
+    as a call per point costs as much as the few steps of a low ladder level."""
     depth, heads, masks = tree
     low = (1 << depth) - 1
-    terms = range(min(len(heads[0]), len(masks)) - 1, -1, -1)
+    terms = range(len(masks) - 1, -1, -1)
     values = []
     for x in points:
         a = x & low
@@ -490,39 +538,70 @@ def _head_values(tree, points: Iterable[int]) -> list[int]:
     return values
 
 
+def _kept_depth(length: int, n: int) -> int:
+    """The deepest tree an evaluator of length coefficients modulo 2**n
+    keeps: at most n - 1, and at most KEPT_TREE_RATIO times the bits of a
+    canonical form (_tree_bits), so 6 at n >= 11 for a degree-d p."""
+    form = sum(coeff_widths(n))
+    depth = 0
+    while depth < n - 1 and _tree_bits(length, n, depth + 1) <= KEPT_TREE_RATIO * form:
+        depth += 1
+    return depth
+
+
 @functools.lru_cache(maxsize=64)
-def _heads_due(length: int, n: int) -> int | None:
-    """The query at which _OddEvaluator builds the heads of length
-    coefficients at depth s = min(HEAD_DEPTH, n - 1), None if a query on
-    them saves nothing: where the _read_cost saved reaches their _tree_cost.
-    This is ski rental, within about twice the cheaper choice."""
-    depth = min(HEAD_DEPTH, n - 1)
-    saved = _read_cost(length, n, 0) - _read_cost(length, n, depth)
-    return -(-_tree_cost(length, n, depth) // saved) if saved > 0 else None
+def _stages(length: int, n: int) -> dict[int, int]:
+    """{q: s}: at its q-th query _OddEvaluator deepens its tree of length
+    coefficients modulo 2**n to depth s, the _cheapest_depth for q reads at
+    full width. So a stage comes due once the steps the deeper tree would
+    have saved over the queries so far pay for its missing levels, as in
+    ski rental. Depths stop at _kept_depth."""
+    prices = _tree_prices(length, n, (n,), _kept_depth(length, n))
+    stages, depth = {}, 0
+    while True:
+        build, read = prices[depth]
+        # the first query count at which a depth of cheaper reads costs less in all
+        due = [(more - build) // (read - less) + 1 for more, less in prices[depth + 1:] if less < read]
+        if not due:
+            return stages
+        queries = min(due)
+        depth = stages[queries] = _cheapest_depth(prices, queries)
+
+
+_DEEPENING = threading.Lock()  # makes an evaluator's depth check and tree swap one step
 
 
 class _OddEvaluator:
-    """One polynomial's values modulo 2**n at odd points: Horner's rule
-    over the coefficients (depth 0) until its class heads are due
-    (_heads_due), over the head of the point's class from then on.
-    (depth, heads, masks) is swapped in as one tuple, and racing threads
-    build the same heads, so a shared evaluator stays safe."""
+    """One polynomial's values modulo 2**n at odd points, through its tree of
+    class heads: depth 0, Horner's rule over the coefficients, at first, and
+    deeper at each of its _stages, grown from the heads it has (_deepened).
+    (depth, heads, masks) is swapped in as one tuple, only over a shallower
+    one, and each query count goes to one thread, so racing threads grow no
+    stage twice and a shared evaluator stays safe."""
 
-    __slots__ = ("_coeffs", "_n", "_state", "_queries", "_due")
+    __slots__ = ("_n", "_state", "_queries", "_stages")
 
     def __init__(self, coeffs: Sequence[int], n: int):
-        self._coeffs, self._n = coeffs, n
+        self._n = n
         self._state = _head_tree(coeffs, n, 0)
-        self._queries = 0
-        self._due = _heads_due(len(coeffs), n)
+        self._queries = itertools.count(1)
+        self._stages = _stages(len(coeffs), n)
 
     def __call__(self, x: int) -> int:
-        # the count a thread computes is its own, so some thread reaches _due exactly
-        queries = self._queries = self._queries + 1
-        if queries == self._due:
-            self._state = _head_tree(self._coeffs, self._n, min(HEAD_DEPTH, self._n - 1))
+        # next() on a count is one step under the GIL: no two calls see one count
+        depth = self._stages.get(next(self._queries))
+        if depth:
+            self._deepen(depth)
         depth, heads, masks = self._state
         return _eval_heads(heads, depth, x, masks)
+
+    def _deepen(self, depth: int) -> None:
+        tree = self._state
+        if tree[0] < depth:
+            tree = _deepened(tree, self._n, depth)
+            with _DEEPENING:
+                if self._state[0] < depth:
+                    self._state = tree
 
 
 def _node_values(poly, ctx: Context) -> list[int]:

@@ -12,10 +12,10 @@ nothing.
 
 Every apply and adjoint evaluates fixed polynomials at odd points, each
 through its own evaluator (poly._OddEvaluator), which reads the
-polynomial's class heads once they are due (poly._heads_due). A spec that
-answers a few queries, as one command line call does, builds no evaluator
-heads; each inversion reads p through one tree of its own
-(solve.invert_permutation).
+polynomial's class heads, deeper in stages as its queries add up
+(poly._stages). A spec that answers a few queries, as one command line
+call does, builds no evaluator heads; each inversion reads p through one
+tree of its own (solve.invert_permutation).
 """
 
 from __future__ import annotations

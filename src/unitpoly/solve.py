@@ -11,12 +11,13 @@ Inverse permutations find their node values, the preimages of the
 nodes, by two-adic Newton iteration up a ladder of precisions m = 2, ...,
 ceil(n/4), ceil(n/2), n; a step to precision m needs p only modulo 2**m
 and the slope p' only modulo 2**ceil(m/2). Both come off one tree of p's
-class heads (poly's _head_tree) at the depth s that _tree_depth prices
-for the whole ladder. Precision m reads the first ceil(m/s) terms of its
-heads (poly's _level_tree), and p''s heads, taken off p's once at
-ceil(n/2) (poly's _slope_tree), are read the same way. The composition
-check reads the full tree. The one fit of the preimages is the only
-solve, and no step builds a Context.
+class heads (poly's _head_tree) at the depth s that poly's one depth rule
+picks for the reads of the whole ladder (_tree_depth); at depth 0, for
+the smallest n, the tree is the coefficients. Precision m reads the first
+ceil(m/s) terms of its heads (poly's _level_tree), and p''s heads, taken
+off p's once at ceil(n/2) (poly's _slope_tree), are read the same way.
+The composition check reads the full tree. The one fit of the preimages
+is the only solve, and no step builds a Context.
 
 Arbitrary nodes can leave the system underdetermined, so they go through
 row reduction. Two is a zero divisor modulo 2**n, so Gaussian elimination
@@ -35,15 +36,15 @@ from .context import Context, checked_budget, coeff_widths, unit_inverse, unit_i
 from .errors import BudgetExceeded, NotAPermutation, NotAUnitFunction
 from .poly import (
     ReducedPoly,
+    _cheapest_depth,
     _coeffs_for,
     _fit_nodes,
     _head_tree,
     _head_values,
     _level_tree,
     _node_values,
-    _read_cost,
     _slope_tree,
-    _tree_cost,
+    _tree_prices,
     evaluate,  # unused here; perfbench's self-test reads solve.evaluate
     induces_function_on_units,
     induces_permutation_on_units,
@@ -64,22 +65,18 @@ def _ladder(n: int) -> list[int]:
 
 @functools.lru_cache(maxsize=64)
 def _tree_depth(length: int, n: int) -> int:
-    """The depth s of invert_permutation's tree of p, of length coefficients:
-    the s in [1, min(TREE_DEPTH_LIMIT, floor(n/2))] (past floor(n/2) the
-    top slope is out of reach) of least _tree_cost plus _read_cost at
-    d_n + 1 points for each precision read. For a degree-d p the picks rise
-    from 1 below n = 8 to 7 from n = 1960; each was the fastest or within
-    5 % of it in interleaved timings at n = 8 to 2048, but for 3 at
-    n = 128, 7 % behind 4."""
+    """The depth s of invert_permutation's tree of p, of length coefficients,
+    by poly's one depth rule (_cheapest_depth): the s in
+    [0, min(TREE_DEPTH_LIMIT, floor(n/2))] (past floor(n/2) the top slope
+    is out of reach) of least _tree_cost plus _read_cost at d_n + 1 points
+    for each precision read. For a degree-d p the picks are 0 at n = 2, 3,
+    4 and 7, and rise from 1 to 7 from n = 1960. In interleaved timings
+    each was the fastest or within 5 % of it at n = 8 to 2048, but for 3 at
+    n = 128, 7 % behind 4; at n = 2 to 15 each 0 was faster than 1."""
     ladder = _ladder(n)
     precisions = [*ladder, *((m + 1) // 2 for m in ladder), n]
-    points = len(coeff_widths(n))
-
-    def cost(depth: int) -> int:
-        reads = sum(_read_cost(length, m, depth) for m in precisions)
-        return _tree_cost(length, n, depth) + points * reads
-
-    return min(range(1, min(TREE_DEPTH_LIMIT, n // 2) + 1), key=cost)
+    prices = _tree_prices(length, n, precisions, min(TREE_DEPTH_LIMIT, n // 2))
+    return _cheapest_depth(prices, len(coeff_widths(n)))
 
 
 def _vandermonde_rows(nodes, width: int, ctx: Context) -> list[list[int]]:

@@ -39,19 +39,17 @@ def inversions(monkeypatch):
 
 @pytest.fixture
 def head_builds(monkeypatch):
-    """The coefficient vectors whose class heads an evaluator (poly._OddEvaluator)
-    builds, in order. Evaluators reach the heads through poly's own _head_tree;
-    invert_permutation builds its tree through solve's binding, so an inversion's
-    tree is not counted."""
+    """The stage switches of evaluators (poly._OddEvaluator), in order: (from depth,
+    to depth) for each tree an evaluator grows (poly._deepened). invert_permutation
+    builds its one tree through _head_tree, so an inversion's tree is not counted."""
     from unitpoly import poly
 
     calls = []
-    real = poly._head_tree
+    real = poly._deepened
 
-    def counting(coeffs, n, depth):
-        if depth:  # depth 0 is the coefficients themselves and builds nothing
-            calls.append(coeffs)
-        return real(coeffs, n, depth)
+    def counting(tree, n, depth):
+        calls.append((tree[0], depth))
+        return real(tree, n, depth)
 
-    monkeypatch.setattr(poly, "_head_tree", counting)
+    monkeypatch.setattr(poly, "_deepened", counting)
     return calls

@@ -1,6 +1,8 @@
 """Polynomial types, canonical reduction, and the parity predicates."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -207,8 +209,7 @@ def _check_heads_at(n, rng):
             assert _heads_agree(coeffs, n, depth, heads, rng)
             junk = _with_junk_above_each_width(heads, n, depth, rng)
             assert _heads_agree(coeffs, n, depth, junk, rng)
-            if depth:
-                _slopes_agree(coeffs, n, depth, rng)
+            _slopes_agree(coeffs, n, depth, rng)
 
 
 @pytest.mark.parametrize("n", range(2, 65))
@@ -221,11 +222,15 @@ def test_class_heads_match_exact_evaluation_at_a_random_n(rng):
 
 
 def test_depth_zero_is_horner_over_the_coefficients():
+    # one class, the coefficients, and one mask per term
     coeffs = (5, -3, 1 << 40, 7)
     assert poly._class_heads(coeffs, 8, 0) == (coeffs,)
-    assert poly._head_tree(coeffs, 8, 0) == (0, (coeffs,), (255,))
-    assert all(poly._eval_heads((coeffs,), 0, x, (255,)) == poly._eval_masked(coeffs, x, 255)
+    assert poly._head_tree(coeffs, 8, 0) == (0, (coeffs,), (255,) * 4)
+    assert all(poly._eval_heads((coeffs,), 0, x, (255,) * 4) == poly._eval_masked(coeffs, x, 255)
                for x in range(256))
+    assert poly._head_values(poly._level_tree(poly._head_tree(coeffs, 8, 0), 5), range(256)) == [
+        poly._eval_masked(coeffs, x, 31) for x in range(256)
+    ]
 
 
 @pytest.mark.parametrize("n, depth", [(12, 3), (24, 4), (40, 6)])
@@ -252,7 +257,7 @@ def test_the_tree_depth_rule_picks_a_depth_every_ladder_level_can_read():
     for n in (*range(2, 301), *range(512, 4097, 89), 4096):
         d = max_reduced_degree(n)
         for length in (2, d + 1, d + 5):
-            assert 1 <= solve._tree_depth(length, n) <= min(solve.TREE_DEPTH_LIMIT, n // 2)
+            assert 0 <= solve._tree_depth(length, n) <= min(solve.TREE_DEPTH_LIMIT, n // 2)
     # a degree-d p: each pick was within a few percent of the fastest depth in interleaved
     # timings of the whole inversion
     picks = {n: solve._tree_depth(max_reduced_degree(n) + 1, n) for n in (16, 64, 256, 1024, 2048)}
@@ -264,33 +269,141 @@ def test_evaluator_builds_its_heads_once_they_pay(head_builds, rng):
     ctx = Context(n)
     coeffs = next(_head_inputs(n, rng))
     evaluator = poly._OddEvaluator(coeffs, n)
-    # the first query by which the steps the heads save reach the cost of the tree
-    saved = poly._read_cost(len(coeffs), n, 0) - poly._read_cost(len(coeffs), n, 4)
-    due = poly._heads_due(len(coeffs), n)
-    assert (due - 1) * saved < poly._tree_cost(len(coeffs), n, 4) <= due * saved
-    for query in range(1, 3 * due):
+    # the prices the evaluator weighs: reads at full width, down to its deepest tree
+    prices = poly._tree_prices(len(coeffs), n, (n,), poly._kept_depth(len(coeffs), n))
+    assert poly._stages(len(coeffs), n) == {91: 4, 625: 6}
+    depths = [0]
+    for query in range(1, 2 * 625):
         x = rng.randrange(1 << n) | 1
         assert evaluator(x) == evaluate(coeffs, x, ctx)
-        assert len(head_builds) == (query >= due)
+        # after each query the tree is the one of least cost for that many reads
+        depth = poly._cheapest_depth(prices, query)
+        assert evaluator._state[0] == depth
+        if depth != depths[-1]:
+            # the first query by which the steps the deeper tree saves pay for its missing levels
+            (built, read), (more, less) = prices[depths[-1]], prices[depth]
+            assert (query - 1) * (read - less) <= more - built < query * (read - less)
+            depths.append(depth)
+    # each stage grew the tree before it, once
+    assert head_builds == [(0, 4), (4, 6)] == list(zip(depths, depths[1:]))
 
 
 def test_heads_are_due_at_one_priced_break_even_at_every_scale():
-    # one price for every tree: measured break-evens (tree build over the time a query
-    # saves) were about 149, 80, 116 and 67 queries at n = 16, 64, 256 and 1024
-    due = {n: poly._heads_due(len(Context(n).coeff_bits), n) for n in (16, 64, 256, 1024, 4096)}
-    assert due == {16: 91, 64: 228, 256: 129, 1024: 119, 4096: 117}
+    # one price for every tree: measured break-evens of a depth-4 tree (its build over the
+    # time a query saves) were about 149, 80, 116 and 67 queries at n = 16, 64, 256 and 1024
+    stages = {n: poly._stages(len(Context(n).coeff_bits), n) for n in (16, 64, 256, 1024, 4096)}
+    assert stages == {
+        16: {91: 4, 625: 6},
+        64: {228: 4, 521: 5, 1145: 6},
+        256: {87: 2, 141: 3, 257: 4, 541: 5, 986: 6},
+        1024: {69: 2, 162: 3, 300: 4, 587: 5, 1123: 6},
+        4096: {65: 2, 169: 3, 315: 4, 608: 5, 1177: 6},
+    }
+
+
+def test_evaluators_keep_trees_of_at_most_twelve_canonical_forms():
+    # a tree at depth s keeps about 2**s/s times p's bits: depth 6 (10.7) is kept, 7 (18.3) is not
+    for n in (*range(2, 80), 256, 1024, 4096):
+        length = len(Context(n).coeff_bits)
+        deepest = poly._kept_depth(length, n)
+        form = sum(Context(n).coeff_bits)
+        assert deepest == min(n - 1, 5 if n < 11 else 6)
+        assert poly._tree_bits(length, n, deepest) <= poly.KEPT_TREE_RATIO * form
+        if deepest < n - 1:
+            assert poly._tree_bits(length, n, deepest + 1) > poly.KEPT_TREE_RATIO * form
+        assert max(poly._stages(length, n).values(), default=0) <= deepest
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_evaluator_builds_no_heads_that_save_nothing(n, head_builds):
     # one class head would be as long as p itself
-    assert poly._heads_due(len(Context(n).coeff_bits), n) is None
+    assert poly._stages(len(Context(n).coeff_bits), n) == {}
     evaluator = poly._OddEvaluator((1, 1), n)
     for _ in range(200):
         assert [evaluator(x) for x in range(1, 1 << n, 2)] == [
             (x + 1) % (1 << n) for x in range(1, 1 << n, 2)
         ]
     assert head_builds == []
+
+
+def _check_grown_heads_at(n, rng):
+    for coeffs in _head_inputs(n, rng):
+        deepest = poly._kept_depth(len(coeffs), n)
+        trees = [poly._head_tree(coeffs, n, depth) for depth in range(deepest + 1)]
+        for start, tree in enumerate(trees):
+            for depth in range(start + 1, deepest + 1):
+                grown = poly._deepened(tree, n, depth)
+                assert grown == trees[depth]
+                assert grown[2] is trees[depth][2]
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_heads_grown_from_a_shallower_tree_equal_a_fresh_build(n, rng):
+    _check_grown_heads_at(n, rng)
+
+
+def test_heads_grown_from_a_shallower_tree_equal_a_fresh_build_at_a_random_n(rng):
+    _check_grown_heads_at(rng.randrange(65, 301), rng)
+
+
+def test_threads_racing_every_stage_switch_agree(head_builds, rng):
+    n = 16
+    ctx = Context(n)
+    coeffs = next(_head_inputs(n, rng))
+    evaluator = poly._OddEvaluator(coeffs, n)
+    points = [rng.randrange(1 << n) | 1 for _ in range(400)]
+    expected = [evaluate(coeffs, x, ctx) for x in points]
+    results = []
+
+    def query():
+        results.append([evaluator(x) for x in points])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=query) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(threads)
+    # 1600 queries, past both stages; each query count went to one thread, so each stage
+    # was grown at most once, and the last one is what the evaluator keeps
+    assert sorted(depth for _, depth in head_builds) in ([4, 6], [6])
+    assert evaluator._state == poly._head_tree(coeffs, n, 6)
+
+
+def test_a_shallower_tree_never_replaces_a_deeper_one(monkeypatch, rng):
+    n = 16
+    ctx = Context(n)
+    coeffs = next(_head_inputs(n, rng))
+    evaluator = poly._OddEvaluator(coeffs, n)
+    real = poly._deepened
+    growing, release = threading.Event(), threading.Event()
+
+    def held_at_depth_4(tree, n, depth):
+        if depth == 4:
+            growing.set()
+            assert release.wait(60)
+        return real(tree, n, depth)
+
+    monkeypatch.setattr(poly, "_deepened", held_at_depth_4)
+    shallow = threading.Thread(target=evaluator._deepen, args=(4,))
+    shallow.start()
+    try:
+        assert growing.wait(60)
+        evaluator._deepen(6)  # swapped in while the depth-4 tree is still growing
+    finally:
+        release.set()
+        shallow.join(timeout=60)
+    assert not shallow.is_alive()
+    assert evaluator._state == poly._head_tree(coeffs, n, 6)
+    evaluator._deepen(5)
+    assert evaluator._state[0] == 6
+    assert all(evaluator(x) == evaluate(coeffs, x, ctx) for x in range(1, 1 << 10, 2))
 
 
 @pytest.mark.parametrize(

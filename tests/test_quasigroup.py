@@ -1,5 +1,6 @@
 """k-ary quasigroups built from permutation polynomials."""
 
+import functools
 import json
 import random
 import sys
@@ -19,11 +20,14 @@ from unitpoly import (
     QuasigroupSpec,
     ReducedPoly,
     UnitPolyError,
+    evaluate,
+    invert_permutation,
     random_permutational_poly,
     reduce,
 )
+from unitpoly import poly
 from unitpoly import induces_permutation_on_units
-from unitpoly.oracle import oracle_function_of, oracle_is_latin_square
+from unitpoly.oracle import EVAL_BUDGET_N, oracle_function_of, oracle_is_latin_square
 from unitpoly.quasigroup import RANDOM_ARITY_BUDGET
 
 
@@ -435,24 +439,56 @@ def test_threads_sharing_a_spec_fill_its_slots_consistently(inversions):
 
 
 def _oracle_maps(spec):
-    """Each coordinate's odd and even halves as dicts over the odd residues,
-    from oracle tables, with their inverses."""
+    """Each coordinate's odd and even halves as functions on the odd residues,
+    looked up in oracle tables, with their inverses."""
     halves = []
     for idx in range(spec.k):
         pair = []
-        for poly in (spec.p_polys[idx], (spec.h_polys or spec.p_polys)[idx]):
-            table = oracle_function_of(poly, spec.n)
+        for half in (spec.p_polys[idx], (spec.h_polys or spec.p_polys)[idx]):
+            table = oracle_function_of(half, spec.n)
             forward = dict(zip(table.points(), table.values))
-            pair.append((forward, {v: x for x, v in forward.items()}))
+            pair.append((forward.__getitem__, {v: x for x, v in forward.items()}.__getitem__))
         halves.append(pair)
+    return halves
+
+
+def _horner_maps(spec):
+    """The halves of _oracle_maps by depth-0 Horner (evaluate) over each
+    polynomial and over its inverse (invert_permutation), each checked whole
+    against the oracle tables where those reach (n <= EVAL_BUDGET_N)."""
+    ctx = spec.ctx
+    halves = [
+        [
+            (functools.partial(evaluate, half, ctx=ctx),
+             functools.partial(evaluate, invert_permutation(half, ctx), ctx=ctx))
+            for half in (spec.p_polys[idx], (spec.h_polys or spec.p_polys)[idx])
+        ]
+        for idx in range(spec.k)
+    ]
+    if spec.n <= EVAL_BUDGET_N:
+        units = list(ctx.units())
+        for pair, oracle_pair in zip(halves, _oracle_maps(spec)):
+            for half, oracle_half in zip(pair, oracle_pair):
+                for f, g in zip(half, oracle_half):
+                    assert list(map(f, units)) == list(map(g, units))
     return halves
 
 
 def _oracle_glued(half_maps, a, mask, inverse=False):
     (p, p_inv), (h, h_inv) = half_maps
     if a & 1:
-        return (p_inv if inverse else p)[a]
-    return ((h_inv if inverse else h)[a + 1] - 1) & mask
+        return (p_inv if inverse else p)(a)
+    return ((h_inv if inverse else h)(a + 1) - 1) & mask
+
+
+def _oracle_apply(spec, maps, args):
+    mask = spec.ctx.mask
+    if spec.mode is Mode.UNIT_PRODUCT:
+        value = 1
+        for j, a in enumerate(args):
+            value = value * maps[j][0][0](a) & mask
+        return value
+    return sum(_oracle_glued(maps[j], a, mask) for j, a in enumerate(args)) & mask
 
 
 def _oracle_adjoint(spec, maps, i, probe):
@@ -461,36 +497,36 @@ def _oracle_adjoint(spec, maps, i, probe):
     if spec.mode is Mode.UNIT_PRODUCT:
         product = 1
         for j in others:
-            product = product * maps[j][0][0][probe[j]] & mask
-        return maps[idx][0][1][probe[idx] * pow(product, -1, mask + 1) & mask]
+            product = product * maps[j][0][0](probe[j]) & mask
+        return maps[idx][0][1](probe[idx] * pow(product, -1, mask + 1) & mask)
     acc = probe[idx] - sum(_oracle_glued(maps[j], probe[j], mask) for j in others)
     return _oracle_glued(maps[idx], acc & mask, mask, inverse=True)
 
 
+def _evaluators(spec):
+    return [e for slots in spec._evaluators.values() for e in slots]
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_queries_past_break_even_agree_with_the_oracle(mode, head_builds, inversions):
-    # n = 10: every evaluator builds its heads at its 87th query
+    # n = 10: every evaluator grows its tree at its 83rd, 97th and 121st queries
     spec = QuasigroupSpec.random(Context(10), 2, mode, random.Random(8))
-    maps, mask = _oracle_maps(spec), spec.ctx.mask
+    maps = _oracle_maps(spec)
     rng = random.Random(9)
     carrier = list(spec.carrier())
     for _ in range(300):
         args = [rng.choice(carrier) for _ in range(spec.k)]
-        expected = 1 if mode is Mode.UNIT_PRODUCT else 0
-        for j, a in enumerate(args):
-            if mode is Mode.UNIT_PRODUCT:
-                expected = expected * maps[j][0][0][a] & mask
-            else:
-                expected = expected + _oracle_glued(maps[j], a, mask) & mask
-        assert spec.apply(args) == expected
+        assert spec.apply(args) == _oracle_apply(spec, maps, args)
         for i in range(1, spec.k + 1):
             probe = list(args)
             probe[i - 1] = rng.choice(carrier)
             assert spec.adjoint(i, probe) == _oracle_adjoint(spec, maps, i, probe)
     polys = spec.p_polys + (spec.h_polys or ())
     assert sorted(inversions, key=lambda p: p.coeffs) == sorted(polys, key=lambda p: p.coeffs)
-    # each polynomial and each inverse built its heads once
-    assert len(head_builds) == 2 * len(polys)
+    # each polynomial and each inverse grew its tree once at each stage
+    assert poly._stages(len(spec.ctx.coeff_bits), 10) == {83: 3, 97: 4, 121: 5}
+    assert all(e._state[0] == 5 for e in _evaluators(spec))
+    assert sorted(head_builds) == sorted([(0, 3), (3, 4), (4, 5)] * 2 * len(polys))
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -538,30 +574,79 @@ def test_threads_sharing_a_fresh_spec_past_break_even_agree(mode, head_builds):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * len(threads)
-    # the shared spec went past break-even too: racing builds may repeat, never skip
-    assert len(head_builds) >= 2 * built
+    # the shared spec read each polynomial four times as often, so no tree of it is shallower
+    for key, slots in reference._evaluators.items():
+        for mine, theirs in zip(slots, shared._evaluators[key]):
+            assert (theirs._state[0] if theirs else 0) >= (mine._state[0] if mine else 0)
 
 
-def test_retained_heads_of_a_glued_spec_are_bounded():
-    n, k = 256, 3
-    spec = QuasigroupSpec.random(Context(n), k, Mode.RING_GLUED, random.Random(13))
-    rng = random.Random(14)
+def _glued_queries(n, k, seed):
+    """A RING_GLUED spec and a function that applies it count times to odd
+    arguments and count times to even ones, so each p and h reads as many."""
+    spec = QuasigroupSpec.random(Context(n), k, Mode.RING_GLUED, random.Random(seed))
+    rng = random.Random(seed + 1)
 
     def queries(count):
-        # odd arguments read p, even ones h
         for parity in (1, 0):
             for _ in range(count):
                 spec.apply([rng.getrandbits(n) & -2 | parity for _ in range(k)])
 
-    queries(100)
-    assert not any(e._state[0] for slots in spec._evaluators.values() for e in slots if e)
+    return spec, queries
+
+
+def _retained(queries, count):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        queries(100)  # past every break-even, 129 queries at n = 256
-        retained = tracemalloc.get_traced_memory()[0] - before
+        queries(count)
+        return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert all(e._state[0] == 4 for e in spec._evaluators[True, False] + spec._evaluators[False, False])
-    # six polynomials, each 8 heads of 64 falling-width terms: about 28 KiB
+
+
+def test_retained_heads_of_a_glued_spec_are_bounded():
+    spec, queries = _glued_queries(256, 3, 13)
+    queries(80)
+    assert not any(e._state[0] for e in _evaluators(spec) if e)  # the first stage: 87 queries
+    retained = _retained(queries, 120)  # 200 queries: past the stages at 87 and 141
+    assert [e._state[0] for e in _evaluators(spec) if e] == [3] * 6
+    # six polynomials, each 4 heads of 86 falling-width terms: about 20 KiB
     assert retained < 6 * (32 << 10)
+
+
+def test_retained_heads_at_the_deepest_stage_are_bounded():
+    spec, queries = _glued_queries(256, 3, 13)
+    queries(80)
+    assert not any(e._state[0] for e in _evaluators(spec) if e)
+    retained = _retained(queries, 920)  # 1000 queries: past the last stage, 986
+    assert [e._state[0] for e in _evaluators(spec) if e] == [6] * 6
+    # six polynomials, each 32 heads of 43 falling-width terms: about 74 KiB
+    assert retained < 6 * (80 << 10)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("fixed_n", (*range(10, 17), None))
+def test_answers_across_every_stage_switch_equal_horner_and_the_oracle(mode, fixed_n):
+    # None is one seeded n in 65..300
+    n = fixed_n or random.Random(15).randrange(65, 301)
+    spec = QuasigroupSpec.random(Context(n), 2, mode, random.Random(n))
+    maps = _horner_maps(spec)
+    stages = poly._stages(len(spec.ctx.coeff_bits), n)
+    deepest = max(stages.values())
+    rng = random.Random(16)
+    for round_ in range(4 * max(stages)):
+        # RING modes: odd and even rounds in turn; an even target leaves each adjoint's
+        # accumulated value with the round's parity, so each half and its inverse read alike
+        parity = 1 if mode is Mode.UNIT_PRODUCT else round_ & 1
+        args = [rng.getrandbits(n) & -2 | parity for _ in range(2)]
+        assert spec.apply(args) == _oracle_apply(spec, maps, args)
+        for i in (1, 2):
+            probe = list(args)
+            probe[i - 1] = rng.getrandbits(n) | 1 if mode is Mode.UNIT_PRODUCT else rng.getrandbits(n) & -2
+            assert spec.adjoint(i, probe) == _oracle_adjoint(spec, maps, i, probe)
+        if all(e and e._state[0] == deepest for e in _evaluators(spec)):
+            break
+    else:
+        raise AssertionError("an evaluator did not reach its last stage")
+
+

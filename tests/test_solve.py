@@ -342,7 +342,7 @@ def _value_mod(coeffs, x, n):
 def test_every_ladder_level_reads_p_and_its_slope_off_one_cut_tree(fixed_n, rng):
     # one tree of p modulo 2**n, read to ceil(m/s) terms, is p modulo 2**m at every rung m,
     # and its slope tree, built once at ceil(n/2), is p' modulo 2**ceil(m/2), at every
-    # depth 1..min(8, floor(n/2))
+    # depth 0..min(8, floor(n/2))
     n = fixed_n or rng.randrange(65, 301)
     ladder = solve._ladder(n)
     # one odd point in each class modulo 2**8, so in each class of every tree
@@ -351,7 +351,7 @@ def test_every_ladder_level_reads_p_and_its_slope_off_one_cut_tree(fixed_n, rng)
         p = _permutation_with_wide_coefficients(n, rng)
         slope = tuple(i * c for i, c in enumerate(p.coeffs))[1:]
         exact = [(_value_mod(p.coeffs, x, n), _value_mod(slope, x, n)) for x in points]
-        for depth in range(1, min(8, n // 2) + 1):
+        for depth in range(min(8, n // 2) + 1):
             tree = poly._head_tree(p.coeffs, n, depth)
             slope_tree = poly._slope_tree(tree, (n + 1) // 2)
             for m in ladder:
@@ -411,13 +411,14 @@ def _invert_at_depth(p, ctx, depth, monkeypatch):
 
 
 def test_inversion_through_a_forced_tree_depth_matches_horner_and_the_oracle(monkeypatch, rng):
-    # every depth the tree may have: from 1, where each head is Horner's rule in x - a
-    # over the Taylor coefficients at a, up to floor(n/2), where the top slope still reads it
+    # every depth the tree may have: from 0, Horner's rule over the coefficients, and 1, where
+    # each head is Horner's rule in x - a over the Taylor coefficients at a, up to floor(n/2),
+    # where the top slope still reads it
     for n in (rng.randrange(65, 301), *range(2, 65)):
         ctx = Context(n)
         for p in (random_permutational_poly(ctx, rng), _permutation_with_wide_coefficients(n, rng)):
             expected = interpolate(oracle_preimages(p, n), ctx)
-            for depth in range(1, min(8, n // 2) + 1):
+            for depth in range(min(8, n // 2) + 1):
                 assert _invert_at_depth(p, ctx, depth, monkeypatch) == expected
 
 
@@ -437,8 +438,8 @@ def test_inversion_reads_one_tree_where_the_rule_builds_one(monkeypatch, rng):
         monkeypatch.setattr(solve, "_tree_depth", rule)  # the rule, not a forced depth
         inverse = invert_permutation(p, ctx)
         assert trees == [rule(len(p.coeffs), n)]
-        # a second depth where there is one: at n = 2 and 3 only depth 1 is readable
-        other = trees[0] + 1 if trees[0] < n // 2 else max(trees[0] - 1, 1)
+        # a second readable depth: at n = 2 and 3 the rule picks 0, and 1 is the other
+        other = trees[0] + 1 if trees[0] < n // 2 else trees[0] - 1
         assert _invert_at_depth(p, ctx, other, monkeypatch) == inverse
         assert trees == [trees[0], other]
 
