@@ -34,25 +34,27 @@ conjugate_to_nonunits (every c_j = -1, exact). The products
 
 A polynomial evaluated at many odd points may go through the Taylor
 coefficients of its odd classes modulo 2**s, its class heads, from a
-2-adic tree of Taylor shifts by additions only (_class_heads; von zur
+2-adic tree of Taylor shifts by additions only (_grown_heads; von zur
 Gathen and Gerhard, "Fast algorithms for Taylor shifts and certain
 difference equations", ISSAC 1997). As 2**s divides x - a for x in class
 a, term i of a head counts only modulo 2**(n - s i): ceil(n/s) terms, and
 _eval_heads runs Horner's rule over them with each step masked to its
-term's falling width, one mask tuple per (n, s, terms) (_head_masks).
+term's falling width, one mask tuple per (n, s, terms) read (_head_masks).
 Depth 0 is one class, the coefficients themselves, with the mask 2**n - 1
 for every term: Horner's rule, as _eval_masked runs it for evaluate,
-_node_values and every _values_at. A tree read modulo 2**m for m <= n
-reads the same heads to ceil(m/s) terms (_level_tree), p''s tree comes off
-p's (_slope_tree), and a deeper tree grows from a shallower one's heads
-(_deepened). Every tree has one price, in one-word steps: _tree_cost to
-build it and _read_cost per point read, and one depth rule,
-_cheapest_depth: the depth of least build plus reads. invert_permutation
-applies it once, to the reads of its ladder. A quasigroup's polynomials
-go through _OddEvaluator, which applies it at every query count
-(_stages): it starts at depth 0 and deepens in stages, up to the deepest
-tree it may keep (_kept_depth, at most KEPT_TREE_RATIO times the bits of
-a canonical form).
+_node_values and every _values_at. Every tree is grown from a shallower
+one's heads, a fresh one from depth 0 (_head_tree), a deeper one from the
+tree it replaces (_deepened), and both pair their heads with masks in one
+place, _level_tree, which also reads a tree modulo 2**m for m <= n to
+ceil(m/s) terms; p''s tree comes off p's (_slope_tree). Every tree has
+one price, in one-word steps: _tree_cost to build it and _read_cost per
+point read, and one depth rule, _cheapest_depth: the depth of least build
+plus reads. Depths past floor(n/2) are never priced (_tree_prices), so
+every tree gives p' modulo 2**ceil(n/2). invert_permutation applies the
+rule once, to the reads of its ladder, up to solve's TREE_DEPTH_LIMIT. A
+quasigroup's polynomials go through _OddEvaluator, which applies it at
+every query count (_stages): it starts at depth 0 and deepens in stages,
+up to the deepest tree it may keep, KEPT_TREE_DEPTH.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from .context import two_adic_factorial_valuation
 from .errors import InconsistentTable, NotAPermutation
 
 WHOLE_TABLE_ENTRIES = 1 << 14  # most slots of T a row store keeps whole (0.42 MiB at n = 256)
-KEPT_TREE_RATIO = 12  # most bits an evaluator's tree keeps over a canonical form's: depth 6 from n = 11
+KEPT_TREE_DEPTH = 6  # deepest evaluator tree: 32 heads, about 11 times a canonical form's bits
 SHIFT_STEPS = 6  # one-word Horner steps a shifted term costs past its additions: 6.7 measured
 
 
@@ -385,36 +387,31 @@ def _shifted_class(heads: Sequence[int], level: int, masks: Sequence[int]) -> tu
 
 
 def _grown_heads(classes: Sequence[Sequence[int]], n: int, start: int, depth: int):
-    """The class heads at depth `depth` from classes, those at depth start:
-    levels start, ..., depth - 1 of the 2-adic tree of _class_heads. Level s
-    reads term i of a class only modulo 2**(n - s i), the width a head at
-    depth s keeps, so growing a tree from its heads is exact."""
+    """The class heads of sum c_i x**i at depth s = depth from classes, its
+    heads at depth start: for each odd a < 2**s, at index a >> 1, its first
+    ceil(n/s) Taylor coefficients at a, term i modulo 2**(n - s i). As
+    p(x) = sum_i heads[i] (x - a)**i and 2**s divides x - a, no later term
+    counts modulo 2**n. Depth 0 is the one class a = 0: the coefficients.
+
+    Levels start, ..., depth - 1 of a 2-adic tree of Taylor shifts: at
+    level s the class a stays, masked to the next level's widths, and
+    a + 2**s is its shift (_shifted_class); level 0 keeps only a = 1. Level
+    s reads term i of a class only modulo 2**(n - s i), the width a head at
+    depth s keeps, so growing a tree is exact. The levels' masks skip
+    _head_masks' cache, which keeps only those of depths trees are read at."""
     for level in range(start, depth):
-        masks = _head_masks(n, level + 1, _head_count(len(classes[0]), n, level + 1))
+        masks = _head_masks.__wrapped__(n, level + 1, _head_count(len(classes[0]), n, level + 1))
         kept = [tuple(map(operator.and_, t, masks)) for t in classes] if level else []
         classes = kept + [_shifted_class(t, level, masks) for t in classes]
     return tuple(classes)
 
 
-def _class_heads(coeffs: Sequence[int], n: int, depth: int) -> tuple[tuple[int, ...], ...]:
-    """The class heads of sum c_i x**i at depth s = depth: for each odd
-    a < 2**s, at index a >> 1, its first ceil(n/s) Taylor coefficients
-    at a, term i modulo 2**(n - s i). As p(x) = sum_i heads[i] (x - a)**i
-    and 2**s divides x - a, no later term counts modulo 2**n. Depth 0 is
-    the one class a = 0: the coefficients themselves.
-
-    A 2-adic tree of Taylor shifts, level by level from a = 0 (_grown_heads):
-    the class a stays, masked to the next level's widths, and a + 2**level
-    is its shift (_shifted_class). Level 0 keeps only the odd class, a = 1."""
-    return _grown_heads((tuple(coeffs),), n, 0, depth)
-
-
 def _tree_cost(length: int, n: int, depth: int) -> int:
-    """The cost of _class_heads for length coefficients modulo 2**n at depth
-    s = depth, in one-word steps: a shift to m terms from a class of w makes
-    sum_{j<m} (w - j - 1) additions of ceil(n/64) words each, and each of
-    its m terms costs SHIFT_STEPS more. Growing a tree from depth s to s'
-    costs the difference of the two."""
+    """The cost of a fresh tree (_head_tree) of length coefficients modulo
+    2**n at depth s = depth, in one-word steps: a shift to m terms from a
+    class of w makes sum_{j<m} (w - j - 1) additions of ceil(n/64) words
+    each, and each of its m terms costs SHIFT_STEPS more. Growing a tree
+    from depth s to s' costs the difference of the two."""
     total, width, words = 0, length, -(-n // 64)
     for level in range(depth):
         m = _head_count(length, n, level + 1)
@@ -432,21 +429,15 @@ def _read_cost(length: int, m: int, depth: int) -> int:
     return sum(-(-(m - depth * i) // 64) for i in range(terms)) * -(-m // 64)
 
 
-def _tree_bits(length: int, n: int, depth: int) -> int:
-    """The bits a tree of length coefficients modulo 2**n keeps at depth
-    s = depth >= 1: 2**(s-1) heads, term i of each n - s i bits wide. That
-    is about 2**s/s times the bits of a canonical form at every n."""
-    terms = _head_count(length, n, depth)
-    return (1 << (depth - 1)) * (terms * n - depth * terms * (terms - 1) // 2)
-
-
 def _tree_prices(length: int, n: int, precisions: Sequence[int], deepest: int):
     """[(build, read)] for a tree of length coefficients modulo 2**n at each
-    depth 0, ..., deepest: its _tree_cost, and the _read_cost of one point
-    at every precision in precisions together."""
+    depth 0, ..., min(deepest, floor(n/2)): its _tree_cost, and the
+    _read_cost of one point at every precision in precisions together. Past
+    floor(n/2) a tree could not give p' modulo 2**ceil(n/2) (_slope_tree),
+    so no tree is priced, or built, there."""
     return [
         (_tree_cost(length, n, depth), sum(_read_cost(length, m, depth) for m in precisions))
-        for depth in range(deepest + 1)
+        for depth in range(min(deepest, n // 2) + 1)
     ]
 
 
@@ -468,20 +459,18 @@ def _head_masks(n: int, depth: int, terms: int) -> tuple[int, ...]:
 
 def _head_tree(coeffs: Sequence[int], n: int, depth: int):
     """(depth, heads, masks): what _eval_heads reads to evaluate sum c_i x**i
-    modulo 2**n at depth s = depth. The heads are _class_heads, at depth 0
-    the coefficients, which builds nothing, and masks the masks of their
-    terms' widths (_head_masks), at depth 0 2**n - 1 for every term."""
-    heads = _class_heads(coeffs, n, depth)
-    return depth, heads, _head_masks(n, depth, len(heads[0]))
+    modulo 2**n at depth s = depth. The heads are grown from depth 0, the
+    coefficients, which builds nothing (_grown_heads), and masks the masks
+    of their terms' widths (_level_tree)."""
+    return _level_tree((depth, _grown_heads((tuple(coeffs),), n, 0, depth)), n)
 
 
 def _deepened(tree, n: int, depth: int):
     """The same polynomial's tree modulo 2**n at depth `depth` from its tree
     at a shallower depth: the missing levels grown from its heads
     (_grown_heads), not rebuilt from the coefficients."""
-    start, heads, _ = tree
-    heads = _grown_heads(heads, n, start, depth)
-    return depth, heads, _head_masks(n, depth, len(heads[0]))
+    start, heads = tree[:2]
+    return _level_tree((depth, _grown_heads(heads, n, start, depth)), n)
 
 
 def _slope_tree(tree, n: int):
@@ -499,9 +488,11 @@ def _slope_tree(tree, n: int):
 
 
 def _level_tree(tree, m: int):
-    """p's tree modulo 2**m from its tree modulo 2**N, N >= m: the same
-    heads, read to ceil(m/s) terms at depth s, term i modulo 2**(m - s i)."""
-    depth, heads, _ = tree
+    """p's tree modulo 2**m from (depth, heads, ...) of p modulo 2**N, N >= m:
+    the same heads, read to ceil(m/s) terms at depth s, term i modulo
+    2**(m - s i) (_head_masks), at depth 0 every term modulo 2**m. A tree
+    of p gets its masks here: _head_tree and _deepened end in it."""
+    depth, heads = tree[:2]
     return depth, heads, _head_masks(m, depth, _head_count(len(heads[0]), m, depth))
 
 
@@ -538,25 +529,15 @@ def _head_values(tree, points: Iterable[int]) -> list[int]:
     return values
 
 
-def _kept_depth(length: int, n: int) -> int:
-    """The deepest tree an evaluator of length coefficients modulo 2**n
-    keeps: at most n - 1, and at most KEPT_TREE_RATIO times the bits of a
-    canonical form (_tree_bits), so 6 at n >= 11 for a degree-d p."""
-    form = sum(coeff_widths(n))
-    depth = 0
-    while depth < n - 1 and _tree_bits(length, n, depth + 1) <= KEPT_TREE_RATIO * form:
-        depth += 1
-    return depth
-
-
 @functools.lru_cache(maxsize=64)
 def _stages(length: int, n: int) -> dict[int, int]:
     """{q: s}: at its q-th query _OddEvaluator deepens its tree of length
     coefficients modulo 2**n to depth s, the _cheapest_depth for q reads at
     full width. So a stage comes due once the steps the deeper tree would
     have saved over the queries so far pay for its missing levels, as in
-    ski rental. Depths stop at _kept_depth."""
-    prices = _tree_prices(length, n, (n,), _kept_depth(length, n))
+    ski rental. Depths stop at KEPT_TREE_DEPTH and floor(n/2) (_tree_prices),
+    so every kept tree can give its slope."""
+    prices = _tree_prices(length, n, (n,), KEPT_TREE_DEPTH)
     stages, depth = {}, 0
     while True:
         build, read = prices[depth]

@@ -66,16 +66,16 @@ def _ladder(n: int) -> list[int]:
 @functools.lru_cache(maxsize=64)
 def _tree_depth(length: int, n: int) -> int:
     """The depth s of invert_permutation's tree of p, of length coefficients,
-    by poly's one depth rule (_cheapest_depth): the s in
-    [0, min(TREE_DEPTH_LIMIT, floor(n/2))] (past floor(n/2) the top slope
-    is out of reach) of least _tree_cost plus _read_cost at d_n + 1 points
-    for each precision read. For a degree-d p the picks are 0 at n = 2, 3,
-    4 and 7, and rise from 1 to 7 from n = 1960. In interleaved timings
-    each was the fastest or within 5 % of it at n = 8 to 2048, but for 3 at
-    n = 128, 7 % behind 4; at n = 2 to 15 each 0 was faster than 1."""
+    by poly's one depth rule (_cheapest_depth): the s up to TREE_DEPTH_LIMIT
+    (and floor(n/2), where poly's _tree_prices stops so the top slope stays
+    in reach) of least _tree_cost plus _read_cost at d_n + 1 points for each
+    precision read. For a degree-d p the picks are 0 at n = 2, 3, 4 and 7,
+    and rise from 1 to 7 from n = 1960. In interleaved timings each was the
+    fastest or within 5 % of it at n = 8 to 2048, but for 3 at n = 128, 7 %
+    behind 4; at n = 2 to 15 each 0 was faster than 1."""
     ladder = _ladder(n)
     precisions = [*ladder, *((m + 1) // 2 for m in ladder), n]
-    prices = _tree_prices(length, n, precisions, min(TREE_DEPTH_LIMIT, n // 2))
+    prices = _tree_prices(length, n, precisions, TREE_DEPTH_LIMIT)
     return _cheapest_depth(prices, len(coeff_widths(n)))
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -402,6 +403,27 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "checks passed" in proc.stdout
+
+
+def test_package_and_cli_load_only_the_standard_library():
+    # the package has no runtime dependencies: an isolated interpreter, blind to
+    # PYTHONPATH and the user's site, imports it and runs its selftest on the stdlib alone
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        "import unitpoly, unitpoly.cli\n"
+        "code = unitpoly.cli.run(['selftest'])\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(code, sorted(loaded - set(sys.stdlib_module_names) - {'unitpoly'}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "15/15 checks passed" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_qg_commands_invert_only_for_adjoint(capsys, tmp_path, inversions):

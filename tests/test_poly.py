@@ -204,7 +204,7 @@ def _slopes_agree(coeffs, n, depth, rng):
 def _check_heads_at(n, rng):
     for coeffs in _head_inputs(n, rng):
         for depth in range(min(6, n - 1) + 1):
-            heads = poly._class_heads(coeffs, n, depth)
+            heads = poly._head_tree(coeffs, n, depth)[1]
             assert len(heads) == max(1, (1 << depth) // 2)
             assert _heads_agree(coeffs, n, depth, heads, rng)
             junk = _with_junk_above_each_width(heads, n, depth, rng)
@@ -224,7 +224,6 @@ def test_class_heads_match_exact_evaluation_at_a_random_n(rng):
 def test_depth_zero_is_horner_over_the_coefficients():
     # one class, the coefficients, and one mask per term
     coeffs = (5, -3, 1 << 40, 7)
-    assert poly._class_heads(coeffs, 8, 0) == (coeffs,)
     assert poly._head_tree(coeffs, 8, 0) == (0, (coeffs,), (255,) * 4)
     assert all(poly._eval_heads((coeffs,), 0, x, (255,) * 4) == poly._eval_masked(coeffs, x, 255)
                for x in range(256))
@@ -236,7 +235,7 @@ def test_depth_zero_is_horner_over_the_coefficients():
 @pytest.mark.parametrize("n, depth", [(12, 3), (24, 4), (40, 6)])
 def test_a_flipped_bit_in_any_class_head_is_caught(n, depth, rng):
     coeffs = next(_head_inputs(n, rng))
-    heads = poly._class_heads(coeffs, n, depth)
+    heads = poly._head_tree(coeffs, n, depth)[1]
     assert _heads_agree(coeffs, n, depth, heads, rng)
     for index, head in enumerate(heads):
         for i, term in enumerate(head):
@@ -270,7 +269,7 @@ def test_evaluator_builds_its_heads_once_they_pay(head_builds, rng):
     coeffs = next(_head_inputs(n, rng))
     evaluator = poly._OddEvaluator(coeffs, n)
     # the prices the evaluator weighs: reads at full width, down to its deepest tree
-    prices = poly._tree_prices(len(coeffs), n, (n,), poly._kept_depth(len(coeffs), n))
+    prices = poly._tree_prices(len(coeffs), n, (n,), poly.KEPT_TREE_DEPTH)
     assert poly._stages(len(coeffs), n) == {91: 4, 625: 6}
     depths = [0]
     for query in range(1, 2 * 625):
@@ -301,17 +300,46 @@ def test_heads_are_due_at_one_priced_break_even_at_every_scale():
     }
 
 
-def test_evaluators_keep_trees_of_at_most_twelve_canonical_forms():
+def _kept_bits(n, depth, rng):
+    """The bits of the heads of a degree-d p's tree at depth s = depth >= 1,
+    term i of each n - s i wide: summed over the built heads up to n = 300,
+    above that by the width formula, 2**(s-1) heads of ceil(n/s) terms."""
+    if n <= 300:
+        heads = poly._head_tree(next(_head_inputs(n, rng)), n, depth)[1]
+        return sum(n - depth * i for head in heads for i in range(len(head)))
+    terms = -(-n // depth)
+    return (1 << (depth - 1)) * (terms * n - depth * terms * (terms - 1) // 2)
+
+
+def test_evaluators_keep_trees_of_at_most_twelve_canonical_forms(rng):
     # a tree at depth s keeps about 2**s/s times p's bits: depth 6 (10.7) is kept, 7 (18.3) is not
     for n in (*range(2, 80), 256, 1024, 4096):
         length = len(Context(n).coeff_bits)
-        deepest = poly._kept_depth(length, n)
-        form = sum(Context(n).coeff_bits)
-        assert deepest == min(n - 1, 5 if n < 11 else 6)
-        assert poly._tree_bits(length, n, deepest) <= poly.KEPT_TREE_RATIO * form
-        if deepest < n - 1:
-            assert poly._tree_bits(length, n, deepest + 1) > poly.KEPT_TREE_RATIO * form
-        assert max(poly._stages(length, n).values(), default=0) <= deepest
+        deepest = max(poly._stages(length, n).values(), default=0)
+        assert deepest <= min(poly.KEPT_TREE_DEPTH, n // 2) == min(6, n // 2)
+        if deepest:
+            assert _kept_bits(n, deepest, rng) <= 12 * sum(Context(n).coeff_bits)
+
+
+def _check_kept_slopes_at(n, rng):
+    # the top Newton level of an inversion reads p' modulo 2**ceil(n/2) off p's tree
+    half = (n + 1) // 2
+    for _ in range(4):
+        for coeffs in _head_inputs(n, rng):
+            slope = IntPoly([i * c for i, c in enumerate(coeffs)][1:])
+            for depth in poly._stages(len(Context(n).coeff_bits), n).values():
+                slopes = poly._slope_tree(poly._head_tree(coeffs, n, depth), half)
+                points = _head_points(n, depth, rng)
+                assert poly._head_values(slopes, points) == [slope(x) % (1 << half) for x in points]
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_every_kept_tree_gives_its_slope(n, rng):
+    _check_kept_slopes_at(n, rng)
+
+
+def test_every_kept_tree_gives_its_slope_at_a_random_n(rng):
+    _check_kept_slopes_at(rng.randrange(65, 301), rng)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -328,7 +356,7 @@ def test_evaluator_builds_no_heads_that_save_nothing(n, head_builds):
 
 def _check_grown_heads_at(n, rng):
     for coeffs in _head_inputs(n, rng):
-        deepest = poly._kept_depth(len(coeffs), n)
+        deepest = min(poly.KEPT_TREE_DEPTH, n // 2)
         trees = [poly._head_tree(coeffs, n, depth) for depth in range(deepest + 1)]
         for start, tree in enumerate(trees):
             for depth in range(start + 1, deepest + 1):
@@ -344,6 +372,19 @@ def test_heads_grown_from_a_shallower_tree_equal_a_fresh_build(n, rng):
 
 def test_heads_grown_from_a_shallower_tree_equal_a_fresh_build_at_a_random_n(rng):
     _check_grown_heads_at(rng.randrange(65, 301), rng)
+
+
+def test_only_the_depths_trees_are_read_at_keep_their_masks(rng):
+    # the levels a tree grows through would hold 2.6 MiB of masks at n = 4096
+    n = 64
+    coeffs = next(_head_inputs(n, rng))
+    poly._head_masks.cache_clear()
+    fresh = poly._head_tree(coeffs, n, 6)
+    assert poly._head_masks.cache_info().currsize == 1
+    poly._head_masks.cache_clear()
+    grown = poly._deepened(poly._head_tree(coeffs, n, 4), n, 6)
+    assert poly._head_masks.cache_info().currsize == 2
+    assert grown == fresh
 
 
 def test_threads_racing_every_stage_switch_agree(head_builds, rng):
