@@ -55,6 +55,14 @@ rule once, to the reads of its ladder, up to solve's TREE_DEPTH_LIMIT. A
 quasigroup's polynomials go through _OddEvaluator, which applies it at
 every query count (_stages): it starts at depth 0 and deepens in stages,
 up to the deepest tree it may keep, KEPT_TREE_DEPTH.
+
+Every preimage under a permutation p of the odd residues goes through one
+lift, _lifted: two-adic Newton iteration up the precisions m = 2, ...,
+ceil(n/2), n (_ladder), reading p modulo 2**m and p' modulo 2**ceil(m/2)
+off one tree (_level_tree, _slope_tree, _head_values), so depth 0 reads
+as class heads do. invert_permutation lifts its d+1 nodes through it, and
+_OddEvaluator.preimage one target through the evaluator's tree, checked
+by reading p at the answer at full width.
 """
 
 from __future__ import annotations
@@ -69,7 +77,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .census import keller_beta
-from .context import Context, checked_index, coeff_widths, unit_inverse
+from .context import Context, checked_index, coeff_widths, unit_inverse, unit_inverses
 from .context import two_adic_factorial_valuation
 from .errors import InconsistentTable, NotAPermutation
 
@@ -529,6 +537,41 @@ def _head_values(tree, points: Iterable[int]) -> list[int]:
     return values
 
 
+def _ladder(n: int) -> list[int]:
+    """The Newton precisions 2, ..., ceil(n/4), ceil(n/2), n, ascending:
+    each level starts from a root right to the ceiling of half its bits."""
+    levels = [n]
+    while levels[-1] > 2:
+        levels.append((levels[-1] + 1) // 2)
+    return levels[::-1]
+
+
+def _lifted(tree, targets: Sequence[int], n: int) -> list[int]:
+    """The preimages modulo 2**n of the odd targets under p, a permutation of
+    the odd residues, by two-adic Newton iteration for a simple root,
+    x <- x - (p(x) - c) / p'(x) from x = c (von zur Gathen and Gerhard,
+    "Modern Computer Algebra", ch. 9). p' is odd at every odd x, so a root
+    right to ceil(m/2) bits is one step from a root right to m bits, and the
+    steps climb the _ladder. Level m reads p modulo 2**m off tree, p's tree
+    modulo 2**N for some N >= n at a depth of at most floor(n/2), and p'
+    modulo 2**ceil(m/2) off p''s tree, taken off it once (_slope_tree), each
+    to its first terms (_level_tree); at m = 2 the slope is read modulo 2,
+    where it is 1. Depth 0, the coefficients, reads the same way. Nothing
+    here checks the result."""
+    slopes = _slope_tree(tree, (n + 1) // 2)
+    preimages = list(targets)
+    for m in _ladder(n):
+        level_mask = (1 << m) - 1
+        half = (m + 1) // 2
+        inverses = unit_inverses(_head_values(_level_tree(slopes, half), preimages), half)
+        values = _head_values(_level_tree(tree, m), preimages)
+        preimages = [
+            (x - (y - c) * inverse) & level_mask
+            for x, y, c, inverse in zip(preimages, values, targets, inverses)
+        ]
+    return preimages
+
+
 @functools.lru_cache(maxsize=64)
 def _stages(length: int, n: int) -> dict[int, int]:
     """{q: s}: at its q-th query _OddEvaluator deepens its tree of length
@@ -569,12 +612,30 @@ class _OddEvaluator:
         self._stages = _stages(len(coeffs), n)
 
     def __call__(self, x: int) -> int:
+        depth, heads, masks = self._queried()
+        return _eval_heads(heads, depth, x, masks)
+
+    def preimage(self, c: int) -> int:
+        """The odd x with p(x) = c modulo 2**n, for odd c, lifted through the
+        evaluator's tree (_lifted). No kept tree is deeper than floor(n/2)
+        (_stages), so each gives p' modulo 2**ceil(n/2). A lift counts as one
+        query, so a polynomial read only by lifts deepens too. x is checked
+        by reading p at it at full width; a mismatch is a RuntimeError."""
+        tree = self._queried()
+        (x,) = _lifted(tree, (c,), self._n)
+        depth, heads, masks = tree
+        if _eval_heads(heads, depth, x, masks) != c:
+            raise RuntimeError("lifted preimage failed its check")
+        return x
+
+    def _queried(self):
+        """The tree one more query reads, deepened first if the query is due
+        at a stage."""
         # next() on a count is one step under the GIL: no two calls see one count
         depth = self._stages.get(next(self._queries))
         if depth:
             self._deepen(depth)
-        depth, heads, masks = self._state
-        return _eval_heads(heads, depth, x, masks)
+        return self._state
 
     def _deepen(self, depth: int) -> None:
         tree = self._state

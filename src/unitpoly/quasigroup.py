@@ -5,17 +5,22 @@ residues, so the carrier is the odd residues. The two RING modes add
 permutations of the whole ring built piecewise from polynomials on the
 odd residues: RING_ADDITIVE extends each polynomial to even arguments by
 conjugation with x+1, RING_GLUED uses a second polynomial for the even
-half. Each coordinate's inverse permutation is computed on first use,
-by the adjoint that reads it, and kept on the spec, so adjoint solving
-never searches and building, applying or serializing a spec inverts
-nothing.
+half. Adjoint solving never searches, and building, applying or
+serializing a spec inverts nothing.
 
 Every apply and adjoint evaluates fixed polynomials at odd points, each
 through its own evaluator (poly._OddEvaluator), which reads the
 polynomial's class heads, deeper in stages as its queries add up
-(poly._stages). A spec that answers a few queries, as one command line
-call does, builds no evaluator heads; each inversion reads p through one
-tree of its own (solve.invert_permutation).
+(poly._stages). An adjoint needs one value of a polynomial's inverse.
+Until that inverse is due, the adjoint lifts its one preimage by Newton
+iteration through the polynomial's own evaluator, checked at full width
+(poly._OddEvaluator.preimage). The inverse is due at the polynomial's
+(d + 1)-th adjoint, d + 1 being its length, the number of preimages one
+inversion lifts: as in ski rental, the lifts so far then cost about what
+one inversion (solve.invert_permutation) does, so the spec inverts once
+and keeps the inverse's evaluator. A spec that answers a few queries, as
+one command line call does, builds no evaluator heads and inverts
+nothing.
 """
 
 from __future__ import annotations
@@ -82,9 +87,12 @@ class QuasigroupSpec:
     A spec holds one evaluator (poly._OddEvaluator) per polynomial it
     reads: each p and h, made by the first query that evaluates it, and at
     most one inverse per polynomial (2k for RING_GLUED, k otherwise),
-    computed by the first adjoint that reads it. Filling a slot is
-    idempotent, since every fill computes the same canonical form and the
-    same class heads, so a spec stays safe to share, as a Context is.
+    computed by the adjoint that brings the polynomial's count of adjoints
+    to its length d + 1; the adjoints before it lift their answers through
+    the polynomial's own evaluator. Filling a slot is idempotent, since
+    every fill computes the same canonical form and the same class heads,
+    and one adjoint alone gets the due count, so a slot is inverted at most
+    once and a spec stays safe to share, as a Context is.
     """
 
     def __init__(self, ctx: Context, mode, p_polys, h_polys=None):
@@ -107,10 +115,13 @@ class QuasigroupSpec:
             if h_polys is not None:
                 raise ValueError(f"mode {self.mode.value} does not take h polynomials")
             self.h_polys = None
-        # per (odd half, inverse): one evaluator slot per coordinate, filled on first use
+        # per (odd half, inverse): one evaluator slot per coordinate, filled on first use,
+        # an inverse's once it is due (_value)
         halves = (True,) if self.h_polys is None else (True, False)
         self._evaluators = {(odd, inverse): [None] * self.k
                             for odd in halves for inverse in (False, True)}
+        # per odd half: each coordinate's count of the adjoints that read its inverse
+        self._adjoints = {odd: [itertools.count(1) for _ in range(self.k)] for odd in halves}
 
     def _validate_polys(self, polys, label):
         for idx, p in enumerate(polys):
@@ -124,8 +135,7 @@ class QuasigroupSpec:
     def _evaluator(self, idx: int, odd: bool = True, inverse: bool = False) -> _OddEvaluator:
         """The evaluator of p[idx] (odd) or of the even half h[idx], or of
         its inverse, made on first use. The inverse is computed then, the
-        only inversion in this module."""
-        odd = odd or self.h_polys is None  # RING_ADDITIVE is RING_GLUED with h = p
+        only inversion in this module, and only once it is due (_value)."""
         slots = self._evaluators[odd, inverse]
         if slots[idx] is None:
             poly = (self.p_polys if odd else self.h_polys)[idx]
@@ -133,6 +143,20 @@ class QuasigroupSpec:
                 poly = invert_permutation(poly, self.ctx)
             slots[idx] = _OddEvaluator(poly.coeffs, self.n)
         return slots[idx]
+
+    def _value(self, idx: int, x: int, odd: bool = True, inverse: bool = False) -> int:
+        """The value at the odd x of p[idx] (odd) or of the even half h[idx],
+        or of its inverse. Until the inverse is due, each query lifts its
+        preimage through the polynomial's own evaluator (preimage); the
+        query that brings its count to the polynomial's length d + 1,
+        the number of preimages one inversion lifts, inverts it instead, and
+        every later query reads the inverse's evaluator."""
+        odd = odd or self.h_polys is None  # RING_ADDITIVE is RING_GLUED with h = p
+        if inverse and self._evaluators[odd, True][idx] is None:
+            # one query gets the due count, so racing threads invert a slot at most once
+            if next(self._adjoints[odd][idx]) != self.ctx.d + 1:
+                return self._evaluator(idx, odd).preimage(x)
+        return self._evaluator(idx, odd, inverse)(x)
 
     # -- carrier handling ---------------------------------------------------
 
@@ -159,8 +183,8 @@ class QuasigroupSpec:
         # the ring permutation acting as p[idx] on odd a and as h[idx],
         # conjugated by x+1, on even a (RING modes; inverses glue the same way)
         if a & 1:
-            return self._evaluator(idx, True, inverse)(a)
-        return (self._evaluator(idx, False, inverse)(a + 1) - 1) & self.ctx.mask
+            return self._value(idx, a, True, inverse)
+        return (self._value(idx, a + 1, False, inverse) - 1) & self.ctx.mask
 
     def apply(self, args) -> int:
         """The quasigroup operation on a full argument tuple."""
@@ -169,7 +193,7 @@ class QuasigroupSpec:
         if self.mode is Mode.UNIT_PRODUCT:
             out = 1
             for idx, a in enumerate(args):
-                out = (out * self._evaluator(idx)(a)) & mask
+                out = (out * self._value(idx, a)) & mask
             return out
         total = 0
         for idx, a in enumerate(args):
@@ -194,14 +218,14 @@ class QuasigroupSpec:
             others = 1
             for j in range(self.k):
                 if j != idx:
-                    others = (others * self._evaluator(j)(args[j])) & mask
+                    others = (others * self._value(j, args[j])) & mask
             acc = (target * unit_inverse(others, self.n)) & mask
-            return self._evaluator(idx, inverse=True)(acc)
+            return self._value(idx, acc, inverse=True)
         acc = target
         for j in range(self.k):
             if j != idx:
                 acc = (acc - self._glued(j, args[j])) & mask
-        # _glued reads only the half that acc falls in, so it inverts only that one
+        # _glued reads only the half that acc falls in, so it counts toward that inverse only
         return self._glued(idx, acc, inverse=True)
 
     # -- verification --------------------------------------------------------

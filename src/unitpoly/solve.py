@@ -8,16 +8,16 @@ products compute their node values pointwise from poly's _node_values,
 inverting all of them with a single unit_inverse.
 
 Inverse permutations find their node values, the preimages of the
-nodes, by two-adic Newton iteration up a ladder of precisions m = 2, ...,
-ceil(n/4), ceil(n/2), n; a step to precision m needs p only modulo 2**m
-and the slope p' only modulo 2**ceil(m/2). Both come off one tree of p's
-class heads (poly's _head_tree) at the depth s that poly's one depth rule
-picks for the reads of the whole ladder (_tree_depth); at depth 0, for
-the smallest n, the tree is the coefficients. Precision m reads the first
-ceil(m/s) terms of its heads (poly's _level_tree), and p''s heads, taken
-off p's once at ceil(n/2) (poly's _slope_tree), are read the same way.
-The composition check reads the full tree. The one fit of the preimages
-is the only solve, and no step builds a Context.
+nodes, through poly's one lift (_lifted): two-adic Newton iteration up a
+ladder of precisions m = 2, ..., ceil(n/4), ceil(n/2), n (poly's
+_ladder), where a step to precision m needs p only modulo 2**m and the
+slope p' only modulo 2**ceil(m/2). Both come off one tree of p's class
+heads (poly's _head_tree) at the depth s that poly's one depth rule picks
+for the reads of the whole ladder (_tree_depth); at depth 0, for the
+smallest n, the tree is the coefficients. p''s heads are taken off p's
+once at ceil(n/2) (poly's _slope_tree). The composition check reads the
+full tree. The one fit of the preimages is the only solve, and no step
+builds a Context.
 
 Arbitrary nodes can leave the system underdetermined, so they go through
 row reduction. Two is a zero divisor modulo 2**n, so Gaussian elimination
@@ -41,9 +41,9 @@ from .poly import (
     _fit_nodes,
     _head_tree,
     _head_values,
-    _level_tree,
+    _ladder,
+    _lifted,
     _node_values,
-    _slope_tree,
     _tree_prices,
     evaluate,  # unused here; perfbench's self-test reads solve.evaluate
     induces_function_on_units,
@@ -52,15 +52,6 @@ from .poly import (
 
 DEFAULT_SOLUTION_BUDGET = 1 << 12  # most fits interpolate_at_nodes enumerates by default
 TREE_DEPTH_LIMIT = 7  # deepest inversion tree: 64 heads; 8 was no faster at n = 4096, 11 MiB more
-
-
-def _ladder(n: int) -> list[int]:
-    """The Newton precisions 2, ..., ceil(n/4), ceil(n/2), n, ascending:
-    each level starts from a root right to the ceiling of half its bits."""
-    levels = [n]
-    while levels[-1] > 2:
-        levels.append((levels[-1] + 1) // 2)
-    return levels[::-1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -232,15 +223,14 @@ def invert_permutation(poly, ctx: Context) -> ReducedPoly:
     """Canonical polynomial inducing the inverse permutation.
 
     Finds the preimage of each standard node c by two-adic Newton
-    iteration x <- x - (p(x) - c) / p'(x), starting from x = c. The
-    permutation test makes p' odd at every odd x, so a root right to
-    ceil(m/2) bits is one step from a root right to m bits. The steps
-    climb the ladder m = 2, ..., ceil(n/2), n of the module notes, each
-    reading p modulo 2**m and p' modulo 2**ceil(m/2) off one tree of p's
-    class heads; at m = 2 the slope is read modulo 2, where it is 1. The
-    preimages are then fitted, and the result is checked by composition: p
-    itself is evaluated at every fitted preimage, at full precision,
-    through the same tree.
+    iteration x <- x - (p(x) - c) / p'(x), starting from x = c (poly's
+    _lifted). The permutation test makes p' odd at every odd x, so a root
+    right to ceil(m/2) bits is one step from a root right to m bits. The
+    steps climb the ladder m = 2, ..., ceil(n/2), n of the module notes,
+    each reading p modulo 2**m and p' modulo 2**ceil(m/2) off one tree of
+    p's class heads. The preimages are then fitted, and the result is
+    checked by composition: p itself is evaluated at every fitted
+    preimage, at full precision, through the same tree.
 
     Raises:
         NotAPermutation: the polynomial does not permute the odd residues.
@@ -250,17 +240,7 @@ def invert_permutation(poly, ctx: Context) -> ReducedPoly:
     coeffs = _coeffs_for(poly, ctx)
     nodes = ctx.interpolation_nodes
     tree = _head_tree(coeffs, ctx.n, _tree_depth(len(coeffs), ctx.n))
-    slopes = _slope_tree(tree, (ctx.n + 1) // 2)
-    preimages = list(nodes)
-    for m in _ladder(ctx.n):
-        level_mask = (1 << m) - 1
-        half = (m + 1) // 2
-        inverses = unit_inverses(_head_values(_level_tree(slopes, half), preimages), half)
-        values = _head_values(_level_tree(tree, m), preimages)
-        preimages = [
-            (x - (y - c) * inverse) & level_mask
-            for x, y, c, inverse in zip(preimages, values, nodes, inverses)
-        ]
+    preimages = _lifted(tree, nodes, ctx.n)
     inverse = _fit_nodes(preimages, ctx)
     if _head_values(tree, _node_values(inverse, ctx)) != list(nodes):
         raise RuntimeError("inverse failed its composition check")

@@ -441,6 +441,7 @@ def test_qg_commands_invert_only_for_adjoint(capsys, tmp_path, inversions):
     assert invoke(capsys, "qg", "apply", "--spec", str(spec), "--args", "3,5,10",
                   "--format", "json") == (0, '{"ok": {"value": "12"}}\n', "")
     assert inversions == []
+    # one adjoint on a freshly loaded spec is below its due count, d + 1 = 4: it lifts
     assert invoke(capsys, "qg", "adjoint", "--spec", str(spec), "--coord", "2",
                   "--args", "3,12,10") == (0, "5\n", "")
-    assert len(inversions) == 1
+    assert inversions == []

@@ -27,6 +27,7 @@ from unitpoly import (
     induces_permutation_on_units,
     interpolate,
     interpolate_at_nodes,
+    invert_permutation,
     keller_beta,
     keller_identity_check,
     max_reduced_degree,
@@ -322,13 +323,17 @@ def test_evaluators_keep_trees_of_at_most_twelve_canonical_forms(rng):
 
 
 def _check_kept_slopes_at(n, rng):
-    # the top Newton level of an inversion reads p' modulo 2**ceil(n/2) off p's tree
+    # the top Newton level of an inversion or a lift reads p' modulo 2**ceil(n/2) off p's
+    # tree: here off an evaluator's tree at depth 0 and at each of its stages
     half = (n + 1) // 2
     for _ in range(4):
         for coeffs in _head_inputs(n, rng):
             slope = IntPoly([i * c for i, c in enumerate(coeffs)][1:])
-            for depth in poly._stages(len(Context(n).coeff_bits), n).values():
-                slopes = poly._slope_tree(poly._head_tree(coeffs, n, depth), half)
+            evaluator = poly._OddEvaluator(coeffs, n)
+            for depth in (0, *poly._stages(len(coeffs), n).values()):
+                evaluator._deepen(depth)
+                assert evaluator._state[0] == depth
+                slopes = poly._slope_tree(evaluator._state, half)
                 points = _head_points(n, depth, rng)
                 assert poly._head_values(slopes, points) == [slope(x) % (1 << half) for x in points]
 
@@ -340,6 +345,60 @@ def test_every_kept_tree_gives_its_slope(n, rng):
 
 def test_every_kept_tree_gives_its_slope_at_a_random_n(rng):
     _check_kept_slopes_at(rng.randrange(65, 301), rng)
+
+
+def _permutations(n, rng):
+    """_head_inputs with their two parity conditions set, so each permutes the
+    odd residues."""
+    for coeffs in _head_inputs(n, rng):
+        coeffs[1] += ~sum(coeffs[1::2]) & 1
+        coeffs[0] += ~sum(coeffs) & 1
+        yield coeffs
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_lifted_preimages_match_brute_force_at_every_depth(n, rng):
+    # depth 0, the coefficients, and every depth an evaluator may keep
+    odd = range(1, 1 << n, 2)
+    for coeffs in _permutations(n, rng):
+        exact = IntPoly(coeffs)
+        preimage = {exact(x) % (1 << n): x for x in odd}
+        assert sorted(preimage) == list(odd)
+        for depth in range(min(poly.KEPT_TREE_DEPTH, n // 2) + 1):
+            tree = poly._head_tree(coeffs, n, depth)
+            lifted = poly._lifted(tree, odd, n)
+            assert lifted == [preimage[c] for c in odd]
+
+
+def test_lifted_preimages_equal_the_inverses_values_at_a_random_n(rng):
+    n = rng.randrange(65, 301)
+    ctx = Context(n)
+    for coeffs in _permutations(n, rng):
+        inverse = invert_permutation(coeffs, ctx)
+        evaluator = poly._OddEvaluator(coeffs, n)
+        for depth in (0, *poly._stages(len(coeffs), n).values()):
+            evaluator._deepen(depth)
+            for _ in range(8):
+                c = rng.randrange(1 << n) | 1
+                assert evaluator.preimage(c) == evaluate(inverse, c, ctx)
+
+
+def test_a_wrong_slope_fails_the_lifts_full_width_check(monkeypatch, rng):
+    n = 64
+    coeffs = next(_permutations(n, rng))
+    evaluator = poly._OddEvaluator(coeffs, n)
+    c = rng.randrange(1 << n) | 1
+    assert IntPoly(coeffs)(evaluator.preimage(c)) % (1 << n) == c
+    real = poly._slope_tree
+
+    def off_by_two(tree, m):
+        # p' + 2 is odd too, so every Newton step runs, but each gains one bit, not twice its bits
+        depth, slopes, masks = real(tree, m)
+        return depth, tuple((head[0] + 2, *head[1:]) for head in slopes), masks
+
+    monkeypatch.setattr(poly, "_slope_tree", off_by_two)
+    with pytest.raises(RuntimeError, match="lifted preimage failed its check"):
+        evaluator.preimage(c)
 
 
 @pytest.mark.parametrize("n", [2, 3])

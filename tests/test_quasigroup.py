@@ -1,5 +1,6 @@
 """k-ary quasigroups built from permutation polynomials."""
 
+import collections
 import functools
 import json
 import random
@@ -350,7 +351,7 @@ def test_random_spec_is_deterministic():
     assert a.to_json() == b.to_json()
 
 
-# -- inverses on first use -----------------------------------------------------
+# -- inverses once they are due -----------------------------------------------
 
 
 def test_building_applying_and_serializing_invert_nothing(inversions):
@@ -377,29 +378,82 @@ def _probe(spec, i, args):
     return probe
 
 
+def _due(spec):
+    """The adjoint count at which a spec inverts a polynomial it reads: its length, d + 1."""
+    return spec.ctx.d + 1
+
+
 def test_glued_adjoint_inverts_only_the_half_it_reads(inversions):
     # the adjoint's accumulated value has the parity of the argument it solves for
     spec = QuasigroupSpec.random(Context(16), 3, Mode.RING_GLUED, random.Random(3))
-    assert spec.adjoint(2, _probe(spec, 2, (4, 7, 10))) == 7
-    assert inversions == [spec.p_polys[1]]
+    due = _due(spec)
+    for _ in range(due - 1):
+        assert spec.adjoint(2, _probe(spec, 2, (4, 7, 10))) == 7
+    assert inversions == []
     assert spec.adjoint(2, _probe(spec, 2, (1, 9, 2))) == 9
     assert inversions == [spec.p_polys[1]]
-    assert spec.adjoint(2, _probe(spec, 2, (5, 12, 3))) == 12
+    for _ in range(due - 1):
+        assert spec.adjoint(2, _probe(spec, 2, (5, 12, 3))) == 12
+    assert inversions == [spec.p_polys[1]]
+    assert spec.adjoint(2, _probe(spec, 2, (6, 14, 1))) == 14
     assert inversions == [spec.p_polys[1], spec.h_polys[1]]
 
 
 def test_additive_adjoint_shares_one_inverse_per_coordinate(inversions):
+    # odd and even arguments count toward the one inverse of p[0]
     spec = QuasigroupSpec.random(Context(16), 2, Mode.RING_ADDITIVE, random.Random(4))
-    assert spec.adjoint(1, _probe(spec, 1, (7, 6))) == 7
-    assert spec.adjoint(1, _probe(spec, 1, (8, 6))) == 8
-    assert inversions == [spec.p_polys[0]]
+    due = _due(spec)
+    for query in range(1, due + 2):
+        b = 7 + query
+        assert spec.adjoint(1, _probe(spec, 1, (b, 6))) == b
+        assert inversions == ([spec.p_polys[0]] if query >= due else [])
 
 
 def test_unit_adjoint_inverts_its_own_coordinate_once(inversions):
     spec = QuasigroupSpec.random(Context(16), 3, Mode.UNIT_PRODUCT, random.Random(5))
-    for args in ((3, 5, 7), (9, 11, 13)):
+    due = _due(spec)
+    for query in range(1, due + 2):
+        args = (3, 5, 2 * query + 7)
         assert spec.adjoint(3, _probe(spec, 3, args)) == args[2]
-    assert inversions == [spec.p_polys[2]]
+        assert inversions == ([spec.p_polys[2]] if query >= due else [])
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("fixed_n", (16, None))
+def test_adjoints_below_at_and_above_the_due_count_agree(mode, fixed_n, inversions):
+    # None is one seeded n in 65..300; one probe read again and again, so one half counts up
+    n = fixed_n or random.Random(17).randrange(65, 301)
+    spec = QuasigroupSpec.random(Context(n), 2, mode, random.Random(n))
+    rng = random.Random(18)
+    args = [rng.getrandbits(n) | 1 for _ in range(2)]
+    probe = _probe(spec, 2, args)
+    answers = []
+    for query in range(1, _due(spec) + 3):
+        answers.append(spec.adjoint(2, probe))
+        assert len(inversions) == (query >= _due(spec))
+    assert answers == [args[1]] * len(answers)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("n", range(2, 13))
+def test_lifted_adjoints_match_the_oracle_at_every_depth(mode, n, inversions):
+    # below the due count every adjoint lifts, here through trees forced to depth 0, the
+    # coefficients, and to every depth an evaluator may keep
+    for depth in range(min(poly.KEPT_TREE_DEPTH, n // 2) + 1):
+        spec = QuasigroupSpec.random(Context(n), 2, mode, random.Random(n))
+        for odd, inverse in spec._evaluators:
+            for idx in range(spec.k):
+                if not inverse:
+                    spec._evaluator(idx, odd)._deepen(depth)
+        maps = _oracle_maps(spec)
+        rng = random.Random(depth)
+        carrier = list(spec.carrier())
+        for _ in range(_due(spec) - 1):
+            for i in (1, 2):
+                probe = [rng.choice(carrier) for _ in range(2)]
+                assert spec.adjoint(i, probe) == _oracle_adjoint(spec, maps, i, probe)
+        assert {e._state[0] for e in _evaluators(spec) if e} == {depth}
+    assert inversions == []
 
 
 def test_threads_sharing_a_spec_fill_its_slots_consistently(inversions):
@@ -411,6 +465,9 @@ def test_threads_sharing_a_spec_fill_its_slots_consistently(inversions):
         i = rng.randint(1, 3)
         cases.append((i, _probe(spec, i, args), args[i - 1]))
     expected = [b for _, _, b in cases]
+    # each adjoint reads the half of p[i-1] or h[i-1] that its answer's parity picks
+    reads = collections.Counter(id((spec.p_polys if b & 1 else spec.h_polys)[i - 1])
+                                for i, _, b in cases)
     results = []
 
     def solve():
@@ -429,10 +486,14 @@ def test_threads_sharing_a_spec_fill_its_slots_consistently(inversions):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * len(threads)
-    # racing fills may repeat an inversion, but each slot the cases read stays filled
-    filled = len(inversions)
+
+    def due_by(rounds):
+        return sorted(half for half, count in reads.items() if rounds * count >= _due(spec))
+
+    # racing threads invert each half once its count reaches the due count, and no half twice
+    assert sorted(map(id, inversions)) == due_by(4) != []
     assert [spec.adjoint(i, probe) for i, probe, _ in cases] == expected
-    assert len(inversions) == filled > 0
+    assert sorted(map(id, inversions)) == due_by(5)
 
 
 # -- class heads on queries ----------------------------------------------------
@@ -540,7 +601,7 @@ def test_one_query_per_polynomial_builds_no_heads(mode, head_builds, inversions)
         probe[i - 1] = value
         assert QuasigroupSpec.from_json(text).adjoint(i, probe) == args[i - 1]
     assert head_builds == []
-    assert len(inversions) == 3
+    assert inversions == []
 
 
 @pytest.mark.parametrize("mode", list(Mode))

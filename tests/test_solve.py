@@ -380,6 +380,8 @@ def test_inversion_evaluates_p_at_full_width_only_twice(n, monkeypatch, rng):
         raise AssertionError("the inversion changed basis")
 
     real_head_values, real_fit = solve._head_values, solve._fit_nodes
+    # the ladder reads p through poly's lift (poly._lifted), the composition check through solve
+    monkeypatch.setattr(poly, "_head_values", recording_head_values)
     monkeypatch.setattr(solve, "_head_values", recording_head_values)
     monkeypatch.setattr(solve, "_fit_nodes", recording_fits)
     monkeypatch.setattr(poly, "_to_newton", no_basis_change)
