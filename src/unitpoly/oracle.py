@@ -10,9 +10,10 @@ generators, rebuilt on every call, where the library fits node values,
 and the triangular solve from Newton coefficients reads every entry of
 its table off a closed sum, where the library climbs rows by recurrence;
 inverse permutations come from full-length Newton steps at each node,
-where the library climbs a precision ladder. Nothing calls the library's
-evaluation or rewriting code, so agreement between the two routes is
-meaningful evidence.
+where the library climbs a precision ladder, and roots grow one bit at a
+time, where the library lifts them a ladder level at a time. Nothing
+calls the library's evaluation or rewriting code, so agreement between
+the two routes is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -150,6 +151,27 @@ def oracle_preimages(poly, n: int) -> list[int]:
             x = (x - (value - c) * pow(slope, -1, modulus)) % modulus
         preimages.append(x)
     return preimages
+
+
+def oracle_roots(poly, n: int, branch_limit: int = 1 << 12) -> list[int]:
+    """All roots of the polynomial modulo 2**n, ascending, grown one bit at
+    a time: each root modulo 2**k is extended by both choices of bit k, and
+    those that are roots modulo 2**(k+1) are kept. Every value sums all
+    terms with plain powering and generic modulo. More than branch_limit
+    roots modulo some 2**(k+1) raise BudgetExceeded."""
+    coeffs = [int(c) for c in getattr(poly, "coeffs", poly)]
+    roots = [0]
+    for k in range(n):
+        modulus = 2 ** (k + 1)
+        roots = [
+            x
+            for r in roots
+            for x in (r, r + 2**k)
+            if sum(a * pow(x, i, modulus) for i, a in enumerate(coeffs)) % modulus == 0
+        ]
+        if len(roots) > branch_limit:
+            raise BudgetExceeded(f"oracle root search is capped at {branch_limit} roots per bit")
+    return sorted(roots)
 
 
 @dataclass(frozen=True)

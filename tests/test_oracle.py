@@ -25,6 +25,7 @@ from unitpoly.oracle import (
     oracle_max_reduced_degree,
     oracle_newton_of_power,
     oracle_reduce,
+    oracle_roots,
     oracle_solve,
 )
 
@@ -147,3 +148,25 @@ def test_bivariate_table_addition():
 def test_latin_square_rejects_repeats():
     assert not oracle_is_latin_square([[0, 1], [0, 1]])
     assert oracle_is_latin_square([[0, 1], [1, 0]])
+
+
+def test_oracle_roots_known_sets():
+    assert oracle_roots((-1, 0, 1), 4) == [1, 7, 9, 15]
+    assert oracle_roots((-1, 0, 1), 3) == [1, 3, 5, 7]
+    assert oracle_roots((1, 0, 1), 3) == []
+    assert oracle_roots((-5, 1), 4) == [5]
+    assert oracle_roots((0,), 3) == list(range(8))
+    # (x - 1)**2 vanishes modulo 64 exactly where 8 divides x - 1
+    assert oracle_roots((1, -2, 1), 6) == [1, 9, 17, 25, 33, 41, 49, 57]
+    with pytest.raises(BudgetExceeded):
+        oracle_roots((0,), 8, branch_limit=4)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_oracle_roots_match_the_definition(n):
+    modulus = 2**n
+    for coeffs in itertools.product(range(-2, 3), repeat=3):
+        roots = [
+            x for x in range(modulus) if sum(c * x**i for i, c in enumerate(coeffs)) % modulus == 0
+        ]
+        assert oracle_roots(coeffs, n) == roots
