@@ -19,18 +19,39 @@ once at ceil(n/2) (poly's _slope_tree). The composition check reads the
 full tree. The one fit of the preimages is the only solve, and no step
 builds a Context.
 
-Arbitrary nodes can leave the system underdetermined, so they go through
-row reduction. Two is a zero divisor modulo 2**n, so Gaussian elimination
-cannot divide freely. Rows are combined using only three moves that
-preserve the solution set exactly: adding an integer multiple of one row
-to another, swapping rows, and rescaling a row by an odd unit. Picking
-the pivot of minimal two-adic valuation in each column and normalizing
-away its odd part leaves a pure power of two on the diagonal.
+Arbitrary nodes go through one elimination to Howell form. The node x
+with value v is the augmented row [1, x, ..., x**d | v], kept as one int
+with a field of 2n + 1 bits per entry, column 0 on top. Two is a zero
+divisor modulo 2**n, so a column's pivot is its entry of least two-adic
+valuation, 2**e times an odd unit, which one product with the unit's
+inverse normalizes. Every other row then loses an exact multiple of the
+pivot row: one product with the pivot row negated once per column, one
+add, and one AND with the mask of each field's low n bits. A field holds
+any such product, so no carry crosses into the next. After a pivot with
+e > 0, the pivot row times 2**(n - e), zero in the pivot's column (the
+closure row), joins the rows still to reduce; so every constraint the
+pivot rows place on later columns gets a pivot of its own. A leftover row
+with a nonzero value then means no fit, and otherwise the fits number
+exactly 2**sum_c max(0, w_c - (n - e_c)), e_c = n on a column without a
+pivot: the solution budget is read before any fit is listed, and the
+elimination's own budget before it starts.
+
+The fits are listed from coefficient d down, the pivot rows' residuals
+kept in one int per prefix; coefficient c takes the values of its
+pivot's residual class in the box [0, 2**w_c). That range is never
+empty. By the Howell form, a canonical prefix that meets the later pivot
+rows has a completion g modulo 2**n, and g's canonical form (_solve)
+keeps that prefix. The two differ by a null polynomial, a combination of
+the 2**w_k N_k, so their top differing coefficient, at some k, differs by
+a nonzero multiple of 2**w_k modulo 2**n, which two entries of
+[0, 2**w_k) cannot: k <= c. So coefficient c of the form lies in the
+class and below 2**w_c, and no branch of the listing ends empty.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 from .context import Context, checked_budget, coeff_widths, unit_inverse, unit_inverses
 from .errors import BudgetExceeded, NotAPermutation, NotAUnitFunction
@@ -51,6 +72,10 @@ from .poly import (
 )
 
 DEFAULT_SOLUTION_BUDGET = 1 << 12  # most fits interpolate_at_nodes enumerates by default
+# most one-word steps interpolate_at_nodes' elimination may take by default (_elimination_price):
+# priced calls ran at 1.3e8 to 3.3e8 steps a second on a 2-core host, so this admits about
+# 3 to 8 s; d + 1 nodes pass up to n = 512 (4.3-4.7 s) and are refused from n = 1024 on
+DEFAULT_ELIMINATION_BUDGET = 1 << 30
 TREE_DEPTH_LIMIT = 7  # deepest inversion tree: 64 heads; 8 was no faster at n = 4096, 11 MiB more
 
 
@@ -70,66 +95,138 @@ def _tree_depth(length: int, n: int) -> int:
     return _cheapest_depth(prices, len(coeff_widths(n)))
 
 
-def _vandermonde_rows(nodes, width: int, ctx: Context) -> list[list[int]]:
-    mask = ctx.mask
+def _elimination_price(rows: int, width: int, n: int) -> int:
+    """One-word steps of interpolate_at_nodes' packed rows (_packed_rows)
+    and their elimination (_howell) for rows nodes over width columns
+    modulo 2**n, counted before either starts.
+
+    A step at column c works on the live part of a packed row, its
+    width + 1 - c fields of 2n + 1 bits: a product by an n-bit multiplier
+    costs that many words times ceil(n/64), and a closure row one word
+    each. Building a row by doubling costs about two such products at
+    column 0. Every row meets column 0 with the entry 1, so rows - 1 rows
+    move there and none is normalized. Row operations keep a Vandermonde
+    row's coefficients divisible by its leading entry's power of two
+    (they are the Newton form's products of node differences times
+    complete symmetric polynomials of the nodes), so a closure row
+    carries only the value, which no pivot moves: after column 0, each
+    column's pivot leaves for good and rows - c rows meet column c, one
+    normalized and the others moved.
+    """
+    field, words = 2 * n + 1, -(-n // 64)
+    lives = [-(-(width + 1 - col) * field // 64) for col in range(min(rows, width))]
+    price = 2 * rows * words * lives[0] if rows else 0
+    for col, live in enumerate(lives):
+        price += ((rows - max(col, 1)) * words + (col > 0)) * live
+    return price
+
+
+def _ones(count: int, n: int) -> int:
+    """A 1 at the bottom of each of count fields of 2n + 1 bits, by
+    doubling (a division would cost a product per field)."""
+    field = 2 * n + 1
+    ones, span = 1, 1
+    while span < count:
+        ones |= ones << span * field
+        span *= 2
+    return ones >> (span - count) * field
+
+
+def _low_bits(count: int, n: int) -> int:
+    """The low n bits of each of count fields of 2n + 1 bits: the AND that
+    takes every field modulo 2**n."""
+    ones = _ones(count, n)
+    return (ones << n) - ones
+
+
+def _packed_rows(nodes, values, width: int, n: int) -> list[int]:
+    """[1, x, ..., x**(width-1) | v] modulo 2**n for each node x and value
+    v, one int each with a field of 2n + 1 bits per entry: 1 in the top
+    field, v in the lowest. The powers double: the row's first span
+    fields times x**span, each field masked, are its next span."""
+    mask, field = (1 << n) - 1, 2 * n + 1
+    fields = _low_bits(width, n)
     rows = []
-    for node in nodes:
-        row = [1]
-        power = 1
-        for _ in range(width - 1):
-            power = (power * node) & mask
-            row.append(power)
-        rows.append(row)
+    for node, value in zip(nodes, values):
+        row, span, power = 1, 1, node
+        while span < width:
+            row = row << span * field | row * power & fields
+            power = power * power & mask
+            span *= 2
+        rows.append(row >> (span - width) * field << field | value)
     return rows
 
 
-def _echelon(rows: list[list[int]], rhs: list[int], ctx: Context) -> list[tuple[int, int, int]]:
-    """Row-reduce [rows | rhs] over Z_{2**n} in place.
+def _howell(rows: list[int], width: int, n: int) -> dict[int, tuple[int, int]] | None:
+    """Howell form of packed rows over Z_{2**n} (_packed_rows' layout).
 
-    For each column the surviving entry of minimal two-adic valuation is
-    swapped up, its odd part is cancelled by multiplying the row with the
-    part's inverse, and every lower entry (whose valuation cannot be
-    smaller) is cleared by subtracting an exact integer multiple.
+    Column by column, the row whose entry has the least two-adic
+    valuation e is the pivot; its odd part is cancelled by one product
+    with the inverse, and each other row loses an exact multiple of it,
+    one product with the pivot row negated once per column. If e > 0 the
+    pivot row times 2**(n - e), zero in this column, joins the rows still
+    to reduce: the closure row. Every row's fields above the column are
+    clear, so the live part of a row shrinks as the columns go.
 
     Returns:
-        Pivot triples (row, column, exponent), in order; the pivot entry
-        itself is 2**exponent. Columns without a pivot are free.
+        {column: (e, pivot row)} for the pivot columns, or None when a
+        leftover row has zero coefficients and a nonzero value: no fit.
     """
-    mask = ctx.mask
-    height = len(rows)
-    width = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
+    field = 2 * n + 1
+    tops = _ones(width + 1, n) << n
+    fields = _low_bits(width + 1, n)
+    pivots = {}
     for col in range(width):
-        if rank == height:
+        if not rows:
             break
-        best = -1
-        best_val = ctx.n
-        for i in range(rank, height):
-            entry = rows[i][col]
-            if entry:
-                val = (entry & -entry).bit_length() - 1
-                if val < best_val:
-                    best, best_val = i, val
-        if best < 0:
+        shift = (width - col) * field
+        entries = [row >> shift for row in rows]
+        low = functools.reduce(operator.or_, entries)
+        if not low:
             continue
-        rows[rank], rows[best] = rows[best], rows[rank]
-        rhs[rank], rhs[best] = rhs[best], rhs[rank]
-        odd = rows[rank][col] >> best_val
-        if odd != 1:
-            inv = unit_inverse(odd, ctx.n)
-            rows[rank] = [(inv * v) & mask for v in rows[rank]]
-            rhs[rank] = (inv * rhs[rank]) & mask
-        pivot_row = rows[rank]
-        for i in range(rank + 1, height):
-            entry = rows[i][col]
-            if entry:
-                m = entry >> best_val  # exact: best_val was minimal in this column
-                rows[i] = [(x - m * y) & mask for x, y in zip(rows[i], pivot_row)]
-                rhs[i] = (rhs[i] - m * rhs[rank]) & mask
-        pivots.append((rank, col, best_val))
-        rank += 1
-    return pivots
+        low &= -low  # 2**e, e the least valuation in the column
+        best = next(i for i, entry in enumerate(entries) if entry & low)
+        pivot, lead = rows.pop(best), entries.pop(best)
+        exponent = low.bit_length() - 1
+        if lead != low:
+            pivot = pivot * unit_inverse(lead >> exponent, n) & fields
+        negated = (tops >> col * field) - pivot  # 2**n less each field, from col down
+        for i, entry in enumerate(entries):
+            if entry:  # in place, so a large n holds one copy of the rows
+                rows[i] = rows[i] + (entry >> exponent) * negated & fields
+        if exponent:
+            closure = (pivot << n - exponent) & fields
+            if closure:
+                rows.append(closure)
+        pivots[col] = exponent, pivot
+    return None if any(rows) else pivots
+
+
+def _fits(pivots: dict[int, tuple[int, int]], exponents: list[int], ctx: Context) -> list[tuple]:
+    """Every canonical vector through the Howell form, coefficient d
+    first. The residual of pivot row j is field j of one int per prefix;
+    columns[k] holds -(entry k of row j) in field j, so choosing x_k adds
+    x_k * columns[k]. Column c then takes the values of its residual
+    class in [0, 2**w_c), never none (see the module notes)."""
+    n, width, mask = ctx.n, ctx.d + 1, ctx.mask
+    field = 2 * n + 1
+    residual, columns = 0, [0] * width
+    for j, (_, row) in pivots.items():
+        residual += (row & mask) << j * field
+        for k in range(width - 1, j, -1):
+            row >>= field  # entry k is now the lowest field
+            columns[k] += (-(row & mask) & mask) << j * field
+    fields = _low_bits(width, n)
+    level = [((), residual)]
+    for col in range(width - 1, -1, -1):
+        exponent, shift, column = exponents[col], col * field, columns[col]
+        bound, step = 1 << ctx.coeff_bits[col], 1 << n - exponent
+        level = [
+            ((x,) + prefix, residual + x * column & fields)
+            for prefix, residual in level
+            for x in range((residual >> shift & mask) >> exponent, bound, step)
+        ]
+    return [prefix for prefix, _ in level]
 
 
 def interpolate(values, ctx: Context) -> ReducedPoly:
@@ -150,7 +247,12 @@ def interpolate(values, ctx: Context) -> ReducedPoly:
 
 
 def interpolate_at_nodes(
-    nodes, values, ctx: Context, *, max_solutions: int | None = DEFAULT_SOLUTION_BUDGET
+    nodes,
+    values,
+    ctx: Context,
+    *,
+    max_solutions: int | None = DEFAULT_SOLUTION_BUDGET,
+    elimination_budget: int | None = DEFAULT_ELIMINATION_BUDGET,
 ) -> list[ReducedPoly]:
     """Every canonical polynomial agreeing with a table on arbitrary odd nodes.
 
@@ -158,65 +260,48 @@ def interpolate_at_nodes(
     system may be underdetermined, in which case free coefficients sweep
     their whole range and partially pinned ones branch over the residue
     classes the pivot power leaves open; the result is the complete
-    (possibly empty) solution set, sorted by coefficient vector.
+    (possibly empty) solution set, sorted by coefficient vector. Its size
+    is known from the Howell form before any fit is listed.
 
     Args:
         max_solutions: cap on the solution count, DEFAULT_SOLUTION_BUDGET
-            unless given (None lifts it); exceeding it raises BudgetExceeded
-            instead of enumerating an enormous set, and a negative one is
-            a ValueError.
+            unless given (None lifts it); a larger count raises
+            BudgetExceeded instead of enumerating an enormous set, and a
+            negative one is a ValueError.
+        elimination_budget: cap on the one-word steps of the elimination
+            (_elimination_price), DEFAULT_ELIMINATION_BUDGET unless given
+            (None lifts it); a dearer elimination raises BudgetExceeded
+            before it starts, and a negative one is a ValueError.
     """
     if max_solutions is not None:
         max_solutions = checked_budget(max_solutions, "max_solutions")
+    if elimination_budget is not None:
+        elimination_budget = checked_budget(elimination_budget, "elimination_budget")
     node_list = [ctx.check_unit(v) for v in nodes]
     value_list = [ctx.check_unit(v) for v in values]
     if len(node_list) != len(value_list):
         raise ValueError("nodes and values must have the same length")
     if len(set(node_list)) != len(node_list):
         raise ValueError("nodes must be distinct")
-    width = ctx.d + 1
-    rows = _vandermonde_rows(node_list, width, ctx)
-    rhs = list(value_list)
-    pivots = _echelon(rows, rhs, ctx)
-    for i in range(len(pivots), len(rows)):
-        if rhs[i]:
-            return []
-    pivot_for_col = {col: (row, exponent) for row, col, exponent in pivots}
-    mask = ctx.mask
-    solutions: list[tuple[int, ...]] = []
-    assignment = [0] * width
-
-    def candidates(col: int) -> range:
-        # values of coefficient col consistent with the ones above it
-        bound = 1 << ctx.coeff_bits[col]
-        if col not in pivot_for_col:
-            return range(bound)
-        row, exponent = pivot_for_col[col]
-        acc = rhs[row]
-        line = rows[row]
-        for k in range(col + 1, width):
-            acc = (acc - line[k] * assignment[k]) & mask
-        if acc & ((1 << exponent) - 1):
-            return range(0)
-        return range(acc >> exponent, bound, 1 << (ctx.n - exponent))
-
-    # depth-first over the columns, highest first; stack[i] feeds column width-1-i
-    stack = [iter(candidates(width - 1))]
-    while stack:
-        col = width - len(stack)
-        value = next(stack[-1], None)
-        if value is None:
-            stack.pop()
-            continue
-        assignment[col] = value
-        if col:
-            stack.append(iter(candidates(col - 1)))
-            continue
-        solutions.append(tuple(assignment))
-        if max_solutions is not None and len(solutions) > max_solutions:
-            raise BudgetExceeded(f"more than {max_solutions} polynomials fit the table")
-    solutions.sort()
-    return [ReducedPoly(coeffs, ctx.n) for coeffs in solutions]
+    n, width = ctx.n, ctx.d + 1
+    price = _elimination_price(len(node_list), width, n)
+    if elimination_budget is not None and price > elimination_budget:
+        raise BudgetExceeded(
+            f"eliminating {len(node_list)} nodes at n={n} takes {price} one-word steps, "
+            f"more than the elimination budget {elimination_budget} "
+            "(solve.DEFAULT_ELIMINATION_BUDGET unless raised)"
+        )
+    pivots = _howell(_packed_rows(node_list, value_list, width, n), width, n)
+    if pivots is None:
+        return []
+    exponents = [pivots[col][0] if col in pivots else n for col in range(width)]
+    bits = sum(max(0, w - n + e) for w, e in zip(ctx.coeff_bits, exponents))
+    if max_solutions is not None and 1 << bits > max_solutions:
+        raise BudgetExceeded(f"more than {max_solutions} polynomials fit the table")
+    fits = _fits(pivots, exponents, ctx)
+    if len(fits) != 1 << bits:
+        raise RuntimeError("the fits missed their count from the Howell form")
+    return [ReducedPoly(coeffs, n) for coeffs in sorted(fits)]
 
 
 def invert_permutation(poly, ctx: Context) -> ReducedPoly:

@@ -98,6 +98,21 @@ def test_interp_nodes_budget_at_large_n(capsys):
     assert json.loads(out)["error"]["type"] == "BudgetExceeded"
 
 
+def test_interp_nodes_inconsistent_table_prints_nothing(capsys):
+    code, out, err = invoke(capsys, "interp-nodes", "--n", "16", "--nodes", "8375,15491,42275",
+                            "--values", "27729,32407,1253", "--limit", "4")
+    assert (code, out, err) == (0, "", "")
+
+
+def test_interp_nodes_refuses_a_dear_elimination(capsys):
+    # d + 1 = 2049 nodes at n = 4096: refused by the elimination budget before it starts
+    nodes = ",".join(str(2 * i + 1) for i in range(2049))
+    code, out, err = invoke(capsys, "interp-nodes", "--n", "4096", "--nodes", nodes,
+                            "--values", nodes)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: BudgetExceeded: eliminating 2049 nodes at n=4096 takes ")
+
+
 def test_invert(capsys):
     code, out, _ = invoke(capsys, "invert", "--n", "4", "--poly", "5,1,1")
     assert (code, out) == (0, "13,5,1\n")

@@ -1,9 +1,11 @@
 """Interpolation, inversion, and the canonical-form product."""
 
 import itertools
+import operator
 import random
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,8 @@ def test_interp_nodes_has_a_default_budget():
     ("branch_limit", lambda budget: hensel_roots((1,), 4, branch_limit=budget)),
     ("max_solutions",
      lambda budget: interpolate_at_nodes([1], [1], Context(8), max_solutions=budget)),
+    ("elimination_budget",
+     lambda budget: interpolate_at_nodes([1, 3], [1, 1], Context(8), elimination_budget=budget)),
     ("budget", lambda budget: QuasigroupSpec.random(
         Context(4), 2, Mode.UNIT_PRODUCT, random.Random(0)).latin_check(budget=budget)),
 ])
@@ -235,6 +239,106 @@ def test_interp_nodes_cap_at_the_count_returns_the_uncapped_list(nodes, values):
     assert interpolate_at_nodes(nodes, values, ctx, max_solutions=len(fits)) == fits
     with pytest.raises(BudgetExceeded):
         interpolate_at_nodes(nodes, values, ctx, max_solutions=len(fits) - 1)
+
+
+@pytest.mark.parametrize("n, nodes, values", [
+    # a consistent prefix of the higher coefficients whose lower pivot rows then
+    # fail used to be searched branch by branch: over 10 s at n = 16, 1.5-2 s at 12
+    (16, (8375, 15491, 42275), (27729, 32407, 1253)),
+    (12, (485, 1985, 1273), (2081, 2347, 3465)),
+])
+def test_interp_nodes_inconsistent_tables_return_at_once(n, nodes, values):
+    start = time.perf_counter()
+    assert interpolate_at_nodes(nodes, values, Context(n), max_solutions=4) == []
+    assert time.perf_counter() - start < 0.5
+
+
+def _every_function(n):
+    """(coefficients, values at 1, 3, ..., 2**n - 1) of every canonical
+    vector, by brute force over oracle_enumerate_reduced; the values are
+    bytes, so n <= 8."""
+    modulus = 1 << n
+    points = range(1, modulus, 2)
+    # terms[i][c]: c * x**i at every point
+    terms = [
+        [[c * pow(x, i, modulus) for x in points] for c in range(1 << width)]
+        for i, width in enumerate(Context(n).coeff_bits)
+    ]
+    return [
+        (rp.coeffs, bytes(sum(at) % modulus for at in zip(*map(operator.getitem, terms, rp.coeffs))))
+        for rp in oracle_enumerate_reduced(n)
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_interp_nodes_against_brute_force_and_its_budget(n):
+    # consistent and random tables on 1 ... d + 3 nodes; the cap is exceeded
+    # exactly when the brute-force count is above it
+    rng = random.Random(n)
+    ctx = Context(n)
+    every = _every_function(n)
+    unit_valued = [table for _, table in every if all(v & 1 for v in table)]
+    for m in range(1, min(ctx.d + 3, 1 << (n - 1)) + 1):
+        for kind in ("consistent", "random") * 2:
+            nodes = rng.sample(range(1, 1 << n, 2), m)
+            if kind == "consistent":
+                table = rng.choice(unit_valued)
+                values = [table[x >> 1] for x in nodes]
+            else:
+                values = [rng.randrange(1, 1 << n, 2) for _ in nodes]
+            pick = operator.itemgetter(*(x >> 1 for x in nodes))
+            target = [0] * (1 << (n - 1))
+            for x, v in zip(nodes, values):
+                target[x >> 1] = v
+            want = pick(target)
+            expected = [coeffs for coeffs, table in every if pick(table) == want]
+            for budget in {0, 1, 3, 64, len(expected), max(len(expected) - 1, 0)}:
+                if len(expected) > budget:
+                    with pytest.raises(BudgetExceeded, match=f"more than {budget} polynomials"):
+                        interpolate_at_nodes(nodes, values, ctx, max_solutions=budget)
+                else:
+                    fits = interpolate_at_nodes(nodes, values, ctx, max_solutions=budget)
+                    assert [rp.coeffs for rp in fits] == expected
+
+
+def test_interp_nodes_elimination_is_refused_before_it_starts():
+    # d + 1 nodes at n = 4096, refused by price; a full echelon took 58 s already at n = 1024
+    ctx = Context(4096)
+    rng = random.Random(4096)
+    nodes = rng.sample(range(1, 1 << 40, 2), ctx.d + 1)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"more than the elimination budget 1073741824 "
+                       r"\(solve\.DEFAULT_ELIMINATION_BUDGET unless raised\)$"):
+        interpolate_at_nodes(nodes, nodes, ctx)
+    assert time.perf_counter() - start < 1.0
+    assert solve.DEFAULT_ELIMINATION_BUDGET == 1 << 30
+
+
+def test_interp_nodes_elimination_budget_at_its_price_runs_and_one_less_refuses():
+    ctx = Context(8)
+    nodes, values = (1, 5, 9, 13, 17), (9, 9, 9, 9, 9)  # 128 fits
+    price = solve._elimination_price(len(nodes), ctx.d + 1, ctx.n)
+    fits = interpolate_at_nodes(nodes, values, ctx)
+    assert interpolate_at_nodes(nodes, values, ctx, elimination_budget=price) == fits
+    assert interpolate_at_nodes(nodes, values, ctx, elimination_budget=None) == fits
+    with pytest.raises(BudgetExceeded, match=f"takes {price} one-word steps"):
+        interpolate_at_nodes(nodes, values, ctx, elimination_budget=price - 1)
+
+
+def test_interp_nodes_elimination_prices():
+    # one node is never eliminated against: at n = 4096 its row's build is all it costs
+    width = Context(4096).d + 1
+    assert solve._elimination_price(0, width, 4096) == 0
+    assert solve._elimination_price(1, width, 4096) * 16 < solve.DEFAULT_ELIMINATION_BUDGET
+    # the benchmark's calls, 33 nodes at n = 32, cost a ten-thousandth of the budget
+    assert solve._elimination_price(33, Context(32).d + 1, 32) * 10_000 < (
+        solve.DEFAULT_ELIMINATION_BUDGET
+    )
+    # d + 1 nodes are admitted up to n = 512 and refused from 1024
+    for n, admitted in ((512, True), (1024, False)):
+        width = Context(n).d + 1
+        assert (solve._elimination_price(width, width, n)
+                <= solve.DEFAULT_ELIMINATION_BUDGET) is admitted
 
 
 # -- functional inverse -------------------------------------------------------
