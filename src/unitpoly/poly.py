@@ -24,7 +24,12 @@ kept to the slot widths. Each Context gets one store of rows, built
 upward on its first solve and dropped with it: every row while the table
 has at most WHOLE_TABLE_ENTRIES slots (n <= 356), otherwise every
 (isqrt(d_n)+1)-th row, the solve rebuilding each block from its
-checkpoint as it reads down.
+checkpoint as it reads down. A Context that solves again is admitted to
+the whole table (admission on the second reference, as in Johnson and
+Shasha's 2Q, VLDB 1994): its second solve keeps the rows it rebuilds,
+while the whole table fits ROW_STORE_BYTES (n <= 1027), and swaps them
+in for the checkpoints, so later solves rebuild nothing. A one-shot
+solve keeps only the checkpoints.
 
 Every way back from a basis (x-c_0)(x-c_1)...(x-c_{k-1}) to monomials is
 one Horner fold, _expand, over one step, _times_linear (multiply by x - c,
@@ -58,11 +63,11 @@ up to the deepest tree it may keep, KEPT_TREE_DEPTH.
 
 Every preimage under a permutation p of the odd residues goes through one
 lift, _lifted: two-adic Newton iteration up the precisions m = 2, ...,
-ceil(n/2), n (_ladder), reading p modulo 2**m and p' modulo 2**ceil(m/2)
-off one tree (_level_tree, _slope_tree, _head_values), so depth 0 reads
-as class heads do. invert_permutation lifts its d+1 nodes through it, and
-_OddEvaluator.preimage one target through the evaluator's tree, checked
-by reading p at the answer at full width.
+ceil(n/2), n (context's _ladder), reading p modulo 2**m and p' modulo
+2**ceil(m/2) off one tree (_level_tree, _slope_tree, _head_values), so
+depth 0 reads as class heads do. invert_permutation lifts its d+1 nodes
+through it, and _OddEvaluator.preimage one target through the
+evaluator's tree, checked by reading p at the answer at full width.
 """
 
 from __future__ import annotations
@@ -71,17 +76,19 @@ import functools
 import itertools
 import math
 import operator
+import sys
 import threading
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .census import keller_beta
-from .context import Context, checked_index, coeff_widths, unit_inverse, unit_inverses
+from .context import Context, _ladder, checked_index, coeff_widths, unit_inverse, unit_inverses
 from .context import two_adic_factorial_valuation
 from .errors import InconsistentTable, NotAPermutation
 
 WHOLE_TABLE_ENTRIES = 1 << 14  # most slots of T a row store keeps whole (0.42 MiB at n = 256)
+ROW_STORE_BYTES = 1 << 24  # most bytes a reused Context's whole table may take (_table_bytes)
 KEPT_TREE_DEPTH = 6  # deepest evaluator tree: 32 heads, about 11 times a canonical form's bits
 SHIFT_STEPS = 6  # one-word Horner steps a shifted term costs past its additions: 6.7 measured
 
@@ -537,15 +544,6 @@ def _head_values(tree, points: Iterable[int]) -> list[int]:
     return values
 
 
-def _ladder(n: int) -> list[int]:
-    """The Newton precisions 2, ..., ceil(n/4), ceil(n/2), n, ascending:
-    each level starts from a root right to the ceiling of half its bits."""
-    levels = [n]
-    while levels[-1] > 2:
-        levels.append((levels[-1] + 1) // 2)
-    return levels[::-1]
-
-
 def _lifted(tree, targets: Sequence[int], n: int) -> list[int]:
     """The preimages modulo 2**n of the odd targets under p, a permutation of
     the odd residues, by two-adic Newton iteration for a simple root,
@@ -747,7 +745,20 @@ def _build_rows(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return step, tuple(rows)
 
 
-# each Context's row store, built on its first solve; it lives exactly as long as the Context
+@functools.lru_cache(maxsize=64)
+def _table_bytes(n: int) -> int:
+    """The bytes the whole table T at precision n takes as a row store, at
+    most: row i is a tuple of i + 1 ints, slot k below 2**w_k, and
+    sys.getsizeof gives each object's size."""
+    masks = _slot_masks(n)
+    d = len(masks) - 1
+    pointer = sys.getsizeof((0,)) - sys.getsizeof(())
+    slots = sum((d + 1 - k) * (sys.getsizeof(mask) + pointer) for k, mask in enumerate(masks))
+    return slots + (d + 1) * sys.getsizeof(())
+
+
+# each Context's row store, built on its first solve and grown to the whole table on its
+# second (_rows_down); it lives exactly as long as the Context
 _row_stores: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -755,8 +766,14 @@ def _rows_down(ctx: Context):
     """(i, T(i, .)) for i from d_n down to 0, n = ctx.n, slot k modulo
     2**w_k, from ctx's row store. Stored rows are yielded as they are;
     between checkpoints each block's rows are rebuilt upward from its
-    checkpoint, then yielded from its top row down."""
+    checkpoint, then yielded from its top row down. A store that was there
+    before this call (ctx has solved before) keeps what it rebuilds, while
+    the whole table fits ROW_STORE_BYTES (_table_bytes): after the last row
+    the whole table, stride 1, replaces the checkpoints, so later solves
+    on ctx rebuild nothing. A Context that solves once keeps only its
+    checkpoints."""
     store = _row_stores.get(ctx)
+    reused = store is not None
     if store is None:
         # racing threads may both build; setdefault keeps the first store
         store = _row_stores.setdefault(ctx, _build_rows(ctx.n))
@@ -764,12 +781,19 @@ def _rows_down(ctx: Context):
     if step == 1:
         yield from zip(range(ctx.d, -1, -1), reversed(rows))
         return
+    keep = reused and _table_bytes(ctx.n) <= ROW_STORE_BYTES
     masks = _slot_masks(ctx.n)
+    blocks = []
     for base in range(ctx.d - ctx.d % step, -1, -step):
         block = [rows[base // step]]
         for _ in range(base + 1, min(base + step, ctx.d + 1)):
             block.append(_times_x(block[-1], 0, masks))
+        if keep:
+            blocks.append(block)
         yield from zip(range(base + len(block) - 1, -1, -1), reversed(block))
+    if keep:
+        # racing threads may both grow it; each swaps in the same table
+        _row_stores[ctx] = (1, tuple(tuple(row) for block in reversed(blocks) for row in block))
 
 
 def _solve(newton: Sequence[int], ctx: Context) -> list[int]:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import checked_budget, checked_index, unit_inverse  # unit_inverse: re-exported
+from .context import _ladder, checked_budget, checked_index
+from .context import unit_inverse  # re-exported
 from .errors import BudgetExceeded
-from .poly import _as_coeffs, _eval_masked, _ladder
+from .poly import _as_coeffs, _eval_masked
 
 DEFAULT_BRANCH_LIMIT = 1 << 20
 

@@ -9,7 +9,7 @@ inverting all of them with a single unit_inverse.
 
 Inverse permutations find their node values, the preimages of the
 nodes, through poly's one lift (_lifted): two-adic Newton iteration up a
-ladder of precisions m = 2, ..., ceil(n/4), ceil(n/2), n (poly's
+ladder of precisions m = 2, ..., ceil(n/4), ceil(n/2), n (context's
 _ladder), where a step to precision m needs p only modulo 2**m and the
 slope p' only modulo 2**ceil(m/2). Both come off one tree of p's class
 heads (poly's _head_tree) at the depth s that poly's one depth rule picks
@@ -53,7 +53,7 @@ from __future__ import annotations
 import functools
 import operator
 
-from .context import Context, checked_budget, coeff_widths, unit_inverse, unit_inverses
+from .context import Context, _ladder, checked_budget, coeff_widths, unit_inverse, unit_inverses
 from .errors import BudgetExceeded, NotAPermutation, NotAUnitFunction
 from .poly import (
     ReducedPoly,
@@ -62,7 +62,6 @@ from .poly import (
     _fit_nodes,
     _head_tree,
     _head_values,
-    _ladder,
     _lifted,
     _node_values,
     _tree_prices,

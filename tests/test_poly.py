@@ -729,6 +729,92 @@ def test_solve_matches_the_oracle_on_both_sides_of_the_whole_table(n, whole, rng
     assert poly._solve(newton, Context(n)) == oracle_solve(newton, n)
 
 
+def _stride(ctx):
+    return poly._row_stores[ctx][0]
+
+
+def _oracle_solve_by_reduce(newton, n):
+    # oracle_solve takes about 14 s at n = 600; oracle_reduce of the same function,
+    # sum newton[k] N_k written out in monomials, takes about 2.5 s
+    ctx = Context(n)
+    return list(oracle_reduce(poly._expand(newton, ctx.interpolation_nodes, ctx.mask), n).coeffs)
+
+
+def test_a_reused_context_keeps_its_whole_table(rng):
+    # the first solve keeps checkpoints; the second keeps every row it rebuilds and swaps
+    # the whole table in, within the byte budget; the third reads it
+    n = 600
+    inputs = [_newton_vector(n, rng) for _ in range(3)]
+    expected = [poly._solve(newton, Context(n)) for newton in inputs]
+    ctx = Context(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        first = poly._solve(inputs[0], ctx)
+        checkpoints = _stride(ctx)
+        second = poly._solve(inputs[1], ctx)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert checkpoints > 1
+    assert _stride(ctx) == 1
+    # about 3.5 MiB: the estimate bounds what the store keeps, and the budget bounds both
+    assert retained <= poly._table_bytes(n) <= poly.ROW_STORE_BYTES
+    third = poly._solve(inputs[2], ctx)
+    assert [first, second, third] == expected
+    for newton, out in zip(inputs, expected):
+        assert out == _oracle_solve_by_reduce(newton, n)
+
+
+@pytest.mark.parametrize("slack, whole", [(-1, False), (0, True)])
+def test_the_byte_budget_decides_whether_a_reused_context_keeps_its_table(
+    slack, whole, monkeypatch, rng
+):
+    n = 600
+    monkeypatch.setattr(poly, "ROW_STORE_BYTES", poly._table_bytes(n) + slack)
+    ctx = Context(n)
+    inputs = [_newton_vector(n, rng) for _ in range(10)]
+    outputs, stores = [], []
+    for newton in inputs:
+        outputs.append(poly._solve(newton, ctx))
+        stores.append(poly._row_stores[ctx])
+    assert stores[0][0] > 1
+    if whole:
+        assert all(store[0] == 1 for store in stores[1:])
+    else:
+        assert all(store is stores[0] for store in stores)
+    assert [outputs[0], outputs[-1]] == [poly._solve(inputs[i], Context(n)) for i in (0, -1)]
+
+
+def test_threads_racing_to_grow_one_store_agree(rng):
+    n = 600
+    ctx = Context(n)
+    poly._solve(_newton_vector(n, rng), ctx)  # checkpoints: each solve below grows them
+    inputs = [_newton_vector(n, rng) for _ in range(4)]
+    expected = [poly._solve(newton, Context(n)) for newton in inputs]
+    results = [None] * len(inputs)
+    start = threading.Barrier(len(inputs), timeout=60)
+
+    def solve_one(i):
+        start.wait()
+        results[i] = poly._solve(inputs[i], ctx)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve_one, args=(i,)) for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected
+    assert _stride(ctx) == 1
+    assert [poly._solve(newton, ctx) for newton in inputs] == expected
+
+
 def _linear(node):
     return IntPoly((-node, 1))
 
