@@ -223,7 +223,7 @@ _FLAGS = {
     "values": {"type": _ints_arg, "required": True},
     "nodes": {"type": _ints_arg, "required": True},
     "limit": {"type": int, "default": DEFAULT_SOLUTION_BUDGET,
-              "help": "cap on the solution count (default 4096)"},
+              "help": f"cap on the solution count (default {DEFAULT_SOLUTION_BUDGET})"},
     "branch-limit": {"type": int, "default": DEFAULT_BRANCH_LIMIT},
     "value": {"type": int, "required": True},
     "spec": {"required": True, "help": "spec JSON file, or - for stdin"},

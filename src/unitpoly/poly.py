@@ -745,7 +745,6 @@ def _build_rows(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return step, tuple(rows)
 
 
-@functools.lru_cache(maxsize=64)
 def _table_bytes(n: int) -> int:
     """The bytes the whole table T at precision n takes as a row store, at
     most: row i is a tuple of i + 1 ints, slot k below 2**w_k, and

@@ -71,11 +71,15 @@ from .poly import (
 )
 
 DEFAULT_SOLUTION_BUDGET = 1 << 12  # most fits interpolate_at_nodes enumerates by default
-# most one-word steps interpolate_at_nodes' elimination may take by default (_elimination_price):
-# priced calls ran at 1.3e8 to 3.3e8 steps a second on a 2-core host, so this admits about
-# 3 to 8 s; d + 1 nodes pass up to n = 512 (4.3-4.7 s) and are refused from n = 1024 on
+# most one-word steps interpolate_at_nodes' elimination may take (_elimination_price), read at
+# each call, so raising it is the one way to admit a dearer call: priced calls ran at 1.3e8 to
+# 3.3e8 steps a second on a 2-core host, so this admits about 3 to 8 s; d + 1 nodes pass up to
+# n = 512 (4.3-4.7 s) and are refused from n = 1024 on
 DEFAULT_ELIMINATION_BUDGET = 1 << 30
-TREE_DEPTH_LIMIT = 7  # deepest inversion tree: 64 heads; 8 was no faster at n = 4096, 11 MiB more
+# deepest inversion tree: 64 heads; 8 was no faster at n = 4096, 11 MiB more; 6, the evaluators'
+# cap (poly.KEPT_TREE_DEPTH), made the tree, lift and check at n = 2048, where 7 is picked,
+# slower in 6 of 6 interleaved pairs (2.31-3.55 s against 2.18-3.38 s; with the fit, a tie)
+TREE_DEPTH_LIMIT = 7
 
 
 @functools.lru_cache(maxsize=64)
@@ -251,7 +255,6 @@ def interpolate_at_nodes(
     ctx: Context,
     *,
     max_solutions: int | None = DEFAULT_SOLUTION_BUDGET,
-    elimination_budget: int | None = DEFAULT_ELIMINATION_BUDGET,
 ) -> list[ReducedPoly]:
     """Every canonical polynomial agreeing with a table on arbitrary odd nodes.
 
@@ -267,15 +270,14 @@ def interpolate_at_nodes(
             unless given (None lifts it); a larger count raises
             BudgetExceeded instead of enumerating an enormous set, and a
             negative one is a ValueError.
-        elimination_budget: cap on the one-word steps of the elimination
-            (_elimination_price), DEFAULT_ELIMINATION_BUDGET unless given
-            (None lifts it); a dearer elimination raises BudgetExceeded
-            before it starts, and a negative one is a ValueError.
+
+    Raises:
+        BudgetExceeded: the elimination would take more one-word steps
+            (_elimination_price) than DEFAULT_ELIMINATION_BUDGET; it is
+            refused before it starts.
     """
     if max_solutions is not None:
         max_solutions = checked_budget(max_solutions, "max_solutions")
-    if elimination_budget is not None:
-        elimination_budget = checked_budget(elimination_budget, "elimination_budget")
     node_list = [ctx.check_unit(v) for v in nodes]
     value_list = [ctx.check_unit(v) for v in values]
     if len(node_list) != len(value_list):
@@ -284,10 +286,10 @@ def interpolate_at_nodes(
         raise ValueError("nodes must be distinct")
     n, width = ctx.n, ctx.d + 1
     price = _elimination_price(len(node_list), width, n)
-    if elimination_budget is not None and price > elimination_budget:
+    if price > DEFAULT_ELIMINATION_BUDGET:
         raise BudgetExceeded(
             f"eliminating {len(node_list)} nodes at n={n} takes {price} one-word steps, "
-            f"more than the elimination budget {elimination_budget} "
+            f"more than the elimination budget {DEFAULT_ELIMINATION_BUDGET} "
             "(solve.DEFAULT_ELIMINATION_BUDGET unless raised)"
         )
     pivots = _howell(_packed_rows(node_list, value_list, width, n), width, n)

@@ -216,8 +216,6 @@ def test_interp_nodes_has_a_default_budget():
     ("branch_limit", lambda budget: hensel_roots((1,), 4, branch_limit=budget)),
     ("max_solutions",
      lambda budget: interpolate_at_nodes([1], [1], Context(8), max_solutions=budget)),
-    ("elimination_budget",
-     lambda budget: interpolate_at_nodes([1, 3], [1, 1], Context(8), elimination_budget=budget)),
     ("budget", lambda budget: QuasigroupSpec.random(
         Context(4), 2, Mode.UNIT_PRODUCT, random.Random(0)).latin_check(budget=budget)),
 ])
@@ -314,15 +312,18 @@ def test_interp_nodes_elimination_is_refused_before_it_starts():
     assert solve.DEFAULT_ELIMINATION_BUDGET == 1 << 30
 
 
-def test_interp_nodes_elimination_budget_at_its_price_runs_and_one_less_refuses():
+def test_interp_nodes_elimination_at_its_price_runs_and_one_less_refuses(monkeypatch):
+    # the constant is read at each call, so patching it is how a dearer call is admitted
     ctx = Context(8)
     nodes, values = (1, 5, 9, 13, 17), (9, 9, 9, 9, 9)  # 128 fits
     price = solve._elimination_price(len(nodes), ctx.d + 1, ctx.n)
     fits = interpolate_at_nodes(nodes, values, ctx)
-    assert interpolate_at_nodes(nodes, values, ctx, elimination_budget=price) == fits
-    assert interpolate_at_nodes(nodes, values, ctx, elimination_budget=None) == fits
-    with pytest.raises(BudgetExceeded, match=f"takes {price} one-word steps"):
-        interpolate_at_nodes(nodes, values, ctx, elimination_budget=price - 1)
+    monkeypatch.setattr(solve, "DEFAULT_ELIMINATION_BUDGET", price)
+    assert interpolate_at_nodes(nodes, values, ctx) == fits
+    monkeypatch.setattr(solve, "DEFAULT_ELIMINATION_BUDGET", price - 1)
+    with pytest.raises(BudgetExceeded, match=f"takes {price} one-word steps, "
+                       f"more than the elimination budget {price - 1} "):
+        interpolate_at_nodes(nodes, values, ctx)
 
 
 def test_interp_nodes_elimination_prices():
