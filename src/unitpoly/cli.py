@@ -340,4 +340,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # inside the try, so a reader gone early is met here
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull, so the interpreter's last flush
+        # cannot raise again (as the signal module's notes on SIGPIPE advise), and fail quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

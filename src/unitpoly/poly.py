@@ -5,7 +5,7 @@ residues by evaluation modulo 2**n. Among all polynomials inducing the
 same function there is exactly one with degree at most d_n whose i-th
 coefficient lies below 2**(n-i-t_i); that representative is ReducedPoly.
 This module holds the two polynomial types, the rewriting ideal,
-multipoint evaluation (_values_at by Horner's rule, _head_values through
+multipoint evaluation (_values_at at small points, _head_values through
 class heads), parity tests on the odd residues and the whole ring, and
 the gluing of two functions on the odd residues into one on Z_{2**n}.
 Every fit to values goes through one difference table, _newton_fit: in
@@ -46,11 +46,11 @@ a, term i of a head counts only modulo 2**(n - s i): ceil(n/s) terms, and
 _eval_heads runs Horner's rule over them with each step masked to its
 term's falling width, one mask tuple per (n, s, terms) read (_head_masks).
 Depth 0 is one class, the coefficients themselves, with the mask 2**n - 1
-for every term: Horner's rule, as _eval_masked runs it for evaluate,
-_node_values and every _values_at. Every tree is grown from a shallower
-one's heads, a fresh one from depth 0 (_head_tree), a deeper one from the
-tree it replaces (_deepened), and both pair their heads with masks in one
-place, _level_tree, which also reads a tree modulo 2**m for m <= n to
+for every term: Horner's rule, as _eval_masked runs it for evaluate at
+one point. Every tree is grown from a shallower one's heads, a fresh one
+from depth 0 (_head_tree), a deeper one from the tree it replaces
+(_deepened), and both pair their heads with masks in one place,
+_level_tree, which also reads a tree modulo 2**m for m <= n to
 ceil(m/s) terms; p''s tree comes off p's (_slope_tree). Every tree has
 one price, in one-word steps: _tree_cost to build it and _read_cost per
 point read, and one depth rule, _cheapest_depth: the depth of least build
@@ -68,6 +68,21 @@ ceil(n/2), n (context's _ladder), reading p modulo 2**m and p' modulo
 depth 0 reads as class heads do. invert_permutation lifts its d+1 nodes
 through it, and _OddEvaluator.preimage one target through the
 evaluator's tree, checked by reading p at the answer at full width.
+
+Every value at small points, the standard nodes 1, 3, ..., 2d+1
+(_node_values) and the odd points below keller_beta(n) that glue_polynomial
+reads, comes from one kernel, _values_at, for one or more polynomials at
+once. A step of Horner's rule at a point below 2**13 multiplies n bits by
+at most 13, so its cost is the object made per step, not the arithmetic.
+So the kernel cuts each coefficient vector into SMALL_CHUNKS chunks and
+packs coefficient i of every chunk into the fields of one int, each field
+n + bit_length(max point) bits wide (Kronecker substitution; von zur
+Gathen and Gerhard, "Modern Computer Algebra", ch. 8): one masked step
+over the packed ints advances every chunk, and the chunks' values at x
+join as sum_j v_j (x**h mod 2**n)**j for chunks of h coefficients.
+Vectors shorter than PACKED_LENGTH (d + 1 at n = 48) are not packed, as
+there the fields and the joins cost more than the steps they save:
+Horner's rule runs point by point.
 """
 
 from __future__ import annotations
@@ -91,6 +106,16 @@ WHOLE_TABLE_ENTRIES = 1 << 14  # most slots of T a row store keeps whole (0.42 M
 ROW_STORE_BYTES = 1 << 24  # most bytes a reused Context's whole table may take (_table_bytes)
 KEPT_TREE_DEPTH = 6  # deepest evaluator tree: 32 heads, about 11 times a canonical form's bits
 SHIFT_STEPS = 6  # one-word Horner steps a shifted term costs past its additions: 6.7 measured
+# chunks per vector in _values_at. One full-width degree-d polynomial at its d + 1 standard nodes
+# with 4, 8 and 16 chunks (medians): 0.95, 0.84 and 0.98 ms at n = 256, 215, 192 and 192 ms at
+# 2048; two (multiply_reduced) at n = 1024: 55, 49 and 56 ms. An earlier prototype: 1.63, 1.51
+# and 2.18 ms at n = 256, 36.6, 29.3 and 39.6 ms at 1024
+SMALL_CHUNKS = 8
+# shortest vectors _values_at packs: d + 1 at n = 48, where packed and point by point tie for
+# one vector at its d + 1 nodes (medians 70 and 69 us) and packed wins for two (117 and 136 us);
+# at n = 32 (17 coefficients) the fields and joins cost more than the steps they save: 43
+# against 31 us for one, 71 against 64 us for two
+PACKED_LENGTH = 26
 
 
 def _trimmed(coeffs: Sequence[int]) -> Sequence[int]:
@@ -224,6 +249,16 @@ class ReducedPoly:
                 )
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "n", n)
+
+    @classmethod
+    def _made(cls, coeffs: tuple[int, ...], n: int) -> ReducedPoly:
+        """The form with these d_n + 1 slots, which the package built in
+        range (slot i an int in [0, 2**w_i)), without __post_init__'s checks
+        of each slot. ReducedPoly(...) keeps every check."""
+        made = object.__new__(cls)
+        object.__setattr__(made, "coeffs", coeffs)
+        object.__setattr__(made, "n", n)
+        return made
 
     @property
     def degree(self) -> int | None:
@@ -376,9 +411,51 @@ def ideal_generators(ctx: Context) -> tuple[IntPoly, ...]:
     return tuple(gens)
 
 
-def _values_at(coeffs: Sequence[int], points: Iterable[int], mask: int) -> list[int]:
-    """Values of one polynomial at many points, by masked Horner at each."""
-    return [_eval_masked(coeffs, x, mask) for x in points]
+def _values_at(polys: Sequence[Sequence[int]], points: Sequence[int], n: int) -> list[list[int]]:
+    """Values modulo 2**n of each coefficient vector in polys at each small
+    non-negative point, one list per vector, by Horner's rule over packed
+    coefficient chunks (Kronecker substitution; von zur Gathen and Gerhard,
+    "Modern Computer Algebra", ch. 8).
+
+    Each vector is cut into at most SMALL_CHUNKS chunks of h coefficients,
+    h = ceil(longest / SMALL_CHUNKS). Coefficient i of every chunk, taken
+    & 2**n - 1, goes into one field of packed[i], n + b bits wide for
+    b = bit_length(max point): v x + c <= (2**n - 1)(2**b - 1) + 2**n - 1,
+    below 2**(n + b), for v and c below 2**n. So one masked step over the
+    packed ints, v <- (v x + c) & keep with 2**n - 1 in every field of keep,
+    is a step of every chunk at once, and no carry crosses a field. A
+    vector's value at x joins its chunks' values v_j as
+    sum_j v_j (x**h mod 2**n)**j. When every vector is shorter than
+    PACKED_LENGTH, the values are Horner's rule point by point."""
+    mask = (1 << n) - 1
+    longest = max(map(len, polys), default=0)
+    if longest < PACKED_LENGTH:
+        return [[_eval_masked(c, x, mask) for x in points] for c in polys]
+    h = -(-longest // SMALL_CHUNKS)
+    field = n + max(points, default=0).bit_length()
+    chunks = [[c[j : j + h] for j in range(0, len(c), h)] for c in polys]
+    shifts = range(0, field * sum(map(len, chunks)), field)
+    packed = [
+        sum((c & mask) << shift for c, shift in zip(column, shifts))
+        for column in itertools.zip_longest(*itertools.chain(*chunks), fillvalue=0)
+    ][::-1]
+    keep = sum(mask << shift for shift in shifts)
+    # each vector's fields, top chunk first: the order its join reads them
+    counts = list(map(len, chunks))
+    starts = itertools.accumulate([0, *counts])
+    joins = [shifts[start : start + count][::-1] for start, count in zip(starts, counts)]
+    values: list[list[int]] = [[] for _ in polys]
+    for x in points:
+        v = 0
+        for c in packed:
+            v = (v * x + c) & keep
+        stride = pow(x, h, 1 << n)
+        for out, tops in zip(values, joins):
+            value = 0
+            for shift in tops:
+                value = (value * stride + (v >> shift & mask)) & mask
+            out.append(value)
+    return values
 
 
 def _head_count(length: int, n: int, depth: int) -> int:
@@ -646,7 +723,8 @@ class _OddEvaluator:
 
 def _node_values(poly, ctx: Context) -> list[int]:
     """Values of the induced function at the standard nodes 1, 3, ..., 2d+1."""
-    return _values_at(_coeffs_for(poly, ctx), ctx.interpolation_nodes, ctx.mask)
+    (values,) = _values_at([_coeffs_for(poly, ctx)], ctx.interpolation_nodes, ctx.n)
+    return values
 
 
 def _newton_fit(vals: Sequence[int], exponents: Sequence[int], n: int) -> list[int]:
@@ -682,9 +760,10 @@ def _fit_nodes(vals: list[int], ctx: Context) -> ReducedPoly:
     """The canonical polynomial taking the d+1 values vals (modulo 2**n) at
     1, 3, ..., 2d+1: there the k-th step-2 difference is 2**(k + t_k) =
     2**(n - w_k) times odd(k!) times the k-th coefficient in the basis N_k,
-    and _solve takes those coefficients to the canonical form."""
+    and _solve takes those coefficients to the canonical form, each slot
+    masked to its width, so ReducedPoly._made checks none again."""
     newton = _newton_fit(vals, [ctx.n - width for width in ctx.coeff_bits], ctx.n)
-    return ReducedPoly(tuple(_solve(newton, ctx)), ctx.n)
+    return ReducedPoly._made(tuple(_solve(newton, ctx)), ctx.n)
 
 
 def _fit_ring(vals: Sequence[int], n: int) -> IntPoly:
@@ -867,7 +946,7 @@ def glue_polynomial(p, h, ctx: Context) -> IntPoly:
         if not induces_permutation_on_units(f):
             raise NotAPermutation(f"{name} argument does not permute the odd residues")
     odd = range(1, keller_beta(ctx.n), 2)  # keller_beta(n) is even
-    at_p, at_h = (_values_at(_as_coeffs(f), odd, ctx.mask) for f in (p, h))
+    at_p, at_h = _values_at([_as_coeffs(p), _as_coeffs(h)], odd, ctx.n)
     return _fit_ring([v for hv, pv in zip(at_h, at_p) for v in (hv - 1, pv)], ctx.n)
 
 

@@ -4,8 +4,11 @@ Each problem shape has one solver. Every solver at the standard nodes
 1, 3, ..., 2d+1 hands its node values to poly's _fit_nodes, which reads
 their Newton coefficients off a difference table and ends in the
 triangular solve that reduce also ends in. Multiplicative inverses and
-products compute their node values pointwise from poly's _node_values,
-inverting all of them with a single unit_inverse.
+products read their node values off poly's one evaluator at small points,
+_values_at, Horner's rule over packed coefficient chunks (a product's two
+operands in one packed pass), and invert all of them with a single
+unit_inverse. The composition check of an inverse permutation reads the
+inverse's node values the same way.
 
 Inverse permutations find their node values, the preimages of the
 nodes, through poly's one lift (_lifted): two-adic Newton iteration up a
@@ -65,6 +68,7 @@ from .poly import (
     _lifted,
     _node_values,
     _tree_prices,
+    _values_at,
     evaluate,  # unused here; perfbench's self-test reads solve.evaluate
     induces_function_on_units,
     induces_permutation_on_units,
@@ -302,7 +306,7 @@ def interpolate_at_nodes(
     fits = _fits(pivots, exponents, ctx)
     if len(fits) != 1 << bits:
         raise RuntimeError("the fits missed their count from the Howell form")
-    return [ReducedPoly(coeffs, n) for coeffs in sorted(fits)]
+    return [ReducedPoly._made(coeffs, n) for coeffs in sorted(fits)]
 
 
 def invert_permutation(poly, ctx: Context) -> ReducedPoly:
@@ -354,5 +358,6 @@ def multiply_reduced(p: ReducedPoly, s: ReducedPoly, ctx: Context) -> ReducedPol
     the operands' values at the standard nodes, fitted and reduced."""
     if not isinstance(p, ReducedPoly) or not isinstance(s, ReducedPoly):
         raise ValueError("multiply_reduced needs two canonical polynomials")
-    values = zip(_node_values(p, ctx), _node_values(s, ctx))
-    return _fit_nodes([(a * b) & ctx.mask for a, b in values], ctx)
+    polys = [_coeffs_for(p, ctx), _coeffs_for(s, ctx)]
+    at_p, at_s = _values_at(polys, ctx.interpolation_nodes, ctx.n)
+    return _fit_nodes([(a * b) & ctx.mask for a, b in zip(at_p, at_s)], ctx)

@@ -460,3 +460,20 @@ def test_qg_commands_invert_only_for_adjoint(capsys, tmp_path, inversions):
     assert invoke(capsys, "qg", "adjoint", "--spec", str(spec), "--coord", "2",
                   "--args", "3,12,10") == (0, "5\n", "")
     assert inversions == []
+
+
+def test_a_reader_closing_the_pipe_early_gets_a_quiet_exit():
+    # the spec is about 650 KB of JSON, far past a pipe's buffer, so the writer
+    # still has output when the reader goes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "unitpoly", "qg", "random", "--n", "1024", "--k", "8",
+         "--mode", "unit_product", "--seed", "1", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(200)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert head.startswith(b'{"ok": {')
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -18,6 +18,7 @@ from unitpoly import (
     QuasigroupSpec,
     ReducedPoly,
     evaluate,
+    glue_polynomial,
     hensel_roots,
     interpolate,
     interpolate_at_nodes,
@@ -28,6 +29,7 @@ from unitpoly import (
     unit_inverse,
 )
 from unitpoly import poly, solve
+from unitpoly.census import keller_beta
 from unitpoly.errors import (
     BudgetExceeded,
     InconsistentTable,
@@ -785,3 +787,93 @@ def test_solvers_refuse_a_form_canonical_for_another_n(monkeypatch):
     for call in calls:
         with pytest.raises(ValueError, match="canonical for n=8, context has n=16"):
             call()
+
+
+# -- node values by packed coefficient chunks (poly._values_at) -----------------
+
+
+def _kernel_vectors(n, rng):
+    """Coefficient vectors of every length the chunking cuts differently (none,
+    fewer than SMALL_CHUNKS, a multiple of it, one past, d + 1 and 2d + 1),
+    with negative slots and slots above 2**n."""
+    d = Context(n).d
+    return [
+        [rng.randrange(-(1 << (n + 9)), 1 << (n + 9)) for _ in range(length)]
+        for length in (0, 1, 7, 8, 9, d + 1, 2 * d + 1)
+    ]
+
+
+def _kernel_points(n):
+    """1, ..., 2d + 1 and the odd points below keller_beta(n) that glue_polynomial reads."""
+    return [*range(1, 2 * Context(n).d + 2), *range(1, keller_beta(n), 2)]
+
+
+@pytest.mark.parametrize("packed_length", [poly.PACKED_LENGTH, 1])  # 1 packs every vector
+@pytest.mark.parametrize("n", range(2, 65))
+def test_values_at_matches_horner_and_the_oracle(n, packed_length, monkeypatch, rng):
+    monkeypatch.setattr(poly, "PACKED_LENGTH", packed_length)
+    ctx = Context(n)
+    points = _kernel_points(n)
+    vectors = _kernel_vectors(n, rng)
+    horner = [[poly._eval_masked(coeffs, x, ctx.mask) for x in points] for coeffs in vectors]
+    assert [poly._values_at([coeffs], points, n)[0] for coeffs in vectors] == horner
+    # two vectors of unequal length share one packed pass
+    for (a, at_a), (b, at_b) in zip(zip(vectors, horner), zip(vectors[::-1], horner[::-1])):
+        assert poly._values_at([a, b], points, n) == [at_a, at_b]
+    if n <= 10:  # the oracle tabulates every odd residue
+        odd = [x for x in points if x & 1]
+        for coeffs, values in zip(vectors, horner):
+            at_odd = [v for x, v in zip(points, values) if x & 1]
+            assert at_odd == _oracle_values_at(coeffs, n, [x % ctx.modulus for x in odd])
+
+
+def test_values_at_matches_horner_at_one_seeded_large_n(rng):
+    n = rng.choice((255, 256, 257, 1024))
+    ctx = Context(n)
+    points = [*ctx.interpolation_nodes, *range(1, keller_beta(n), 2)]
+    wide, longer = _kernel_vectors(n, rng)[-2:]
+    horner = [[poly._eval_masked(c, x, ctx.mask) for x in points] for c in (wide, longer)]
+    assert poly._values_at([wide, longer, ()], points, n) == [*horner, [0] * len(points)]
+
+
+def test_product_and_glue_match_the_oracle_at_one_seeded_n_above_256(rng):
+    n = rng.randrange(257, 321)
+    ctx = Context(n)
+    p, s = (random_permutational_poly(ctx, rng) for _ in range(2))
+    assert multiply_reduced(p, s, ctx) == oracle_reduce(p.as_int_poly() * s.as_int_poly(), n)
+    # the glued polynomial is p on odd x and h(x + 1) - 1 on even x, by exact evaluation
+    glued, p_exact, h_exact = glue_polynomial(p, s, ctx), p.as_int_poly(), s.as_int_poly()
+    for x in [*range(keller_beta(n) + 2), *(rng.randrange(ctx.modulus) for _ in range(20))]:
+        expected = p_exact(x) if x & 1 else h_exact(x + 1) - 1
+        assert glued(x) % ctx.modulus == expected % ctx.modulus
+
+
+# -- forms the package builds in range skip the public constructor's checks ------
+
+
+@pytest.mark.parametrize("n", [5, 9, 16, 24, 32, 48, 64])
+def test_every_fit_equals_its_checked_construction(n, rng):
+    ctx = Context(n)
+    for drop in (1, 2) if n < 64 else (1,):
+        for _ in range(3):
+            coeffs = [rng.randrange(1 << n) for _ in range(ctx.d + 1)]
+            coeffs[0] ^= ~sum(coeffs) & 1  # odd coefficient sum: odd values
+            nodes = rng.sample(ctx.interpolation_nodes, ctx.d + 1 - drop)
+            fits = interpolate_at_nodes(nodes, [evaluate(coeffs, x, ctx) for x in nodes], ctx)
+            assert len(fits) > 1
+            for fit in fits + [interpolate(poly._node_values(coeffs, ctx), ctx)]:
+                checked = ReducedPoly(fit.coeffs, n)
+                assert fit == checked and hash(fit) == hash(checked)
+                assert fit.coeffs == checked.coeffs and len(fit.coeffs) == ctx.d + 1
+
+
+def test_the_public_constructor_still_refuses_an_out_of_range_slot():
+    widths = Context(16).coeff_bits
+    for slot in (0, 1, len(widths) - 1):
+        coeffs = [0] * len(widths)
+        coeffs[slot] = 1 << widths[slot]
+        with pytest.raises(ValueError, match=f"at degree {slot} is outside"):
+            ReducedPoly(tuple(coeffs), 16)
+        coeffs[slot] = -1
+        with pytest.raises(ValueError):
+            ReducedPoly(tuple(coeffs), 16)
