@@ -26,10 +26,11 @@ has at most WHOLE_TABLE_ENTRIES slots (n <= 356), otherwise every
 (isqrt(d_n)+1)-th row, the solve rebuilding each block from its
 checkpoint as it reads down. A Context that solves again is admitted to
 the whole table (admission on the second reference, as in Johnson and
-Shasha's 2Q, VLDB 1994): its second solve keeps the rows it rebuilds,
-while the whole table fits ROW_STORE_BYTES (n <= 1027), and swaps them
-in for the checkpoints, so later solves rebuild nothing. A one-shot
-solve keeps only the checkpoints.
+Shasha's 2Q, VLDB 1994): while the whole table fits ROW_STORE_BYTES
+(n <= 1027), the second solve first replaces the checkpoints with the
+whole table, then reads it, so later solves rebuild nothing. One rule,
+in _rows_down, picks the store; _build_rows builds every store. A
+one-shot solve keeps only the checkpoints.
 
 Every way back from a basis (x-c_0)(x-c_1)...(x-c_{k-1}) to monomials is
 one Horner fold, _expand, over one step, _times_linear (multiply by x - c,
@@ -805,16 +806,15 @@ def _to_newton(coeffs: Sequence[int], n: int) -> list[int]:
     return acc + [0] * (len(masks) - len(acc))
 
 
-def _build_rows(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _build_rows(n: int, whole: bool) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """A row store for precision n: the stride B and every B-th row of T,
     T(jB, k) for k <= jB, slot k modulo 2**w_k. T(i, .) holds the Newton
     coefficients of x**i, so the rows climb from T(0, .) = (1,) by
-    _times_x. B is 1, every row, while the whole table has at most
-    WHOLE_TABLE_ENTRIES slots, and isqrt(d_n) + 1 above that (16 MiB of
-    checkpoints at n = 4096)."""
+    _times_x. B is 1, every row, for the whole table, and isqrt(d_n) + 1
+    for checkpoints (16 MiB of them at n = 4096)."""
     masks = _slot_masks(n)
     d = len(masks) - 1
-    step = 1 if (d + 1) * (d + 2) // 2 <= WHOLE_TABLE_ENTRIES else math.isqrt(d) + 1
+    step = 1 if whole else math.isqrt(d) + 1
     rows = [(1,)]
     for _ in range(d // step):
         row = rows[-1]
@@ -835,43 +835,35 @@ def _table_bytes(n: int) -> int:
     return slots + (d + 1) * sys.getsizeof(())
 
 
-# each Context's row store, built on its first solve and grown to the whole table on its
-# second (_rows_down); it lives exactly as long as the Context
+# each Context's row store, built on its first solve and rebuilt whole on its second
+# (_rows_down); it lives exactly as long as the Context
 _row_stores: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _rows_down(ctx: Context):
     """(i, T(i, .)) for i from d_n down to 0, n = ctx.n, slot k modulo
-    2**w_k, from ctx's row store. Stored rows are yielded as they are;
-    between checkpoints each block's rows are rebuilt upward from its
-    checkpoint, then yielded from its top row down. A store that was there
-    before this call (ctx has solved before) keeps what it rebuilds, while
-    the whole table fits ROW_STORE_BYTES (_table_bytes): after the last row
-    the whole table, stride 1, replaces the checkpoints, so later solves
-    on ctx rebuild nothing. A Context that solves once keeps only its
-    checkpoints."""
+    2**w_k, from ctx's row store. A first solve builds the store: the
+    whole table while it has at most WHOLE_TABLE_ENTRIES slots, otherwise
+    checkpoints. A later solve that finds checkpoints first replaces them
+    with the whole table, while that fits ROW_STORE_BYTES (_table_bytes),
+    so the solves after it rebuild nothing. Stored rows are yielded as
+    they are; between checkpoints each block's rows are rebuilt upward
+    from its checkpoint, then yielded from its top row down."""
     store = _row_stores.get(ctx)
-    reused = store is not None
-    if store is None:
-        # racing threads may both build; setdefault keeps the first store
-        store = _row_stores.setdefault(ctx, _build_rows(ctx.n))
+    if store is None or (store[0] > 1 and _table_bytes(ctx.n) <= ROW_STORE_BYTES):
+        # racing threads may each build a store: each reads its own, and every build is the same
+        whole = store is not None or (ctx.d + 1) * (ctx.d + 2) // 2 <= WHOLE_TABLE_ENTRIES
+        store = _row_stores[ctx] = _build_rows(ctx.n, whole)
     step, rows = store
     if step == 1:
         yield from zip(range(ctx.d, -1, -1), reversed(rows))
         return
-    keep = reused and _table_bytes(ctx.n) <= ROW_STORE_BYTES
     masks = _slot_masks(ctx.n)
-    blocks = []
     for base in range(ctx.d - ctx.d % step, -1, -step):
         block = [rows[base // step]]
         for _ in range(base + 1, min(base + step, ctx.d + 1)):
             block.append(_times_x(block[-1], 0, masks))
-        if keep:
-            blocks.append(block)
         yield from zip(range(base + len(block) - 1, -1, -1), reversed(block))
-    if keep:
-        # racing threads may both grow it; each swaps in the same table
-        _row_stores[ctx] = (1, tuple(tuple(row) for block in reversed(blocks) for row in block))
 
 
 def _solve(newton: Sequence[int], ctx: Context) -> list[int]:
@@ -900,13 +892,15 @@ def reduce(poly, ctx: Context) -> ReducedPoly:
     Any integer polynomial is accepted; coefficients are first normalized
     into [0, 2**n). A vector of at most d+1 slots, each already in range,
     is canonical as it stands; any other goes to the Newton basis and
-    back through the triangular solve, whatever its degree.
+    back through the triangular solve, whatever its degree. Either way
+    every slot is in range (_solve masks each), so ReducedPoly._made
+    checks none again.
     """
     coeffs = _trimmed([c & ctx.mask for c in _as_coeffs(poly)])
     widths = ctx.coeff_bits
     if len(coeffs) > len(widths) or any(c >> w for c, w in zip(coeffs, widths)):
         coeffs = _solve(_to_newton(coeffs, ctx.n), ctx)
-    return ReducedPoly(tuple(coeffs), ctx.n)
+    return ReducedPoly._made(tuple(coeffs) + (0,) * (len(widths) - len(coeffs)), ctx.n)
 
 
 def equivalent(p, t, ctx: Context) -> bool:

@@ -590,9 +590,9 @@ def store_builds(monkeypatch):
     builds = []
     real = poly._build_rows
 
-    def counting(n):
+    def counting(n, whole):
         builds.append(n)
-        return real(n)
+        return real(n, whole)
 
     monkeypatch.setattr(poly, "_build_rows", counting)
     return builds
@@ -615,9 +615,13 @@ def test_one_inversion_store_serves_every_ladder_level(store_builds, monkeypatch
     # solves once, at n, and builds the one store
     assert precisions == [600]
     assert store_builds == [600]
+    # the second solve replaces the checkpoints with the whole table before it reads
     assert invert_permutation(p, ctx) == first
     assert precisions == [600, 600]
-    assert store_builds == [600]
+    assert store_builds == [600, 600]
+    assert invert_permutation(p, ctx) == first
+    assert precisions == [600, 600, 600]
+    assert store_builds == [600, 600]
 
 
 def test_solvers_on_one_context_share_one_store(store_builds, rng):
