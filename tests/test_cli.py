@@ -477,3 +477,138 @@ def test_a_reader_closing_the_pipe_early_gets_a_quiet_exit():
     assert proc.wait(timeout=120) == 1
     assert head.startswith(b'{"ok": {')
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+# -- large n: the path each command takes at n = 512 to 4096 ---------------------
+#
+# Each check runs one command line's argv and checks what it prints by an identity at
+# four odd points, 1, 3, 2**(n-1) + 1 and 2**n - 1, evaluated by plain Horner's rule,
+# never by the library's own evaluation. Each identity must also fail on the result
+# with one bit flipped, so no check passes vacuously. The polynomial inputs are sparse,
+# so each stays far below the 128 KiB a single argument may take, and the same argv
+# runs from a shell.
+
+
+def horner(coeffs, x, n):
+    """coeffs at x modulo 2**n, by plain Horner's rule."""
+    mask = (1 << n) - 1
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * x + c) & mask
+    return value
+
+
+def odd_points(n):
+    return 1, 3, 2 ** (n - 1) + 1, 2 ** n - 1
+
+
+def flipped(values):
+    """values with bit 0 of the last one flipped: a planted fault."""
+    return [*values[:-1], values[-1] ^ 1]
+
+
+def text(values):
+    return ",".join(map(str, values))
+
+
+def numbers(out):
+    return [int(c) for c in out.split(",")]
+
+
+def is_product(r, p, q, n):
+    """r(x) = p(x) q(x) at the four odd points."""
+    return all(horner(r, x, n) == horner(p, x, n) * horner(q, x, n) % 2 ** n
+               for x in odd_points(n))
+
+
+def is_unit_inverse(q, p, n):
+    """p(x) q(x) = 1 at the four odd points."""
+    return all(horner(p, x, n) * horner(q, x, n) % 2 ** n == 1 for x in odd_points(n))
+
+
+def is_compositional_inverse(q, p, n):
+    """p(q(x)) = x at the four odd points."""
+    return all(horner(p, horner(q, x, n), n) == x for x in odd_points(n))
+
+
+# degree above d and coefficients above 2**n: each input is reduced by a solve of its own
+P1024 = [2 ** 1024 + 3 * i + 1 if i % 16 == 0 else 0 for i in range(641)]
+Q1024 = [2 ** 1025 - 7 * i if i % 13 == 5 else 0 for i in range(577)]
+P2048 = [2 ** 2048 + 3 * i + 1 if i % 32 == 0 else 0 for i in range(1281)]
+Q2048 = [2 ** 2049 - 7 * i if i % 29 == 5 else 0 for i in range(1153)]
+PERM512 = [2 ** 512 + 6 if i == 0 else 2 ** 512 + 1 if i == 1 else 2 ** 513 + 2 * i if i % 8 == 0
+           else 3 * 2 ** 511 + 4 * i if i % 8 == 3 else 0 for i in range(301)]
+
+
+def test_hensel_roots_at_4096(capsys):
+    # x**2 - 1 has exactly the roots 1, 2**4095 - 1, 2**4095 + 1 and 2**4096 - 1
+    roots = [1, 2 ** 4095 - 1, 2 ** 4095 + 1, 2 ** 4096 - 1]
+    code, out, err = invoke(capsys, "hensel-roots", "--n", "4096", "--poly=-1,0,1")
+    assert (code, out, err) == (0, text(roots) + "\n", "")
+    assert text(flipped(roots)) + "\n" != out
+
+
+def test_hensel_roots_refuses_2_to_the_2048_roots_at_4096(capsys):
+    # (x - 1)**2 has 2**2048 roots, so its search must be refused
+    code, out, err = invoke(capsys, "hensel-roots", "--n", "4096", "--poly=1,-2,1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: BudgetExceeded:")
+
+
+@pytest.mark.parametrize(
+    "n, p, q",
+    [
+        # the two inputs are reduced on one Context, so the second solve admits the whole
+        # row table in place of its checkpoints, and the fit of the product reads it
+        (1024, P1024, Q1024),
+        # the same above the row store's byte budget: the second and third solves keep
+        # the checkpoints
+        (2048, P2048, Q2048),
+    ],
+    ids=["whole-table", "checkpoints"],
+)
+def test_mul_at_large_n(capsys, n, p, q):
+    code, out, err = invoke(capsys, "mul", "--n", str(n), "--poly", text(p), "--by", text(q))
+    assert (code, err) == (0, "")
+    product = numbers(out)
+    assert is_product(product, p, q, n)
+    assert not is_product(flipped(product), p, q, n)
+
+
+# mulinv and invert read their inputs' node values (and invert its inverse's in the
+# composition check) in packed chunks of more than one coefficient each
+
+
+def test_mulinv_at_1024(capsys):
+    code, out, err = invoke(capsys, "mulinv", "--n", "1024", "--poly", text(P1024))
+    assert (code, err) == (0, "")
+    inverse = numbers(out)
+    assert is_unit_inverse(inverse, P1024, 1024)
+    assert not is_unit_inverse(flipped(inverse), P1024, 1024)
+
+
+def test_invert_at_512(capsys):
+    code, out, err = invoke(capsys, "invert", "--n", "512", "--poly", text(PERM512))
+    assert (code, err) == (0, "")
+    inverse = numbers(out)
+    assert is_compositional_inverse(inverse, PERM512, 512)
+    assert not is_compositional_inverse(flipped(inverse), PERM512, 512)
+
+
+def test_qg_round_trip_at_1024(capsys, tmp_path, inversions):
+    # each command loads the spec afresh, so its first adjoint lifts one preimage through
+    # a depth-0 tree and checks it at full width: solving coordinate 2 of the applied
+    # value must give back the second argument
+    code, spec, _ = invoke(capsys, "qg", "random", "--n", "1024", "--k", "2",
+                           "--mode", "ring_glued", "--seed", "3")
+    assert code == 0
+    path = tmp_path / "qg1024.json"
+    path.write_text(spec)
+    a, b = 3 ** 600 % 2 ** 1024, 2 ** 1023 - 5
+    code, value, _ = invoke(capsys, "qg", "apply", "--spec", str(path), "--args", f"{a},{b}")
+    assert code == 0
+    code, back, err = invoke(capsys, "qg", "adjoint", "--spec", str(path), "--coord", "2",
+                             "--args", f"{a},{value.strip()}")
+    assert (code, back, err) == (0, f"{b}\n", "")
+    assert inversions == []
+    assert text(flipped([b])) + "\n" != back

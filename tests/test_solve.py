@@ -87,6 +87,21 @@ def test_interpolate_detects_impossible_table():
         interpolate((1, 1, 3), Context(4))
 
 
+def test_interpolate_at_2048_gives_back_the_form_of_its_values(rng):
+    # canonical forms are unique: the node values of a full-width form of degree 8, taken
+    # by plain Horner, fit that form and no other
+    n = 2048
+    ctx = Context(n)
+    form = [rng.getrandbits(bits - 1) | 1 << (bits - 1) for bits in ctx.coeff_bits[:9]]
+    if sum(form) % 2 == 0:
+        form[0] ^= 1
+    values = [_value_mod(form, x, n) for x in ctx.interpolation_nodes]
+    expected = (*form, *[0] * (ctx.d - 8))
+    coeffs = interpolate(values, ctx).coeffs
+    assert coeffs == expected
+    assert (*coeffs[:8], coeffs[8] ^ 1, *coeffs[9:]) != expected
+
+
 def _assert_agrees_with_general_solver(values, ctx):
     # the standard nodes are a special case of arbitrary nodes
     fits = interpolate_at_nodes(ctx.interpolation_nodes, values, ctx)
@@ -690,6 +705,24 @@ def test_multiplicative_inverse_pointwise(n, rng):
         pv = oracle_function_of(p, n).values
         qv = oracle_function_of(q, n).values
         assert all(a * b % mod == 1 for a, b in zip(pv, qv))
+
+
+def test_multiplicative_inverse_at_2048(rng):
+    # p q = 1 at four odd full-width points, by plain Horner; one flipped bit of q breaks it
+    n = 2048
+    ctx = Context(n)
+    coeffs = [rng.getrandbits(n) for _ in range(ctx.d + 1)]
+    if sum(coeffs) % 2 == 0:
+        coeffs[0] ^= 1
+    points = [rng.getrandbits(n) | 1 << (n - 1) | 1 for _ in range(4)]
+
+    def is_inverse(q):
+        return all(_value_mod(coeffs, x, n) * _value_mod(q, x, n) % (1 << n) == 1
+                   for x in points)
+
+    q = multiplicative_inverse(tuple(coeffs), ctx).coeffs
+    assert is_inverse(q)
+    assert not is_inverse((*q[:-1], q[-1] ^ 1))
 
 
 def test_multiplicative_inverse_rejects_even_valued():
