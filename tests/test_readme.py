@@ -6,19 +6,31 @@ so a later command of a group reads the files an earlier one wrote. A
 trailing `> file` writes stdout to that file, stderr counts as output,
 and a `...` line stands for any lines. The lines below a command are
 the output it must print.
+
+Every `module.name` the README cites in backticks, with module one of
+unitpoly's modules, names an attribute of unitpoly.<module>, so a retired
+name cannot survive in the README.
 """
 
+import importlib
 import pathlib
+import pkgutil
 import re
 import shlex
 
 import pytest
 
+import unitpoly
 from unitpoly.cli import run
 
 README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
 CONSOLE = re.search(r"```console\n(.*?)```", README, re.S).group(1)
 GROUPS = [group.splitlines() for group in CONSOLE.strip().split("\n\n")]
+MODULES = {module.name for module in pkgutil.iter_modules(unitpoly.__path__)}
+# `poly._values_at`, `context._ladder(n)`, `poly._OddEvaluator.preimage`: the dotted name
+CITED = sorted(
+    {match[1] for match in re.finditer(r"`((\w+)(?:\.\w+)+)", README) if match[2] in MODULES}
+)
 
 
 def _commands(lines):
@@ -55,3 +67,16 @@ def test_console_example(group, tmp_path, monkeypatch, capsys):
             (tmp_path / target).write_text(captured.out)
         output = captured.err if target else captured.out + captured.err
         assert re.fullmatch(_pattern(expected), output), (argv, output)
+
+
+def test_the_readme_cites_module_names():
+    assert {"context._ladder", "poly.TREE_DEPTH_LIMIT", "solve._elimination_price"} <= set(CITED)
+
+
+@pytest.mark.parametrize("name", CITED)
+def test_a_cited_module_name_exists(name):
+    module, *attributes = name.split(".")
+    owner = importlib.import_module(f"unitpoly.{module}")
+    for attribute in attributes:
+        assert hasattr(owner, attribute), name
+        owner = getattr(owner, attribute)

@@ -401,6 +401,30 @@ def test_invert_rejects_non_permutations():
         invert_permutation((4, 4, 1), Context(4))
 
 
+def test_invert_permutation_at_2048(rng):
+    # the one tree cap sets the inversion's depth here: p(q(x)) = x at four odd full-width
+    # points, by plain Horner, and every slot of q lies below 2**w_k; one flipped bit of q
+    # breaks it
+    n = 2048
+    ctx = Context(n)
+    assert solve._tree_depth(ctx.d + 1, n) == poly.TREE_DEPTH_LIMIT
+    coeffs = [rng.getrandbits(n) for _ in range(ctx.d + 1)]
+    coeffs[1] ^= ~sum(coeffs[1::2]) & 1
+    coeffs[0] ^= ~sum(coeffs) & 1
+    points = [rng.getrandbits(n) | 1 << (n - 1) | 1 for _ in range(4)]
+
+    def is_inverse(q):
+        return (
+            len(q) == ctx.d + 1
+            and all(0 <= c < 1 << bits for c, bits in zip(q, ctx.coeff_bits))
+            and all(_value_mod(coeffs, _value_mod(q, x, n), n) == x for x in points)
+        )
+
+    q = invert_permutation(tuple(coeffs), ctx).coeffs
+    assert is_inverse(q)
+    assert not is_inverse((*q[:-1], q[-1] ^ 1))
+
+
 # n where the ladder of precisions ceil(n/2), ceil(n/4), ... changes shape
 _LADDER_EDGES = (2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64)
 
@@ -824,6 +848,16 @@ def test_solvers_refuse_a_form_canonical_for_another_n(monkeypatch):
     for call in calls:
         with pytest.raises(ValueError, match="canonical for n=8, context has n=16"):
             call()
+
+
+def test_glue_polynomial_refuses_a_form_canonical_for_another_n():
+    ctx = Context(16)
+    other, same = reduce((2, 1), Context(8)), reduce((2, 1), ctx)
+    for p, h in ((other, same), (same, other), (other, other)):
+        with pytest.raises(ValueError, match="canonical for n=8, context has n=16"):
+            glue_polynomial(p, h, ctx)
+    # plain tuples and IntPoly carry no n, so they are read as they stand
+    assert glue_polynomial((2, 1), IntPoly((2, 1)), ctx) == glue_polynomial(same, same, ctx)
 
 
 # -- node values by packed coefficient chunks (poly._values_at) -----------------
