@@ -55,11 +55,12 @@ _level_tree, which also reads a tree modulo 2**m for m <= n to
 ceil(m/s) terms; p''s tree comes off p's (_slope_tree). Every tree has
 one price, in one-word steps: _tree_cost to build it and _read_cost per
 point read, and one depth rule, _cheapest_depth: the depth of least build
-plus reads. Depths are priced (_tree_prices) up to TREE_DEPTH_LIMIT and
-never past floor(n/2), so every tree gives p' modulo 2**ceil(n/2).
-invert_permutation applies the rule once, to the reads of its ladder. A
+plus reads. Depths past floor(n/2) are never priced (_tree_prices), so
+every tree gives p' modulo 2**ceil(n/2). invert_permutation applies the
+rule once, to the reads of its ladder, up to solve's TREE_DEPTH_LIMIT. A
 quasigroup's polynomials go through _OddEvaluator, which applies it at
-every query count (_stages): it starts at depth 0 and deepens in stages.
+every query count (_stages): it starts at depth 0 and deepens in stages,
+up to the deepest tree it may keep, KEPT_TREE_DEPTH.
 
 Every preimage under a permutation p of the odd residues goes through one
 lift, _lifted: two-adic Newton iteration up the precisions m = 2, ...,
@@ -104,9 +105,7 @@ from .errors import InconsistentTable, NotAPermutation
 
 WHOLE_TABLE_ENTRIES = 1 << 14  # most slots of T a row store keeps whole (0.42 MiB at n = 256)
 ROW_STORE_BYTES = 1 << 24  # most bytes a reused Context's whole table may take (_table_bytes)
-# deepest tree of class heads, an evaluator's or an inversion's: 32 heads, 11 times a canonical
-# form's bits. An inversion at n = 2048 takes 10 % longer than at 7, with 1.9 MiB less peak RSS
-TREE_DEPTH_LIMIT = 6
+KEPT_TREE_DEPTH = 6  # deepest evaluator tree: 32 heads, about 11 times a canonical form's bits
 SHIFT_STEPS = 6  # one-word Horner steps a shifted term costs past its additions: 6.7 measured
 # chunks per vector in _values_at. One full-width degree-d polynomial at its d + 1 standard nodes
 # with 4, 8 and 16 chunks (medians): 0.95, 0.84 and 0.98 ms at n = 256, 215, 192 and 192 ms at
@@ -523,15 +522,15 @@ def _read_cost(length: int, m: int, depth: int) -> int:
     return sum(-(-(m - depth * i) // 64) for i in range(terms)) * -(-m // 64)
 
 
-def _tree_prices(length: int, n: int, precisions: Sequence[int]):
+def _tree_prices(length: int, n: int, precisions: Sequence[int], deepest: int):
     """[(build, read)] for a tree of length coefficients modulo 2**n at each
-    depth 0, ..., min(TREE_DEPTH_LIMIT, floor(n/2)): its _tree_cost, and the
+    depth 0, ..., min(deepest, floor(n/2)): its _tree_cost, and the
     _read_cost of one point at every precision in precisions together. Past
     floor(n/2) a tree could not give p' modulo 2**ceil(n/2) (_slope_tree),
     so no tree is priced, or built, there."""
     return [
         (_tree_cost(length, n, depth), sum(_read_cost(length, m, depth) for m in precisions))
-        for depth in range(min(TREE_DEPTH_LIMIT, n // 2) + 1)
+        for depth in range(min(deepest, n // 2) + 1)
     ]
 
 
@@ -655,9 +654,9 @@ def _stages(length: int, n: int) -> dict[int, int]:
     coefficients modulo 2**n to depth s, the _cheapest_depth for q reads at
     full width. So a stage comes due once the steps the deeper tree would
     have saved over the queries so far pay for its missing levels, as in
-    ski rental. Depths stop at TREE_DEPTH_LIMIT and floor(n/2) (_tree_prices),
+    ski rental. Depths stop at KEPT_TREE_DEPTH and floor(n/2) (_tree_prices),
     so every kept tree can give its slope."""
-    prices = _tree_prices(length, n, (n,))
+    prices = _tree_prices(length, n, (n,), KEPT_TREE_DEPTH)
     stages, depth = {}, 0
     while True:
         build, read = prices[depth]

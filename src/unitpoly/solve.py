@@ -80,21 +80,25 @@ DEFAULT_SOLUTION_BUDGET = 1 << 12  # most fits interpolate_at_nodes enumerates b
 # 3.3e8 steps a second on a 2-core host, so this admits about 3 to 8 s; d + 1 nodes pass up to
 # n = 512 (4.3-4.7 s) and are refused from n = 1024 on
 DEFAULT_ELIMINATION_BUDGET = 1 << 30
+# deepest inversion tree: 64 heads; 8 was no faster at n = 4096, 11 MiB more; 6, the evaluators'
+# cap (poly.KEPT_TREE_DEPTH), made the whole call at n = 2048, where 7 is picked, slower in 11
+# of 12 interleaved pairs on a 2-core host (median 3.27 against 2.98 s), for 1.9 MiB less RSS
+TREE_DEPTH_LIMIT = 7
 
 
 @functools.lru_cache(maxsize=64)
 def _tree_depth(length: int, n: int) -> int:
-    """The depth s of invert_permutation's tree of p, of length
-    coefficients, by poly's one depth rule (_cheapest_depth): the s up to
-    the cap poly.TREE_DEPTH_LIMIT and floor(n/2) (_tree_prices) of least
-    _tree_cost plus _read_cost at d_n + 1 points for each precision read.
-    For a degree-d p the picks are 0 at n = 2, 3, 4 and 7, and rise from 1
-    to the cap, 6, which every n from 974 on picks. In interleaved timings
-    each was the fastest or within 5 % of it at n = 8 to 2048, but for 3 at
-    n = 128, 7 % behind 4; at n = 2 to 15 each 0 was faster than 1."""
+    """The depth s of invert_permutation's tree of p, of length coefficients,
+    by poly's one depth rule (_cheapest_depth): the s up to TREE_DEPTH_LIMIT
+    (and floor(n/2), where poly's _tree_prices stops so the top slope stays
+    in reach) of least _tree_cost plus _read_cost at d_n + 1 points for each
+    precision read. For a degree-d p the picks are 0 at n = 2, 3, 4 and 7,
+    and rise from 1 to 7 from n = 1960. In interleaved timings each was the
+    fastest or within 5 % of it at n = 8 to 2048, but for 3 at n = 128, 7 %
+    behind 4; at n = 2 to 15 each 0 was faster than 1."""
     ladder = _ladder(n)
     precisions = [*ladder, *((m + 1) // 2 for m in ladder), n]
-    prices = _tree_prices(length, n, precisions)
+    prices = _tree_prices(length, n, precisions, TREE_DEPTH_LIMIT)
     return _cheapest_depth(prices, len(coeff_widths(n)))
 
 

@@ -15,6 +15,16 @@ _SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
+def horner(coeffs, x, n):
+    """coeffs at x modulo 2**n, by plain Horner's rule: the reference the
+    tests check the library's results against, never its own evaluation."""
+    mask = (1 << n) - 1
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * x + c) & mask
+    return value
+
+
 @pytest.fixture
 def rng():
     # fixed stream so failures replay exactly

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from conftest import horner
 from unitpoly.cli import run
 from unitpoly.quasigroup import RANDOM_ARITY_BUDGET
 
@@ -487,15 +488,6 @@ def test_a_reader_closing_the_pipe_early_gets_a_quiet_exit():
 # with one bit flipped, so no check passes vacuously. The polynomial inputs are sparse,
 # so each stays far below the 128 KiB a single argument may take, and the same argv
 # runs from a shell.
-
-
-def horner(coeffs, x, n):
-    """coeffs at x modulo 2**n, by plain Horner's rule."""
-    mask = (1 << n) - 1
-    value = 0
-    for c in reversed(coeffs):
-        value = (value * x + c) & mask
-    return value
 
 
 def odd_points(n):

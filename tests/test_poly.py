@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import horner
 from unitpoly import (
     Context,
     IntPoly,
@@ -257,13 +258,13 @@ def test_the_tree_depth_rule_picks_a_depth_every_ladder_level_can_read():
     for n in (*range(2, 301), *range(512, 4097, 89), 4096):
         d = max_reduced_degree(n)
         for length in (2, d + 1, d + 5):
-            assert 0 <= solve._tree_depth(length, n) <= min(poly.TREE_DEPTH_LIMIT, n // 2)
+            assert 0 <= solve._tree_depth(length, n) <= min(solve.TREE_DEPTH_LIMIT, n // 2)
     # a degree-d p: each pick was within a few percent of the fastest depth in interleaved
     # timings of the whole inversion
     picks = {
         n: solve._tree_depth(max_reduced_degree(n) + 1, n) for n in (16, 64, 256, 1024, 2048, 4096)
     }
-    assert picks == {16: 2, 64: 3, 256: 4, 1024: 6, 2048: 6, 4096: 6}
+    assert picks == {16: 2, 64: 3, 256: 4, 1024: 6, 2048: 7, 4096: 7}
 
 
 def test_evaluator_builds_its_heads_once_they_pay(head_builds, rng):
@@ -272,7 +273,7 @@ def test_evaluator_builds_its_heads_once_they_pay(head_builds, rng):
     coeffs = next(_head_inputs(n, rng))
     evaluator = poly._OddEvaluator(coeffs, n)
     # the prices the evaluator weighs: reads at full width, down to its deepest tree
-    prices = poly._tree_prices(len(coeffs), n, (n,))
+    prices = poly._tree_prices(len(coeffs), n, (n,), poly.KEPT_TREE_DEPTH)
     assert poly._stages(len(coeffs), n) == {91: 4, 625: 6}
     depths = [0]
     for query in range(1, 2 * 625):
@@ -319,7 +320,7 @@ def test_evaluators_keep_trees_of_at_most_twelve_canonical_forms(rng):
     for n in (*range(2, 80), 256, 1024, 4096):
         length = len(Context(n).coeff_bits)
         deepest = max(poly._stages(length, n).values(), default=0)
-        assert deepest <= min(poly.TREE_DEPTH_LIMIT, n // 2) == min(6, n // 2)
+        assert deepest <= min(poly.KEPT_TREE_DEPTH, n // 2) == min(6, n // 2)
         if deepest:
             assert _kept_bits(n, deepest, rng) <= 12 * sum(Context(n).coeff_bits)
 
@@ -366,7 +367,7 @@ def test_lifted_preimages_match_brute_force_at_every_depth(n, rng):
         exact = IntPoly(coeffs)
         preimage = {exact(x) % (1 << n): x for x in odd}
         assert sorted(preimage) == list(odd)
-        for depth in range(min(poly.TREE_DEPTH_LIMIT, n // 2) + 1):
+        for depth in range(min(poly.KEPT_TREE_DEPTH, n // 2) + 1):
             tree = poly._head_tree(coeffs, n, depth)
             lifted = poly._lifted(tree, odd, n)
             assert lifted == [preimage[c] for c in odd]
@@ -417,7 +418,7 @@ def test_evaluator_builds_no_heads_that_save_nothing(n, head_builds):
 
 def _check_grown_heads_at(n, rng):
     for coeffs in _head_inputs(n, rng):
-        deepest = min(poly.TREE_DEPTH_LIMIT, n // 2)
+        deepest = min(poly.KEPT_TREE_DEPTH, n // 2)
         trees = [poly._head_tree(coeffs, n, depth) for depth in range(deepest + 1)]
         for start, tree in enumerate(trees):
             for depth in range(start + 1, deepest + 1):
@@ -665,14 +666,6 @@ def test_reduce_returns_a_canonical_vector_without_a_solve(monkeypatch, rng):
     assert reduce(list(canonical.coeffs), ctx) == canonical
 
 
-def _value_mod(coeffs, x, n):
-    """The integer value at x modulo 2**n, by Horner's rule with %."""
-    value = 0
-    for c in reversed(coeffs):
-        value = (value * x + c) % (1 << n)
-    return value
-
-
 def test_reduce_of_a_full_width_degree_2d_input_at_2048(rng):
     # the lowering and the folding at full width: the form agrees with the source at four odd
     # full-width points, by plain Horner, and keeps every slot below 2**w_k; one flipped bit
@@ -686,7 +679,7 @@ def test_reduce_of_a_full_width_degree_2d_input_at_2048(rng):
         return (
             len(coeffs) == ctx.d + 1
             and all(0 <= c < 1 << bits for c, bits in zip(coeffs, ctx.coeff_bits))
-            and all(_value_mod(coeffs, x, n) == _value_mod(source, x, n) for x in points)
+            and all(horner(coeffs, x, n) == horner(source, x, n) for x in points)
         )
 
     form = reduce(source, ctx).coeffs

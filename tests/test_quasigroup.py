@@ -439,7 +439,7 @@ def test_adjoints_below_at_and_above_the_due_count_agree(mode, fixed_n, inversio
 def test_lifted_adjoints_match_the_oracle_at_every_depth(mode, n, inversions):
     # below the due count every adjoint lifts, here through trees forced to depth 0, the
     # coefficients, and to every depth an evaluator may keep
-    for depth in range(min(poly.TREE_DEPTH_LIMIT, n // 2) + 1):
+    for depth in range(min(poly.KEPT_TREE_DEPTH, n // 2) + 1):
         spec = QuasigroupSpec.random(Context(n), 2, mode, random.Random(n))
         for odd, inverse in spec._evaluators:
             for idx in range(spec.k):

@@ -70,7 +70,7 @@ def test_console_example(group, tmp_path, monkeypatch, capsys):
 
 
 def test_the_readme_cites_module_names():
-    assert {"context._ladder", "poly.TREE_DEPTH_LIMIT", "solve._elimination_price"} <= set(CITED)
+    assert {"context._ladder", "poly.KEPT_TREE_DEPTH", "solve.TREE_DEPTH_LIMIT"} <= set(CITED)
 
 
 @pytest.mark.parametrize("name", CITED)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import horner
 from unitpoly import (
     Context,
     IntPoly,
@@ -95,7 +96,7 @@ def test_interpolate_at_2048_gives_back_the_form_of_its_values(rng):
     form = [rng.getrandbits(bits - 1) | 1 << (bits - 1) for bits in ctx.coeff_bits[:9]]
     if sum(form) % 2 == 0:
         form[0] ^= 1
-    values = [_value_mod(form, x, n) for x in ctx.interpolation_nodes]
+    values = [horner(form, x, n) for x in ctx.interpolation_nodes]
     expected = (*form, *[0] * (ctx.d - 8))
     coeffs = interpolate(values, ctx).coeffs
     assert coeffs == expected
@@ -402,12 +403,11 @@ def test_invert_rejects_non_permutations():
 
 
 def test_invert_permutation_at_2048(rng):
-    # the one tree cap sets the inversion's depth here: p(q(x)) = x at four odd full-width
-    # points, by plain Horner, and every slot of q lies below 2**w_k; one flipped bit of q
-    # breaks it
+    # the inversion's tree reaches its cap here: p(q(x)) = x at four odd full-width points,
+    # by plain Horner, and every slot of q lies below 2**w_k; one flipped bit of q breaks it
     n = 2048
     ctx = Context(n)
-    assert solve._tree_depth(ctx.d + 1, n) == poly.TREE_DEPTH_LIMIT
+    assert solve._tree_depth(ctx.d + 1, n) == solve.TREE_DEPTH_LIMIT
     coeffs = [rng.getrandbits(n) for _ in range(ctx.d + 1)]
     coeffs[1] ^= ~sum(coeffs[1::2]) & 1
     coeffs[0] ^= ~sum(coeffs) & 1
@@ -417,7 +417,7 @@ def test_invert_permutation_at_2048(rng):
         return (
             len(q) == ctx.d + 1
             and all(0 <= c < 1 << bits for c, bits in zip(q, ctx.coeff_bits))
-            and all(_value_mod(coeffs, _value_mod(q, x, n), n) == x for x in points)
+            and all(horner(coeffs, horner(q, x, n), n) == x for x in points)
         )
 
     q = invert_permutation(tuple(coeffs), ctx).coeffs
@@ -475,14 +475,6 @@ def test_every_ladder_level_reads_a_prefix_of_one_newton_vector(fixed_n, rng):
             assert oracle_reduce(level, m) == oracle_reduce(p, m)
 
 
-def _value_mod(coeffs, x, n):
-    """The integer value at x modulo 2**n, by Horner's rule with %."""
-    value = 0
-    for c in reversed(coeffs):
-        value = (value * x + c) % (1 << n)
-    return value
-
-
 # 400 climbs to rung m = 200, past every other fixed n here; None is one seeded n in 65..300
 @pytest.mark.parametrize("fixed_n", (*range(2, 70), 400, None))
 def test_every_ladder_level_reads_p_and_its_slope_off_one_cut_tree(fixed_n, rng):
@@ -496,7 +488,7 @@ def test_every_ladder_level_reads_p_and_its_slope_off_one_cut_tree(fixed_n, rng)
     for _ in range(2):
         p = _permutation_with_wide_coefficients(n, rng)
         slope = tuple(i * c for i, c in enumerate(p.coeffs))[1:]
-        exact = [(_value_mod(p.coeffs, x, n), _value_mod(slope, x, n)) for x in points]
+        exact = [(horner(p.coeffs, x, n), horner(slope, x, n)) for x in points]
         for depth in range(min(8, n // 2) + 1):
             tree = poly._head_tree(p.coeffs, n, depth)
             slope_tree = poly._slope_tree(tree, (n + 1) // 2)
@@ -741,7 +733,7 @@ def test_multiplicative_inverse_at_2048(rng):
     points = [rng.getrandbits(n) | 1 << (n - 1) | 1 for _ in range(4)]
 
     def is_inverse(q):
-        return all(_value_mod(coeffs, x, n) * _value_mod(q, x, n) % (1 << n) == 1
+        return all(horner(coeffs, x, n) * horner(q, x, n) % (1 << n) == 1
                    for x in points)
 
     q = multiplicative_inverse(tuple(coeffs), ctx).coeffs
@@ -886,14 +878,14 @@ def test_values_at_matches_horner_and_the_oracle(n, packed_length, monkeypatch, 
     ctx = Context(n)
     points = _kernel_points(n)
     vectors = _kernel_vectors(n, rng)
-    horner = [[poly._eval_masked(coeffs, x, ctx.mask) for x in points] for coeffs in vectors]
-    assert [poly._values_at([coeffs], points, n)[0] for coeffs in vectors] == horner
+    by_horner = [[poly._eval_masked(coeffs, x, ctx.mask) for x in points] for coeffs in vectors]
+    assert [poly._values_at([coeffs], points, n)[0] for coeffs in vectors] == by_horner
     # two vectors of unequal length share one packed pass
-    for (a, at_a), (b, at_b) in zip(zip(vectors, horner), zip(vectors[::-1], horner[::-1])):
+    for (a, at_a), (b, at_b) in zip(zip(vectors, by_horner), zip(vectors[::-1], by_horner[::-1])):
         assert poly._values_at([a, b], points, n) == [at_a, at_b]
     if n <= 10:  # the oracle tabulates every odd residue
         odd = [x for x in points if x & 1]
-        for coeffs, values in zip(vectors, horner):
+        for coeffs, values in zip(vectors, by_horner):
             at_odd = [v for x, v in zip(points, values) if x & 1]
             assert at_odd == _oracle_values_at(coeffs, n, [x % ctx.modulus for x in odd])
 
@@ -903,8 +895,8 @@ def test_values_at_matches_horner_at_one_seeded_large_n(rng):
     ctx = Context(n)
     points = [*ctx.interpolation_nodes, *range(1, keller_beta(n), 2)]
     wide, longer = _kernel_vectors(n, rng)[-2:]
-    horner = [[poly._eval_masked(c, x, ctx.mask) for x in points] for c in (wide, longer)]
-    assert poly._values_at([wide, longer, ()], points, n) == [*horner, [0] * len(points)]
+    by_horner = [[poly._eval_masked(c, x, ctx.mask) for x in points] for c in (wide, longer)]
+    assert poly._values_at([wide, longer, ()], points, n) == [*by_horner, [0] * len(points)]
 
 
 def test_product_and_glue_match_the_oracle_at_one_seeded_n_above_256(rng):
