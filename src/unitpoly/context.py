@@ -4,17 +4,19 @@ Everything downstream keys off one integer table, coeff_widths(n): the
 slot widths n - i - t_i of a canonical coefficient vector, t_i being the
 two-adic valuation of i!, that is i - popcount(i). Its last index is d_n,
 the degree cap, which max_reduced_degree finds in O(log n) steps without
-the table (census sums the table in closed form the same way). A Context
-bundles the table with the modulus. The inverse of an odd residue lives
-here too, below every module that needs it (residue re-exports it as its
-public home), and so does the one ladder of Newton precisions, _ladder,
-that it climbs, as do poly's preimage lift and residue's root search.
+the table (census sums the table in closed form the same way); the table
+is then n - 2i + popcount(i) for i up to d_n, one map at C speed. A
+Context bundles the table with the modulus. checked_indices checks a
+whole coefficient vector in one pass, as checked_index does one value.
+The inverse of an odd residue lives here too, below every module that
+needs it (residue re-exports it as its public home), and so does the one
+ladder of Newton precisions, _ladder, that it climbs, as do poly's
+preimage lift and residue's root search.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 
 DEFAULT_MAX_N = 4096
@@ -43,6 +45,17 @@ def checked_index(value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{value!r} is not an integer") from None
+
+
+def checked_indices(values) -> tuple[int, ...]:
+    """Each of values as an int, as checked_index takes it, in one pass of
+    operator.index at C speed; only when that fails does a second pass,
+    by checked_index, find the first non-integer and name it."""
+    values = tuple(values)  # the object itself for a tuple, so an iterator is read once
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        return tuple(map(checked_index, values))
 
 
 def checked_budget(value, name: str) -> int:
@@ -127,11 +140,13 @@ def unit_inverses(values, n: int) -> list[int]:
 @functools.lru_cache(maxsize=64)
 def coeff_widths(n: int) -> tuple[int, ...]:
     """Widths n - i - t_i, i <= d_n: canonical coefficient i modulo 2**n
-    lies in [0, 2**coeff_widths(n)[i]). i + t_i strictly increases, so the
-    widths are one upward scan, cut at the first that is not positive."""
-    # n - i - t_i, t_i inline: two_adic_factorial_valuation would check each i's type
-    scan = (n - 2 * i + i.bit_count() for i in itertools.count())
-    return tuple(itertools.takewhile(lambda width: width > 0, scan))
+    lies in [0, 2**coeff_widths(n)[i]); () for n <= 0. i + t_i strictly
+    increases, so the positive widths are those up to max_reduced_degree,
+    n - 2i + popcount(i) each, in one map over i."""
+    if n < 1:
+        return ()
+    d = max_reduced_degree(n)
+    return tuple(map(operator.add, range(n, n - 2 * d - 1, -2), map(int.bit_count, range(d + 1))))
 
 
 class Context:

@@ -99,8 +99,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .census import keller_beta
-from .context import Context, _ladder, checked_index, coeff_widths, unit_inverse, unit_inverses
-from .context import two_adic_factorial_valuation
+from .context import Context, _ladder, checked_index, checked_indices, coeff_widths, unit_inverse
+from .context import two_adic_factorial_valuation, unit_inverses
 from .errors import InconsistentTable, NotAPermutation
 
 WHOLE_TABLE_ENTRIES = 1 << 14  # most slots of T a row store keeps whole (0.42 MiB at n = 256)
@@ -138,7 +138,7 @@ class IntPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trimmed(tuple(map(checked_index, self.coeffs))))
+        object.__setattr__(self, "coeffs", _trimmed(checked_indices(self.coeffs)))
 
     @property
     def degree(self) -> int | None:
@@ -237,17 +237,18 @@ class ReducedPoly:
         if n < 2:
             raise ValueError(f"modulus exponent must be at least 2, got {n}")
         widths = coeff_widths(n)
-        coeffs = _trimmed(tuple(map(checked_index, self.coeffs)))
+        coeffs = _trimmed(checked_indices(self.coeffs))
         if len(coeffs) > len(widths):
             raise ValueError(
                 f"degree {len(coeffs) - 1} exceeds the cap {len(widths) - 1} for n={n}"
             )
+        # c >> w is 0 exactly for c in [0, 2**w): one scan, stopped at the first slot out of range
+        high = map(operator.rshift, coeffs, widths)
+        bad = next(itertools.compress(itertools.count(), high), None)
+        if bad is not None:
+            raise ValueError(f"coefficient {coeffs[bad]} at degree {bad} is outside "
+                             f"[0, {1 << widths[bad]}) for n={n}")
         coeffs += (0,) * (len(widths) - len(coeffs))
-        for i, (c, bits) in enumerate(zip(coeffs, widths)):
-            if not 0 <= c < 1 << bits:
-                raise ValueError(
-                    f"coefficient {c} at degree {i} is outside [0, {1 << bits}) for n={n}"
-                )
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "n", n)
 
@@ -280,7 +281,7 @@ def _as_coeffs(poly) -> tuple[int, ...]:
     """Coefficient tuple of an IntPoly, ReducedPoly, or plain sequence."""
     if isinstance(poly, (IntPoly, ReducedPoly)):
         return poly.coeffs
-    return tuple(map(checked_index, poly))
+    return checked_indices(poly)
 
 
 def parse_poly(text: str) -> IntPoly:
@@ -354,10 +355,12 @@ def induces_permutation_on_units(poly) -> bool:
     """True when the induced map permutes the odd residues.
 
     Requires the coefficient sum odd (so it is a function on the odd
-    residues at all) and the odd-indexed coefficient sum odd.
+    residues at all) and the odd-indexed coefficient sum odd: that is, the
+    odd-indexed sum odd and the even-indexed sum even, each coefficient
+    added once.
     """
     coeffs = _as_coeffs(poly)
-    return sum(coeffs) & 1 == 1 and sum(coeffs[1::2]) & 1 == 1
+    return sum(coeffs[1::2]) & 1 == 1 and sum(coeffs[::2]) & 1 == 0
 
 
 def rivest_permutes_ring(poly) -> bool:
@@ -954,7 +957,7 @@ def bivariate_quasigroup_check(coeff_matrix: Sequence[Sequence[int]], n: int) ->
     """
     if checked_index(n) < 2:
         raise ValueError("modulus exponent must be at least 2")
-    rows = [tuple(map(checked_index, row)) for row in coeff_matrix]
+    rows = [checked_indices(row) for row in coeff_matrix]
     width = max(map(len, rows), default=0)
     if not width:  # every specialization of the zero polynomial is constant
         return False

@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-import re
 from enum import Enum
 
 from .context import Context, DEFAULT_MAX_N, checked_budget, checked_index
@@ -42,8 +41,10 @@ RANDOM_ARITY_BUDGET = 1 << 10  # largest k that QuasigroupSpec.random will draw
 
 
 def _integer(value) -> int:
-    """A document's integer: a JSON integer (not a bool) or a decimal string."""
-    if type(value) is int or type(value) is str and re.fullmatch(r"-?[0-9]+", value):
+    """A document's integer: a JSON integer (not a bool) or a decimal string,
+    an optional minus sign then one or more ASCII digits."""
+    if type(value) is int or (type(value) is str and value.isascii()
+                              and value.removeprefix("-").isdigit()):
         return int(value)
     raise TypeError(f"expected an integer or a decimal string, got {type(value).__name__}")
 

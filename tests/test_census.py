@@ -228,6 +228,22 @@ def test_closed_forms_match_the_width_scan():
         assert count_reduced(n) == sum(widths) - 1, n
 
 
+def test_width_table_equals_the_plain_upward_scan():
+    # i + t_i with t_i by Legendre's sum of floor(i / 2**k), not by popcount
+    steps = [i + sum(i >> k for k in range(1, 13)) for i in range(2100)]
+    for n in range(-3, 4097):
+        scan = []
+        for step in steps:
+            if n - step <= 0:
+                break
+            scan.append(n - step)
+        widths = coeff_widths.__wrapped__(n)  # uncached, as above
+        assert widths == tuple(scan), n
+        if n >= 1:
+            assert len(widths) - 1 == max_reduced_degree(n), n
+    assert coeff_widths(4) == (4, 3, 1) and coeff_widths(0) == ()
+
+
 def test_count_reduced_matches_oracle():
     for n in range(2, 129):
         assert count_reduced(n) == oracle_count_reduced(n), n

@@ -106,17 +106,28 @@ def test_reduced_poly_pads_to_full_width():
     assert ReducedPoly((1, 0, 0, 0), 4).coeffs == (1, 0, 0)
 
 
+# each refusal word for word; at n=4 slot i holds n - i - t_i bits, that is 16, 8, 2
+_SLOT_REFUSALS = {
+    (16, 8, 2): "coefficient 16 at degree 0 is outside [0, 16) for n=4",  # the first of three
+    (16, 0, 0): "coefficient 16 at degree 0 is outside [0, 16) for n=4",
+    (0, -1, 0): "coefficient -1 at degree 1 is outside [0, 8) for n=4",
+    (0, 8, 0): "coefficient 8 at degree 1 is outside [0, 8) for n=4",
+    (0, 0, 2): "coefficient 2 at degree 2 is outside [0, 2) for n=4",
+    (0, 0, 0, 1): "degree 3 exceeds the cap 2 for n=4",
+    (0, 5.5): "5.5 is not an integer",
+    (0, "3"): "'3' is not an integer",
+}
+
+
 def test_reduced_poly_slot_bounds():
-    # slot i holds n - i - t_i bits; at n=4 that is 16, 8, 2
-    ReducedPoly((15, 7, 1), 4)
-    with pytest.raises(ValueError):
-        ReducedPoly((16, 0, 0), 4)
-    with pytest.raises(ValueError):
-        ReducedPoly((0, 8, 0), 4)
-    with pytest.raises(ValueError):
-        ReducedPoly((0, 0, 2), 4)
-    with pytest.raises(ValueError):
-        ReducedPoly((0, 0, 0, 1), 4)
+    assert ReducedPoly((15, 7, 1), 4).coeffs == (15, 7, 1)
+    assert ReducedPoly((1, 0, 0, 0, 0), 4).coeffs == (1, 0, 0)
+    made = ReducedPoly((True, False, True), 4).coeffs
+    assert made == (1, 0, 1) and all(type(c) is int for c in made)
+    for coeffs, message in _SLOT_REFUSALS.items():
+        with pytest.raises(ValueError) as caught:
+            ReducedPoly(coeffs, 4)
+        assert str(caught.value) == message, coeffs
 
 
 def test_reduced_poly_degree_and_text():
@@ -559,6 +570,29 @@ def test_unit_predicates_match_oracle(n, rng):
         table = oracle_function_of(coeffs, n)
         assert induces_function_on_units(coeffs) == oracle_is_unit_valued(table)
         assert induces_permutation_on_units(coeffs) == oracle_is_permutation(table)
+
+
+def _permutes_units_by_two_sums(coeffs):
+    # the definition: the whole sum odd and the odd-indexed sum odd
+    return sum(coeffs) & 1 == 1 and sum(coeffs[1::2]) & 1 == 1
+
+
+def test_permutation_test_matches_the_two_sum_definition(rng):
+    vectors = [(), (0,), (1,), (0, 1), (2, 1), (4, 4, 1), (-1, -2), (-3, 0, 0, -5)]
+    for _ in range(300):
+        length = rng.randrange(12)
+        vectors.append(tuple(rng.randrange(-(1 << 70), 1 << 70) if rng.random() < 0.8 else 0
+                             for _ in range(length)))
+    for coeffs in vectors:
+        expected = _permutes_units_by_two_sums(coeffs)
+        assert induces_permutation_on_units(coeffs) == expected, coeffs
+        assert induces_permutation_on_units(list(coeffs)) == expected, coeffs
+        assert induces_permutation_on_units(IntPoly(coeffs)) == expected, coeffs
+    for n in (2, 3, 8, 64, 256):
+        widths = Context(n).coeff_bits
+        for _ in range(50):
+            form = ReducedPoly(tuple(rng.getrandbits(w) for w in widths), n)
+            assert induces_permutation_on_units(form) == _permutes_units_by_two_sums(form.coeffs)
 
 
 def test_unit_predicates_known_cases():

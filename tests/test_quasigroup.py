@@ -29,7 +29,7 @@ from unitpoly import (
 from unitpoly import poly
 from unitpoly import induces_permutation_on_units
 from unitpoly.oracle import EVAL_BUDGET_N, oracle_function_of, oracle_is_latin_square
-from unitpoly.quasigroup import RANDOM_ARITY_BUDGET
+from unitpoly.quasigroup import RANDOM_ARITY_BUDGET, _integer
 
 
 def _spec(n, mode, coeff_rows, h_rows=None):
@@ -285,6 +285,30 @@ def test_malformed_documents_rejected(mutate):
         QuasigroupSpec.from_dict(data)
     if mutate in _WRONG_TYPES:
         assert str(caught.value).startswith("malformed quasigroup document: ")
+
+
+# the integer language of a spec document: a JSON integer, or an optional minus
+# sign then ASCII digits, and nothing else
+_INTEGERS = {"7": 7, "-7": -7, "007": 7, "-0": 0, 7: 7}
+_NOT_DECIMAL = ("+7", " 7", "7 ", "7\n", "7_0", "\u0667", "\u00b2", "\uff17", "0x7", "7.0", "",
+                "-", "--7")
+
+
+def test_document_integers_word_for_word():
+    for value, expected in _INTEGERS.items():
+        assert _integer(value) == expected and type(_integer(value)) is int, value
+    refusals = [(text, "str") for text in _NOT_DECIMAL] + [(True, "bool"), (7.0, "float")]
+    for value, name in refusals:
+        with pytest.raises(TypeError) as caught:
+            _integer(value)
+        assert str(caught.value) == f"expected an integer or a decimal string, got {name}", value
+    data = _spec(4, Mode.UNIT_PRODUCT, [(0, 1)]).to_dict()
+    data["p"] = [["0", "+1"]]
+    with pytest.raises(ValueError) as caught:
+        QuasigroupSpec.from_dict(data)
+    assert str(caught.value) == (
+        "malformed quasigroup document: expected an integer or a decimal string, got str"
+    )
 
 
 def test_from_json_rejects_bad_text():
