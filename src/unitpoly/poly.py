@@ -21,16 +21,23 @@ Horner's rule (_to_newton). As w falls with k, multiplying by x
 (_times_x) is exact slot by slot modulo 2**w_k, so Newton vectors and the
 rows T(i, .) of the solve's table (the Newton coefficients of x**i) are
 kept to the slot widths. Each Context gets one store of rows, built
-upward on its first solve and dropped with it: every row while the table
-has at most WHOLE_TABLE_ENTRIES slots (n <= 356), otherwise every
-(isqrt(d_n)+1)-th row, the solve rebuilding each block from its
-checkpoint as it reads down. A Context that solves again is admitted to
-the whole table (admission on the second reference, as in Johnson and
-Shasha's 2Q, VLDB 1994): while the whole table fits ROW_STORE_BYTES
-(n <= 1027), the second solve first replaces the checkpoints with the
-whole table, then reads it, so later solves rebuild nothing. One rule,
-in _rows_down, picks the store; _build_rows builds every store. A
-one-shot solve keeps only the checkpoints.
+upward on its first solve and dropped with it: every row, as tuples,
+while the table has at most WHOLE_TABLE_ENTRIES slots (n <= 356),
+otherwise every (isqrt(d_n)+1)-th row, the solve rebuilding each block
+from its checkpoint as it reads down (_rows_down). A Context that solves
+again gets a store it reads faster (admission on the second reference,
+as in Johnson and Shasha's 2Q, VLDB 1994), which its second solve swaps
+in before it reads, so later solves rebuild nothing. Up to n = 356 that
+store is the same rows packed, each into one int, with a field per slot
+(_packed_rows; Kronecker substitution, as in _values_at): a row is then
+one product and one mask (_packed_solve), where the tuple rows cost d_n
+small products each, and the packed rows take about the tuples' memory.
+A field is about twice its slot's width, so a packed row costs about
+twice the word products of its tuple: packing ties at n = 512 and loses
+at 1024. So past n = 356 the store is the whole table of tuples,
+replacing the checkpoints while it fits ROW_STORE_BYTES (n <= 1027).
+One rule, _row_store, picks the store; _build_rows builds every store of
+tuples. A one-shot solve packs nothing and keeps what it built.
 
 Every way back from a basis (x-c_0)(x-c_1)...(x-c_{k-1}) to monomials is
 one Horner fold, _expand, over one step, _times_linear (multiply by x - c,
@@ -300,8 +307,10 @@ def parse_poly(text: str) -> IntPoly:
 
 
 def format_poly(coeffs: Iterable[int]) -> str:
-    """Comma-separated decimal coefficients, trailing zeros trimmed."""
-    out = _trimmed([int(c) for c in coeffs])
+    """Comma-separated decimal coefficients, trailing zeros trimmed. A
+    coefficient that is not an integer is a ValueError naming it
+    (checked_indices), as in IntPoly."""
+    out = _trimmed(checked_indices(coeffs))
     if not out:
         return "0"
     return ",".join(str(c) for c in out)
@@ -827,6 +836,32 @@ def _build_rows(n: int, whole: bool) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return step, tuple(rows)
 
 
+def _packed_rows(n: int, rows: Sequence[Sequence[int]]):
+    """The whole table, rows T(i, .) modulo 2**w_k, as a packed row store
+    (1, packed, sizes, shifts, keep) (Kronecker substitution; von zur
+    Gathen and Gerhard, "Modern Computer Algebra", ch. 8). Slot k of a
+    packed int is a field of sizes[k] bytes, w_k + w_{k+1} + 1 bits
+    rounded up, from bit shifts[k], slot 0 lowest; keep holds 2**w_k - 1
+    in every field k. Row i is stored as P_i - T_i, where P_i holds 2**w_k
+    in each field k < i and T_i is T(i, .) packed, its 1 at slot i
+    included: field k < i holds 2**w_k - T(i,k) > 0, so no field borrows
+    from the next, and the -2**shifts[i] left takes T(i,i) = 1 off slot i
+    (_packed_solve). Each row is packed by one join of C-level to_bytes
+    and one from_bytes."""
+    widths = coeff_widths(n)
+    sizes = [(w + below + 8) // 8 for w, below in zip(widths, [*widths[1:], 0])]
+    offsets = [0, *itertools.accumulate(sizes)]
+    little = itertools.repeat("little")
+    tops = b"".join(map(int.to_bytes, [1 << w for w in widths], sizes, little))
+    packed = tuple(
+        int.from_bytes(tops[:offset], "little")
+        - int.from_bytes(b"".join(map(int.to_bytes, row, sizes, little)), "little")
+        for row, offset in zip(rows, offsets)
+    )
+    keep = int.from_bytes(b"".join(map(int.to_bytes, _slot_masks(n), sizes, little)), "little")
+    return 1, packed, sizes, [8 * offset for offset in offsets], keep
+
+
 def _table_bytes(n: int) -> int:
     """The bytes the whole table T at precision n takes as a row store, at
     most: row i is a tuple of i + 1 ints, slot k below 2**w_k, and
@@ -838,26 +873,39 @@ def _table_bytes(n: int) -> int:
     return slots + (d + 1) * sys.getsizeof(())
 
 
-# each Context's row store, built on its first solve and rebuilt whole on its second
-# (_rows_down); it lives exactly as long as the Context
+# each Context's row store, built on its first solve and rebuilt whole or packed on its
+# second (_row_store); it lives exactly as long as the Context
 _row_stores: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _rows_down(ctx: Context):
-    """(i, T(i, .)) for i from d_n down to 0, n = ctx.n, slot k modulo
-    2**w_k, from ctx's row store. A first solve builds the store: the
-    whole table while it has at most WHOLE_TABLE_ENTRIES slots, otherwise
-    checkpoints. A later solve that finds checkpoints first replaces them
-    with the whole table, while that fits ROW_STORE_BYTES (_table_bytes),
-    so the solves after it rebuild nothing. Stored rows are yielded as
-    they are; between checkpoints each block's rows are rebuilt upward
-    from its checkpoint, then yielded from its top row down."""
+def _row_store(ctx: Context):
+    """ctx's row store for this solve, picked by one rule. A first solve
+    builds it: the whole table while it has at most WHOLE_TABLE_ENTRIES
+    slots (n <= 356), otherwise checkpoints. A later solve that finds the
+    whole table of tuples there packs it (_packed_rows), and one that finds
+    checkpoints replaces them with the whole table, while that fits
+    ROW_STORE_BYTES (_table_bytes), so the solves after it rebuild
+    nothing. Either new store is swapped in by one assignment."""
     store = _row_stores.get(ctx)
-    if store is None or (store[0] > 1 and _table_bytes(ctx.n) <= ROW_STORE_BYTES):
-        # racing threads may each build a store: each reads its own, and every build is the same
-        whole = store is not None or (ctx.d + 1) * (ctx.d + 2) // 2 <= WHOLE_TABLE_ENTRIES
-        store = _row_stores[ctx] = _build_rows(ctx.n, whole)
-    step, rows = store
+    small = (ctx.d + 1) * (ctx.d + 2) // 2 <= WHOLE_TABLE_ENTRIES
+    if store is None:
+        store = _build_rows(ctx.n, small)
+    elif small and len(store) == 2:
+        store = _packed_rows(ctx.n, store[1])
+    elif store[0] > 1 and _table_bytes(ctx.n) <= ROW_STORE_BYTES:
+        store = _build_rows(ctx.n, True)
+    else:
+        return store
+    # racing threads may each build a store: each reads its own, and every build is the same
+    _row_stores[ctx] = store
+    return store
+
+
+def _rows_down(step: int, rows, ctx: Context):
+    """(i, T(i, .)) for i from d_n down to 0, n = ctx.n, slot k modulo
+    2**w_k, from a store of tuple rows, every step-th row. Stored rows are
+    yielded as they are; between checkpoints each block's rows are rebuilt
+    upward from its checkpoint, then yielded from its top row down."""
     if step == 1:
         yield from zip(range(ctx.d, -1, -1), reversed(rows))
         return
@@ -869,6 +917,27 @@ def _rows_down(ctx: Context):
         yield from zip(range(base + len(block) - 1, -1, -1), reversed(block))
 
 
+def _packed_solve(newton: Sequence[int], n: int, rows, sizes, shifts, keep) -> list[int]:
+    """_solve over packed rows (_packed_rows). acc is newton packed in the
+    rows' fields, slot k & 2**w_k - 1. Its top field, i, is r_i, below
+    2**w_i, and acc + r_i row_i clears it and adds r_i (2**w_k - T(i,k)) to
+    each field k < i; & keep leaves acc_k - r_i T(i,k) modulo 2**w_k there.
+    No field carries into the next: it holds less than 2**w_k (1 + 2**w_i),
+    and w_i <= w_{k+1}. So each row is one product and one mask."""
+    little = itertools.repeat("little")
+    acc = int.from_bytes(
+        b"".join(map(int.to_bytes, map(operator.and_, newton, _slot_masks(n)), sizes, little)),
+        "little",
+    )
+    out = [0] * len(sizes)
+    for i in range(len(sizes) - 1, 0, -1):
+        r = out[i] = acc >> shifts[i]
+        if r:
+            acc = (acc + r * rows[i]) & keep
+    out[0] = acc
+    return out
+
+
 def _solve(newton: Sequence[int], ctx: Context) -> list[int]:
     """The canonical coefficients modulo 2**n (n = ctx.n) of the function
     with Newton coefficients newton.
@@ -878,11 +947,15 @@ def _solve(newton: Sequence[int], ctx: Context) -> list[int]:
     most d_n induce one function exactly when these agree modulo 2**w_k.
     So from i = d_n down, r_i is what is left of newton[i] modulo 2**w_i,
     and r_i T(i,k) leaves every lower slot k, which reads T(i,k) only
-    modulo 2**w_k. The rows come from ctx's row store (_rows_down)."""
+    modulo 2**w_k. The rows come from ctx's row store (_row_store): packed
+    rows are read by _packed_solve, tuple rows by _rows_down."""
+    step, rows, *layout = _row_store(ctx)
+    if layout:
+        return _packed_solve(newton, ctx.n, rows, *layout)
     masks = _slot_masks(ctx.n)
     acc = list(newton)  # unmasked: the & that reads a slot gives its residue
     out = [0] * len(masks)
-    for i, row in _rows_down(ctx):
+    for i, row in _rows_down(step, rows, ctx):
         r = out[i] = acc[i] & masks[i]
         if r:
             acc = [a - r * t for a, t in zip(acc, row)]

@@ -83,6 +83,9 @@ def test_parse_and_format_round_trip():
     assert format_poly((31, 3, 2, 0)) == "31,3,2"
     assert format_poly(()) == "0"
     assert format_poly((0, 0)) == "0"
+    # a float is refused, as IntPoly refuses it, not truncated to 2
+    with pytest.raises(ValueError, match=r"^2\.7 is not an integer$"):
+        format_poly((2.7, 1))
 
 
 @pytest.mark.parametrize("bad", ["", "1,,2", "x", "1;2", ","])
@@ -915,6 +918,74 @@ def test_threads_racing_to_grow_one_store_agree(rng):
     assert results == expected
     assert _stride(ctx) == 1
     assert [poly._solve(newton, ctx) for newton in inputs] == expected
+
+
+def _packed(ctx):
+    # a packed store carries its layout after (step, rows); a store of tuples is (step, rows)
+    return len(poly._row_stores[ctx]) > 2
+
+
+def _one_shot_solve(newton, n):
+    # the tuple path: a Context that solves once reads the tuple rows its one solve builds
+    ctx = Context(n)
+    out = poly._solve(newton, ctx)
+    assert not _packed(ctx)
+    return out
+
+
+def _solve_inputs(n, rng):
+    # full-width slots left unmasked, as _newton_fit returns them; the same with its top
+    # half zero, so the top rows' r is 0 and their products are skipped; and wide, negative
+    # entries
+    d = max_reduced_degree(n)
+    full = [rng.randrange(1 << n) for _ in range(d + 1)]
+    return [full, full[: d // 2 + 1] + [0] * (d - d // 2), _newton_vector(n, rng)]
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), _LAST_WHOLE - 1, _LAST_WHOLE])
+def test_a_second_solve_packs_the_rows_and_matches_the_tuple_path(n, rng):
+    # the first solve keeps tuple rows; the second packs them and reads the packed rows,
+    # as does every later one
+    inputs = _solve_inputs(n, rng)
+    expected = [_one_shot_solve(newton, n) for newton in inputs]
+    oracle = oracle_solve if n <= 64 else _oracle_solve_by_reduce
+    assert expected == [oracle(newton, n) for newton in inputs]
+    ctx = Context(n)
+    assert poly._solve(inputs[0], ctx) == expected[0]
+    assert _stride(ctx) == 1 and not _packed(ctx)
+    assert [poly._solve(newton, ctx) for newton in inputs] == expected
+    assert _stride(ctx) == 1 and _packed(ctx)
+
+
+def test_a_reused_context_past_the_whole_table_never_packs(rng):
+    n = _LAST_WHOLE + 1
+    inputs = _solve_inputs(n, rng)
+    expected = [_one_shot_solve(newton, n) for newton in inputs]
+    ctx = Context(n)
+    strides = []
+    for newton, out in zip(inputs, expected):
+        assert poly._solve(newton, ctx) == out
+        assert not _packed(ctx)
+        strides.append(_stride(ctx))
+    # checkpoints, then the whole table of tuples, kept
+    assert strides[0] > 1 and strides[1:] == [1, 1]
+
+
+def test_packed_rows_take_about_the_tuple_tables_memory(rng):
+    n = 256
+    ctx = Context(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        poly._solve(_newton_vector(n, rng), ctx)
+        tuples = tracemalloc.get_traced_memory()[0] - before
+        poly._solve(_newton_vector(n, rng), ctx)
+        packed = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert _packed(ctx)
+    # 393 against 428 KiB on CPython 3.11: the packed rows replace the tuples, not join them
+    assert packed <= 1.1 * tuples
 
 
 def _linear(node):

@@ -692,6 +692,35 @@ def test_threads_sharing_a_fresh_context_interpolate_consistently(rng):
     assert results == [expected] * len(threads)
 
 
+def test_threads_racing_on_a_contexts_second_solve_interpolate_consistently(rng):
+    other = Context(128)
+    tables = [poly._node_values(random_permutational_poly(other, rng), other) for _ in range(6)]
+    expected = [interpolate(values, other) for values in tables]
+    ctx = Context(128)
+    assert interpolate(tables[0], ctx) == expected[0]
+    # one solve built the tuple rows, so the threads race to pack them and swap them in
+    assert len(poly._row_stores[ctx]) == 2
+    results = []
+
+    def fit():
+        # a thread that raises appends nothing, so the count below catches it too
+        results.append([interpolate(values, ctx) for values in tables])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fit) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(threads)
+    assert len(poly._row_stores[ctx]) > 2
+
+
 # -- pointwise multiplicative inverse ------------------------------------------
 
 
