@@ -20,24 +20,26 @@ modulo 2**w_k, w_k = n-k-t_k. reduce reaches them from coefficients by
 Horner's rule (_to_newton). As w falls with k, multiplying by x
 (_times_x) is exact slot by slot modulo 2**w_k, so Newton vectors and the
 rows T(i, .) of the solve's table (the Newton coefficients of x**i) are
-kept to the slot widths. Each Context gets one store of rows, built
-upward on its first solve and dropped with it: every row, as tuples,
-while the table has at most WHOLE_TABLE_ENTRIES slots (n <= 356),
-otherwise every (isqrt(d_n)+1)-th row, the solve rebuilding each block
-from its checkpoint as it reads down (_rows_down). A Context that solves
-again gets a store it reads faster (admission on the second reference,
-as in Johnson and Shasha's 2Q, VLDB 1994), which its second solve swaps
-in before it reads, so later solves rebuild nothing. Up to n = 356 that
-store is the same rows packed, each into one int, with a field per slot
-(_packed_rows; Kronecker substitution, as in _values_at): a row is then
-one product and one mask (_packed_solve), where the tuple rows cost d_n
-small products each, and the packed rows take about the tuples' memory.
-A field is about twice its slot's width, so a packed row costs about
-twice the word products of its tuple: packing ties at n = 512 and loses
-at 1024. So past n = 356 the store is the whole table of tuples,
-replacing the checkpoints while it fits ROW_STORE_BYTES (n <= 1027).
-One rule, _row_store, picks the store; _build_rows builds every store of
-tuples. A one-shot solve packs nothing and keeps what it built.
+kept to the slot widths. The rows are kept per precision, not per
+Context, and one rule, _row_store, picks them, by the admission of Johnson
+and Shasha's 2Q (VLDB 1994). The first solve at n in the process builds a
+store, reads it and keeps only n, a ghost entry, so a sweep of one-shot
+solves keeps nothing: every row, as tuples, while the table has at most
+WHOLE_TABLE_ENTRIES slots (n <= 356), otherwise every (isqrt(d_n)+1)-th
+row, the solve rebuilding each block from its checkpoint as it reads down
+(_rows_down). A later solve at n, from any Context, builds a store it
+reads faster and keeps it, so later solves at n rebuild nothing. Up to
+n = 356 that store is the same rows packed, each into one int, with a
+field per slot (_packed_rows; Kronecker substitution, as in _values_at): a
+row is then one product and one mask (_packed_solve), where the tuple rows
+cost d_n small products each, and the packed rows take about the tuples'
+memory. A field is about twice its slot's width, so a packed row costs
+about twice the word products of its tuple: packing ties at n = 512 and
+loses at 1024. So past n = 356 the kept store is the whole table of
+tuples while it fits ROW_STORE_BYTES (n <= 1027), otherwise checkpoints.
+All kept stores take at most 2 * ROW_STORE_BYTES, each priced by
+_store_bytes, and the least recently solved n is dropped first, down to
+the one just kept. _build_rows builds every store of tuples.
 
 Every way back from a basis (x-c_0)(x-c_1)...(x-c_{k-1}) to monomials is
 one Horner fold, _expand, over one step, _times_linear (multiply by x - c,
@@ -101,17 +103,16 @@ import math
 import operator
 import sys
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .census import keller_beta
 from .context import Context, _ladder, checked_index, checked_indices, coeff_widths, unit_inverse
-from .context import two_adic_factorial_valuation, unit_inverses
+from .context import max_reduced_degree, two_adic_factorial_valuation, unit_inverses
 from .errors import InconsistentTable, NotAPermutation
 
 WHOLE_TABLE_ENTRIES = 1 << 14  # most slots of T a row store keeps whole (0.42 MiB at n = 256)
-ROW_STORE_BYTES = 1 << 24  # most bytes a reused Context's whole table may take (_table_bytes)
+ROW_STORE_BYTES = 1 << 24  # most bytes a kept whole table may take; all kept stores, twice that
 KEPT_TREE_DEPTH = 6  # deepest evaluator tree: 32 heads, about 11 times a canonical form's bits
 SHIFT_STEPS = 6  # one-word Horner steps a shifted term costs past its additions: 6.7 measured
 # chunks per vector in _values_at. One full-width degree-d polynomial at its d + 1 standard nodes
@@ -862,42 +863,73 @@ def _packed_rows(n: int, rows: Sequence[Sequence[int]]):
     return 1, packed, sizes, [8 * offset for offset in offsets], keep
 
 
-def _table_bytes(n: int) -> int:
-    """The bytes the whole table T at precision n takes as a row store, at
-    most: row i is a tuple of i + 1 ints, slot k below 2**w_k, and
-    sys.getsizeof gives each object's size."""
+def _table_bytes(n: int, step: int = 1) -> int:
+    """The bytes a row store of tuples at precision n takes, at most: rows
+    0, step, 2 step, ... of T (the whole table at step 1), row i a tuple of
+    i + 1 ints, slot k below 2**w_k, and sys.getsizeof gives each object's
+    size."""
     masks = _slot_masks(n)
-    d = len(masks) - 1
     pointer = sys.getsizeof((0,)) - sys.getsizeof(())
-    slots = sum((d + 1 - k) * (sys.getsizeof(mask) + pointer) for k, mask in enumerate(masks))
-    return slots + (d + 1) * sys.getsizeof(())
+    slots = [0, *itertools.accumulate(sys.getsizeof(mask) + pointer for mask in masks)]
+    return sum(sys.getsizeof(()) + slots[i + 1] for i in range(0, len(masks), step))
 
 
-# each Context's row store, built on its first solve and rebuilt whole or packed on its
-# second (_row_store); it lives exactly as long as the Context
-_row_stores: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _store_bytes(n: int, store) -> int:
+    """The bytes the row store at precision n keeps: tuple rows as
+    _table_bytes prices them, packed rows (_packed_rows) by sys.getsizeof
+    of each int they keep."""
+    step, rows, *layout = store
+    if not layout:
+        return _table_bytes(n, step)
+    _, shifts, keep = layout
+    return sum(map(sys.getsizeof, (*rows, *shifts, keep)))
 
 
-def _row_store(ctx: Context):
-    """ctx's row store for this solve, picked by one rule. A first solve
-    builds it: the whole table while it has at most WHOLE_TABLE_ENTRIES
-    slots (n <= 356), otherwise checkpoints. A later solve that finds the
-    whole table of tuples there packs it (_packed_rows), and one that finds
-    checkpoints replaces them with the whole table, while that fits
-    ROW_STORE_BYTES (_table_bytes), so the solves after it rebuild
-    nothing. Either new store is swapped in by one assignment."""
-    store = _row_stores.get(ctx)
-    small = (ctx.d + 1) * (ctx.d + 2) // 2 <= WHOLE_TABLE_ENTRIES
-    if store is None:
-        store = _build_rows(ctx.n, small)
-    elif small and len(store) == 2:
-        store = _packed_rows(ctx.n, store[1])
-    elif store[0] > 1 and _table_bytes(ctx.n) <= ROW_STORE_BYTES:
-        store = _build_rows(ctx.n, True)
+# the kept row stores, n: (bytes, store), least recently solved first, and 2Q's ghost entries:
+# every precision solved in this process, so a second solve at n knows it is one
+_row_stores: dict[int, tuple[int, tuple]] = {}
+_solved: set[int] = set()
+_ROW_STORES = threading.Lock()  # guards both for their bookkeeping, never over a build
+
+
+def _row_store(n: int):
+    """The row store a solve at precision n reads, picked by one rule and
+    kept per precision, whatever Context solves (2Q admission; Johnson and
+    Shasha, VLDB 1994). The first solve at n in the process builds the
+    whole table of tuples while it has at most WHOLE_TABLE_ENTRIES slots
+    (n <= 356), otherwise checkpoints, reads it and keeps only n. A later
+    solve builds the store it keeps: the whole table packed (_packed_rows)
+    up to n = 356, above that the whole table of tuples while it fits
+    ROW_STORE_BYTES (_table_bytes), otherwise checkpoints, and every solve
+    at n after it reads that. All kept stores take at most
+    2 * ROW_STORE_BYTES (_store_bytes): the least recently solved n is
+    dropped first, down to the one just kept, and a solve reads the store
+    it got even if it is dropped meanwhile."""
+    with _ROW_STORES:
+        kept = _row_stores.pop(n, None)
+        if kept is not None:
+            _row_stores[n] = kept  # now the most recently solved
+            return kept[1]
+        again = n in _solved
+        _solved.add(n)
+    d = max_reduced_degree(n)
+    small = (d + 1) * (d + 2) // 2 <= WHOLE_TABLE_ENTRIES
+    if not again:
+        return _build_rows(n, small)
+    if small:
+        store = _packed_rows(n, _build_rows(n, True)[1])
     else:
-        return store
+        store = _build_rows(n, _table_bytes(n) <= ROW_STORE_BYTES)
+    price = _store_bytes(n, store)
     # racing threads may each build a store: each reads its own, and every build is the same
-    _row_stores[ctx] = store
+    with _ROW_STORES:
+        _row_stores.pop(n, None)
+        _row_stores[n] = price, store
+        total = sum(entry[0] for entry in _row_stores.values())
+        for m in list(_row_stores):
+            if total <= 2 * ROW_STORE_BYTES or m == n:
+                break
+            total -= _row_stores.pop(m)[0]
     return store
 
 
@@ -947,9 +979,9 @@ def _solve(newton: Sequence[int], ctx: Context) -> list[int]:
     most d_n induce one function exactly when these agree modulo 2**w_k.
     So from i = d_n down, r_i is what is left of newton[i] modulo 2**w_i,
     and r_i T(i,k) leaves every lower slot k, which reads T(i,k) only
-    modulo 2**w_k. The rows come from ctx's row store (_row_store): packed
+    modulo 2**w_k. The rows come from n's row store (_row_store): packed
     rows are read by _packed_solve, tuple rows by _rows_down."""
-    step, rows, *layout = _row_store(ctx)
+    step, rows, *layout = _row_store(ctx.n)
     if layout:
         return _packed_solve(newton, ctx.n, rows, *layout)
     masks = _slot_masks(ctx.n)
@@ -965,14 +997,15 @@ def _solve(newton: Sequence[int], ctx: Context) -> list[int]:
 def reduce(poly, ctx: Context) -> ReducedPoly:
     """Canonical form of the function the polynomial induces modulo 2**n.
 
-    Any integer polynomial is accepted; coefficients are first normalized
-    into [0, 2**n). A vector of at most d+1 slots, each already in range,
+    Any integer polynomial is accepted, but a ReducedPoly canonical for
+    another n is a ValueError; coefficients are first normalized into
+    [0, 2**n). A vector of at most d+1 slots, each already in range,
     is canonical as it stands; any other goes to the Newton basis and
     back through the triangular solve, whatever its degree. Either way
     every slot is in range (_solve masks each), so ReducedPoly._made
     checks none again.
     """
-    coeffs = _trimmed([c & ctx.mask for c in _as_coeffs(poly)])
+    coeffs = _trimmed([c & ctx.mask for c in _coeffs_for(poly, ctx)])
     widths = ctx.coeff_bits
     if len(coeffs) > len(widths) or any(c >> w for c, w in zip(coeffs, widths)):
         coeffs = _solve(_to_newton(coeffs, ctx.n), ctx)

@@ -63,3 +63,35 @@ def head_builds(monkeypatch):
 
     monkeypatch.setattr(poly, "_deepened", counting)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def cold_row_stores():
+    """Empties poly's kept row stores and its record of precisions solved (poly._row_store),
+    so every test starts as a fresh process does, whatever ran before it; a test that needs
+    a cold start again calls the function it returns."""
+    from unitpoly import poly
+
+    def empty():
+        with poly._ROW_STORES:
+            poly._row_stores.clear()
+            poly._solved.clear()
+
+    empty()
+    return empty
+
+
+@pytest.fixture
+def store_builds(monkeypatch):
+    """(n, whole) for each row store of tuples poly builds, in order (poly._build_rows)."""
+    from unitpoly import poly
+
+    builds = []
+    real = poly._build_rows
+
+    def counting(n, whole):
+        builds.append((n, whole))
+        return real(n, whole)
+
+    monkeypatch.setattr(poly, "_build_rows", counting)
+    return builds

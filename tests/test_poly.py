@@ -789,8 +789,24 @@ def test_solve_matches_the_oracle_at_a_random_n(rng):
     assert poly._solve(newton, Context(n)) == oracle_solve(newton, n)
 
 
-def _stride(ctx):
-    return poly._row_stores[ctx][0]
+def _kept(n):
+    # the row store kept for precision n, or None; poly._row_stores maps n to (bytes, store)
+    return poly._row_stores[n][1] if n in poly._row_stores else None
+
+
+def _packed(n):
+    # a packed store carries its layout after (step, rows); a store of tuples is (step, rows)
+    return len(_kept(n)) > 2
+
+
+def _one_shot_solve(newton, n, cold):
+    # the tuple path: the first solve at a precision reads the tuple rows it builds and keeps
+    # none; the stores are emptied before and after, so it reads no kept store and leaves none
+    cold()
+    out = poly._solve(newton, Context(n))
+    assert _kept(n) is None
+    cold()
+    return out
 
 
 def _last_whole_table_n():
@@ -807,11 +823,12 @@ _LAST_WHOLE = _last_whole_table_n()
 
 
 @pytest.mark.parametrize("n, whole", [(_LAST_WHOLE, True), (_LAST_WHOLE + 1, False)])
-def test_solve_matches_the_oracle_on_both_sides_of_the_whole_table(n, whole, rng):
+def test_solve_matches_the_oracle_on_both_sides_of_the_whole_table(n, whole, store_builds, rng):
+    # the first solve at n reads the whole table or checkpoints, and keeps neither
     newton = _newton_vector(n, rng)
-    ctx = Context(n)
-    assert poly._solve(newton, ctx) == oracle_solve(newton, n)
-    assert (_stride(ctx) == 1) == whole
+    assert poly._solve(newton, Context(n)) == oracle_solve(newton, n)
+    assert store_builds == [(n, whole)]
+    assert _kept(n) is None
 
 
 def _oracle_solve_by_reduce(newton, n):
@@ -821,47 +838,45 @@ def _oracle_solve_by_reduce(newton, n):
     return list(oracle_reduce(poly._expand(newton, ctx.interpolation_nodes, ctx.mask), n).coeffs)
 
 
-def test_a_reused_context_keeps_its_whole_table(rng):
-    # the first solve keeps checkpoints; the second replaces them with the whole table,
-    # within the byte budget, before it reads; the third reads it
+def test_a_reused_context_keeps_its_whole_table(store_builds, rng):
+    # the first solve at n reads checkpoints and keeps nothing; the second, on another
+    # Context, builds the whole table within the byte budget and keeps it before it reads;
+    # the third, back on the first Context, reads it
     n = 600
     inputs = [_newton_vector(n, rng) for _ in range(3)]
-    expected = [poly._solve(newton, Context(n)) for newton in inputs]
     ctx = Context(n)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         first = poly._solve(inputs[0], ctx)
-        checkpoints = _stride(ctx)
-        second = poly._solve(inputs[1], ctx)
+        second = poly._solve(inputs[1], Context(n))
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert checkpoints > 1
-    assert _stride(ctx) == 1
+    assert store_builds == [(n, False), (n, True)]
+    assert _kept(n)[0] == 1
     # about 3.5 MiB: the estimate bounds what the store keeps, and the budget bounds both
     assert retained <= poly._table_bytes(n) <= poly.ROW_STORE_BYTES
     third = poly._solve(inputs[2], ctx)
-    assert [first, second, third] == expected
-    for newton, out in zip(inputs, expected):
-        assert out == _oracle_solve_by_reduce(newton, n)
+    assert store_builds == [(n, False), (n, True)]
+    assert [first, second, third] == [_oracle_solve_by_reduce(newton, n) for newton in inputs]
 
 
-@pytest.mark.parametrize("n, solves", [(256, 1), (600, 2)])
-def test_a_whole_table_rebuilds_nothing(n, solves, monkeypatch, rng):
-    ctx = Context(n)
-    for _ in range(solves):
-        poly._solve(_newton_vector(n, rng), ctx)
-    assert _stride(ctx) == 1
+@pytest.mark.parametrize("n", [256, 600])
+def test_a_whole_table_rebuilds_nothing(n, monkeypatch, rng):
+    # two solves at n keep the whole table, packed at n = 256 and as tuples at 600; a
+    # solve on a third Context reads it and builds no row
     newton = _newton_vector(n, rng)
     expected = poly._solve(newton, Context(n))
+    poly._solve(_newton_vector(n, rng), Context(n))
+    assert _kept(n)[0] == 1
 
     def no_rows(*args):
         raise AssertionError("a solve on the whole table built rows")
 
-    monkeypatch.setattr(poly, "_times_x", no_rows)
-    monkeypatch.setattr(poly, "_build_rows", no_rows)
-    assert poly._solve(newton, ctx) == expected
+    for name in ("_times_x", "_build_rows", "_packed_rows"):
+        monkeypatch.setattr(poly, name, no_rows)
+    assert poly._solve(newton, Context(n)) == expected
 
 
 def test_the_byte_budget_admits_n_1024_and_not_2048():
@@ -873,30 +888,71 @@ def test_the_byte_budget_admits_n_1024_and_not_2048():
 
 @pytest.mark.parametrize("slack, whole", [(-1, False), (0, True)])
 def test_the_byte_budget_decides_whether_a_reused_context_keeps_its_table(
-    slack, whole, monkeypatch, rng
+    slack, whole, cold_row_stores, monkeypatch, rng
 ):
+    # the second solve at n keeps the whole table when it fits ROW_STORE_BYTES, otherwise
+    # checkpoints, and every solve after it reads the store it kept
     n = 600
     monkeypatch.setattr(poly, "ROW_STORE_BYTES", poly._table_bytes(n) + slack)
-    ctx = Context(n)
     inputs = [_newton_vector(n, rng) for _ in range(10)]
+    expected = [_one_shot_solve(inputs[i], n, cold_row_stores) for i in (0, -1)]
     outputs, stores = [], []
     for newton in inputs:
-        outputs.append(poly._solve(newton, ctx))
-        stores.append(poly._row_stores[ctx])
-    assert stores[0][0] > 1
-    if whole:
-        assert all(store[0] == 1 for store in stores[1:])
-    else:
-        assert all(store is stores[0] for store in stores)
-    assert [outputs[0], outputs[-1]] == [poly._solve(inputs[i], Context(n)) for i in (0, -1)]
+        outputs.append(poly._solve(newton, Context(n)))
+        stores.append(_kept(n))
+    assert stores[0] is None
+    assert all(store is stores[1] for store in stores[1:])
+    assert (stores[1][0] == 1) == whole
+    assert [outputs[0], outputs[-1]] == expected
 
 
-def test_threads_racing_to_grow_one_store_agree(rng):
+def test_the_kept_stores_share_one_byte_budget(cold_row_stores, monkeypatch, rng):
+    # a budget that holds any two of the stores kept at 64, 300 (packed) and 600 (checkpoints)
+    # but not all three: each admission drops the least recently solved precisions first
+    inputs = {n: _newton_vector(n, rng) for n in (64, 300, 600)}
+    expected = {
+        n: (oracle_solve if n <= 64 else _oracle_solve_by_reduce)(newton, n)
+        for n, newton in inputs.items()
+    }
+    prices = {
+        n: poly._store_bytes(n, poly._packed_rows(n, poly._build_rows(n, True)[1]))
+        for n in (64, 300)
+    }
+    prices[600] = poly._store_bytes(600, poly._build_rows(600, False))
+    monkeypatch.setattr(poly, "ROW_STORE_BYTES", -(-(prices[300] + prices[600]) // 2))
+    kept = []
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in (64, 64, 300, 300, 64, 600, 600, 300):
+            assert poly._solve(inputs[n], Context(n)) == expected[n]
+            kept.append(list(poly._row_stores))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the fifth solve reads 64's store, so 300's is the least recent when 600's is kept
+    assert kept == [[], [64], [64], [64, 300], [300, 64], [300, 64], [64, 600], [600, 300]]
+    assert {n: entry[0] for n, entry in poly._row_stores.items()} == {
+        n: prices[n] for n in (600, 300)
+    }
+    assert retained <= 2 * poly.ROW_STORE_BYTES + max(prices.values())
+    # a store past the whole budget is kept while it is the last one admitted, and alone
+    cold_row_stores()
+    monkeypatch.setattr(poly, "ROW_STORE_BYTES", 1)
+    kept.clear()
+    for n in (64, 64, 300, 300, 64):
+        assert poly._solve(inputs[n], Context(n)) == expected[n]
+        kept.append(list(poly._row_stores))
+    assert kept == [[], [64], [64], [300], [64]]
+
+
+def test_threads_racing_to_grow_one_store_agree(cold_row_stores, rng):
     n = 600
-    ctx = Context(n)
-    poly._solve(_newton_vector(n, rng), ctx)  # checkpoints: each solve below grows them
     inputs = [_newton_vector(n, rng) for _ in range(4)]
-    expected = [poly._solve(newton, Context(n)) for newton in inputs]
+    expected = [_one_shot_solve(newton, n, cold_row_stores) for newton in inputs]
+    ctx = Context(n)
+    # the first solve at n keeps nothing, so each solve below builds the kept store
+    poly._solve(_newton_vector(n, rng), ctx)
     results = [None] * len(inputs)
     start = threading.Barrier(len(inputs), timeout=60)
 
@@ -916,21 +972,8 @@ def test_threads_racing_to_grow_one_store_agree(rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == expected
-    assert _stride(ctx) == 1
+    assert _kept(n)[0] == 1
     assert [poly._solve(newton, ctx) for newton in inputs] == expected
-
-
-def _packed(ctx):
-    # a packed store carries its layout after (step, rows); a store of tuples is (step, rows)
-    return len(poly._row_stores[ctx]) > 2
-
-
-def _one_shot_solve(newton, n):
-    # the tuple path: a Context that solves once reads the tuple rows its one solve builds
-    ctx = Context(n)
-    out = poly._solve(newton, ctx)
-    assert not _packed(ctx)
-    return out
 
 
 def _solve_inputs(n, rng):
@@ -943,49 +986,54 @@ def _solve_inputs(n, rng):
 
 
 @pytest.mark.parametrize("n", [*range(2, 65), _LAST_WHOLE - 1, _LAST_WHOLE])
-def test_a_second_solve_packs_the_rows_and_matches_the_tuple_path(n, rng):
-    # the first solve keeps tuple rows; the second packs them and reads the packed rows,
-    # as does every later one
+def test_a_second_solve_packs_the_rows_and_matches_the_tuple_path(n, cold_row_stores, rng):
+    # the first solve at n reads tuple rows and keeps none; the second, on another Context,
+    # packs the whole table, keeps it and reads it, as does every later one
     inputs = _solve_inputs(n, rng)
-    expected = [_one_shot_solve(newton, n) for newton in inputs]
+    expected = [_one_shot_solve(newton, n, cold_row_stores) for newton in inputs]
     oracle = oracle_solve if n <= 64 else _oracle_solve_by_reduce
     assert expected == [oracle(newton, n) for newton in inputs]
-    ctx = Context(n)
-    assert poly._solve(inputs[0], ctx) == expected[0]
-    assert _stride(ctx) == 1 and not _packed(ctx)
-    assert [poly._solve(newton, ctx) for newton in inputs] == expected
-    assert _stride(ctx) == 1 and _packed(ctx)
+    assert poly._solve(inputs[0], Context(n)) == expected[0]
+    assert _kept(n) is None
+    assert [poly._solve(newton, Context(n)) for newton in inputs] == expected
+    assert _kept(n)[0] == 1 and _packed(n)
 
 
-def test_a_reused_context_past_the_whole_table_never_packs(rng):
+def test_a_reused_context_past_the_whole_table_never_packs(store_builds, cold_row_stores, rng):
     n = _LAST_WHOLE + 1
     inputs = _solve_inputs(n, rng)
-    expected = [_one_shot_solve(newton, n) for newton in inputs]
+    expected = [_one_shot_solve(newton, n, cold_row_stores) for newton in inputs]
+    store_builds.clear()
     ctx = Context(n)
-    strides = []
+    stores = []
     for newton, out in zip(inputs, expected):
         assert poly._solve(newton, ctx) == out
-        assert not _packed(ctx)
-        strides.append(_stride(ctx))
-    # checkpoints, then the whole table of tuples, kept
-    assert strides[0] > 1 and strides[1:] == [1, 1]
+        stores.append(_kept(n))
+    # checkpoints, read and not kept, then the whole table of tuples, kept
+    assert store_builds == [(n, False), (n, True)]
+    assert stores[0] is None and stores[1] is stores[2]
+    assert stores[1][0] == 1 and not _packed(n)
 
 
 def test_packed_rows_take_about_the_tuple_tables_memory(rng):
     n = 256
-    ctx = Context(n)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        poly._solve(_newton_vector(n, rng), ctx)
+        rows = poly._build_rows(n, True)
         tuples = tracemalloc.get_traced_memory()[0] - before
-        poly._solve(_newton_vector(n, rng), ctx)
+        del rows
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(2):
+            poly._solve(_newton_vector(n, rng), Context(n))
         packed = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert _packed(ctx)
-    # 393 against 428 KiB on CPython 3.11: the packed rows replace the tuples, not join them
+    assert _packed(n)
+    # 393 against 428 KiB on CPython 3.11: the store kept at n is about the tuple table's size
     assert packed <= 1.1 * tuples
+    # the price that bounds the kept stores, each int by sys.getsizeof, is about what they keep
+    assert math.isclose(poly._row_stores[n][0], packed, rel_tol=0.05)
 
 
 def _linear(node):

@@ -18,6 +18,7 @@ from unitpoly import (
     Mode,
     QuasigroupSpec,
     ReducedPoly,
+    equivalent,
     evaluate,
     glue_polynomial,
     hensel_roots,
@@ -612,21 +613,21 @@ def test_solvers_build_no_context(n, monkeypatch, rng):
     assert multiply_reduced(p, multiplicative_inverse(p, ctx), ctx) == reduce((1,), ctx)
 
 
-# -- one row store per Context -------------------------------------------------
+# -- one row store per precision ------------------------------------------------
 
 
 @pytest.fixture
-def store_builds(monkeypatch):
-    """The precision of each row store poly builds, in order."""
-    builds = []
-    real = poly._build_rows
+def packs(monkeypatch):
+    """The precision of each whole table poly packs (poly._packed_rows), in order."""
+    calls = []
+    real = poly._packed_rows
 
-    def counting(n, whole):
-        builds.append(n)
-        return real(n, whole)
+    def counting(n, rows):
+        calls.append(n)
+        return real(n, rows)
 
-    monkeypatch.setattr(poly, "_build_rows", counting)
-    return builds
+    monkeypatch.setattr(poly, "_packed_rows", counting)
+    return calls
 
 
 def test_one_inversion_store_serves_every_ladder_level(store_builds, monkeypatch, rng):
@@ -643,45 +644,60 @@ def test_one_inversion_store_serves_every_ladder_level(store_builds, monkeypatch
     assert not hasattr(solve, "_solve")
     first = invert_permutation(p, ctx)
     # the ladder's ten precisions (2, 3, 5, ..., 300, 600) solve nothing; the final fit
-    # solves once, at n, and builds the one store
+    # solves once, at n, and reads checkpoints it does not keep
     assert precisions == [600]
-    assert store_builds == [600]
-    # the second solve replaces the checkpoints with the whole table before it reads
+    assert store_builds == [(600, False)]
+    # the second solve at n builds the whole table and keeps it before it reads
     assert invert_permutation(p, ctx) == first
     assert precisions == [600, 600]
-    assert store_builds == [600, 600]
-    assert invert_permutation(p, ctx) == first
+    assert store_builds == [(600, False), (600, True)]
+    # and a third, on another Context, reads it
+    assert invert_permutation(p, Context(600)) == first
     assert precisions == [600, 600, 600]
-    assert store_builds == [600, 600]
+    assert store_builds == [(600, False), (600, True)]
 
 
-def test_solvers_on_one_context_share_one_store(store_builds, rng):
+def test_solvers_on_one_context_share_one_store(store_builds, packs, rng):
     ctx = Context(256)
     p = random_permutational_poly(ctx, rng)
     long = [rng.randrange(1 << 256) for _ in range(2 * ctx.d + 1)]
+    # reduce solves first and keeps nothing; interpolate's solve packs the rows and keeps them
     assert reduce(long, ctx) == oracle_reduce(long, 256)
     assert interpolate(poly._node_values(p, ctx), ctx) == p
     assert multiply_reduced(p, multiplicative_inverse(p, ctx), ctx) == reduce((1,), ctx)
-    assert store_builds == [256]
+    assert store_builds == [(256, True), (256, True)] and packs == [256]
     assert reduce(long, Context(256)) == reduce(long, ctx)
-    assert store_builds == [256, 256]
+    assert store_builds == [(256, True), (256, True)] and packs == [256]
 
 
-def test_threads_sharing_a_fresh_context_interpolate_consistently(rng):
-    other = Context(128)
-    tables = [poly._node_values(random_permutational_poly(other, rng), other) for _ in range(6)]
-    expected = [interpolate(values, other) for values in tables]
-    ctx = Context(128)  # no solve has built its store yet, so the threads race to build it
+def test_fresh_contexts_at_one_precision_keep_one_store(store_builds, packs, rng):
+    # as each command of the command line solves on a fresh Context: the first solve at n
+    # builds tuple rows and keeps none, the second packs them and keeps them, and every
+    # later solve at n, on any Context, reads them
+    n = 64
+    long = [rng.randrange(1 << n) for _ in range(2 * Context(n).d + 1)]
+    expected = oracle_reduce(long, n)
+    builds, kept = [], []
+    for _ in range(4):
+        assert reduce(long, Context(n)) == expected
+        builds.append(len(store_builds))
+        kept.append(n in poly._row_stores)
+    assert builds == [1, 2, 2, 2] and set(store_builds) == {(n, True)}
+    assert kept == [False, True, True, True] and packs == [n]
+
+
+def _racing_fits(tables, contexts):
+    # each thread fits every table on its own Context; a thread that raises appends nothing,
+    # so the caller's count catches it too
     results = []
 
-    def fit():
-        # a thread that raises appends nothing, so the count below catches it too
+    def fit(ctx):
         results.append([interpolate(values, ctx) for values in tables])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=fit) for _ in range(4)]
+        threads = [threading.Thread(target=fit, args=(ctx,)) for ctx in contexts]
         for t in threads:
             t.start()
         for t in threads:
@@ -689,36 +705,39 @@ def test_threads_sharing_a_fresh_context_interpolate_consistently(rng):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert results == [expected] * len(threads)
+    return results
 
 
-def test_threads_racing_on_a_contexts_second_solve_interpolate_consistently(rng):
+def test_threads_sharing_a_fresh_context_interpolate_consistently(cold_row_stores, rng):
     other = Context(128)
     tables = [poly._node_values(random_permutational_poly(other, rng), other) for _ in range(6)]
     expected = [interpolate(values, other) for values in tables]
+    cold_row_stores()  # no solve at n = 128 has run, so the threads race on its first solves
+    ctx = Context(128)
+    assert _racing_fits(tables, [ctx] * 4) == [expected] * 4
+
+
+def _second_solve_race(rng, cold, shared):
+    # one solve at n = 128 keeps nothing, so the threads race to pack the rows and keep them,
+    # on one Context or each on its own
+    other = Context(128)
+    tables = [poly._node_values(random_permutational_poly(other, rng), other) for _ in range(6)]
+    expected = [interpolate(values, other) for values in tables]
+    cold()
     ctx = Context(128)
     assert interpolate(tables[0], ctx) == expected[0]
-    # one solve built the tuple rows, so the threads race to pack them and swap them in
-    assert len(poly._row_stores[ctx]) == 2
-    results = []
+    assert 128 not in poly._row_stores
+    contexts = [ctx] * 4 if shared else [Context(128) for _ in range(4)]
+    assert _racing_fits(tables, contexts) == [expected] * 4
+    assert len(poly._row_stores[128][1]) > 2
 
-    def fit():
-        # a thread that raises appends nothing, so the count below catches it too
-        results.append([interpolate(values, ctx) for values in tables])
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=fit) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert results == [expected] * len(threads)
-    assert len(poly._row_stores[ctx]) > 2
+def test_threads_racing_on_a_contexts_second_solve_interpolate_consistently(cold_row_stores, rng):
+    _second_solve_race(rng, cold_row_stores, shared=True)
+
+
+def test_threads_on_distinct_contexts_racing_on_a_second_solve_agree(cold_row_stores, rng):
+    _second_solve_race(rng, cold_row_stores, shared=False)
 
 
 # -- pointwise multiplicative inverse ------------------------------------------
@@ -865,6 +884,9 @@ def test_solvers_refuse_a_form_canonical_for_another_n(monkeypatch):
         lambda: multiplicative_inverse(other, ctx),
         lambda: multiply_reduced(other, reduce((2, 1), ctx), ctx),
         lambda: multiply_reduced(reduce((2, 1), ctx), other, ctx),
+        lambda: reduce(other, ctx),
+        lambda: equivalent(other, (2, 1), ctx),
+        lambda: equivalent((2, 1), other, ctx),
     )
     for call in calls:
         with pytest.raises(ValueError, match="canonical for n=8, context has n=16"):
