@@ -5,14 +5,14 @@ with polynomials as comma-separated decimal coefficients, lowest degree
 first. JSON mode wraps results as {"ok": ...} and failures as
 {"error": {"type": ..., "message": ...}}; big integers travel as decimal
 strings. Exit codes: 0 success, 1 domain error, 2 usage error. The env
-var UNITPOLY_MAX_N overrides the default ceiling on n.
+var UNITPOLY_MAX_N sets the ceiling on n. context.decimal reads integers.
 
 Each subcommand is one row of _COMMANDS: name, help text, flag names
 (every flag's argparse spec is declared once, in _FLAGS) and a handler.
 run() turns --n into args.ctx, checked against the ceiling, for every
 command that takes --n, and _render() prints a result by its type.
-Handlers call library functions by their module-level names when they
-run, so a wrapper installed on those names sees every call.
+Handlers and polynomial() call library functions by their module-level
+names when they run, so a wrapper installed on those names sees every call.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections.abc import Callable, Mapping
 from typing import NamedTuple
 
 from .census import census_report, identity_sweep, keller_identity_check
-from .context import DEFAULT_MAX_N, Context
+from .context import DEFAULT_MAX_N, Context, decimal, decimal_list
 from .errors import UnitPolyError
 from .poly import (
     ReducedPoly,
@@ -52,27 +52,15 @@ from .solve import (
 
 
 def _max_n() -> int:
-    raw = os.environ.get("UNITPOLY_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_N
+    raw = os.environ.get("UNITPOLY_MAX_N", str(DEFAULT_MAX_N))
     try:
-        return int(raw)
+        return decimal(raw)
     except ValueError:
         raise ValueError(f"UNITPOLY_MAX_N must be an integer, got {raw!r}") from None
 
 
-def _poly_arg(text: str):
-    try:
-        return parse_poly(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _ints_arg(text: str):
-    try:
-        return [int(piece.strip()) for piece in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+def polynomial(text: str):
+    return parse_poly(text)
 
 
 def _render(result):
@@ -216,23 +204,23 @@ def _cmd_selftest(args):
 
 _FLAGS = {
     "format": {"choices": ("text", "json"), "default": "text", "help": "output format"},
-    "n": {"type": int, "required": True, "help": "modulus exponent"},
-    "poly": {"type": _poly_arg, "required": True},
-    "by": {"type": _poly_arg, "required": True},
-    "at": {"type": int, "required": True},
-    "values": {"type": _ints_arg, "required": True},
-    "nodes": {"type": _ints_arg, "required": True},
-    "limit": {"type": int, "default": DEFAULT_SOLUTION_BUDGET,
+    "n": {"type": decimal, "required": True, "help": "modulus exponent"},
+    "poly": {"type": polynomial, "required": True},
+    "by": {"type": polynomial, "required": True},
+    "at": {"type": decimal, "required": True},
+    "values": {"type": decimal_list, "required": True},
+    "nodes": {"type": decimal_list, "required": True},
+    "limit": {"type": decimal, "default": DEFAULT_SOLUTION_BUDGET,
               "help": f"cap on the solution count (default {DEFAULT_SOLUTION_BUDGET})"},
-    "branch-limit": {"type": int, "default": DEFAULT_BRANCH_LIMIT},
-    "value": {"type": int, "required": True},
+    "branch-limit": {"type": decimal, "default": DEFAULT_BRANCH_LIMIT},
+    "value": {"type": decimal, "required": True},
     "spec": {"required": True, "help": "spec JSON file, or - for stdin"},
-    "args": {"type": _ints_arg, "required": True},
-    "coord": {"type": int, "required": True, "help": "coordinate to solve for, 1-based"},
-    "budget": {"type": int, "default": DEFAULT_LATIN_BUDGET},
-    "k": {"type": int, "required": True},
+    "args": {"type": decimal_list, "required": True},
+    "coord": {"type": decimal, "required": True, "help": "coordinate to solve for, 1-based"},
+    "budget": {"type": decimal, "default": DEFAULT_LATIN_BUDGET},
+    "k": {"type": decimal, "required": True},
     "mode": {"choices": ("unit_product", "ring_additive", "ring_glued"), "required": True},
-    "seed": {"type": int, "required": True},
+    "seed": {"type": decimal, "required": True},
 }
 
 

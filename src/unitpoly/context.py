@@ -7,7 +7,8 @@ the degree cap, which max_reduced_degree finds in O(log n) steps without
 the table (census sums the table in closed form the same way); the table
 is then n - 2i + popcount(i) for i up to d_n, one map at C speed. A
 Context bundles the table with the modulus. checked_indices checks a
-whole coefficient vector in one pass, as checked_index does one value.
+whole coefficient vector in one pass, as checked_index does one value,
+and decimal reads every integer that arrives as text.
 The inverse of an odd residue lives here too, below every module that
 needs it (residue re-exports it as its public home), and so does the one
 ladder of Newton precisions, _ladder, that it climbs, as do poly's
@@ -45,6 +46,19 @@ def checked_index(value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{value!r} is not an integer") from None
+
+
+def decimal(text: str) -> int:
+    """text as an int if it is an optional "-" then ASCII digits, else a ValueError. int()
+    also takes outer whitespace, "_", "+" and non-ASCII digits: tests far cheaper than int()."""
+    if text.isascii() and "_" not in text and text[-1:].isdigit() and text[0] in "-0123456789":
+        return int(text)  # past sys.get_int_max_str_digits (4300 by default), a ValueError
+    raise ValueError(f"{text!r} is not a decimal integer")
+
+
+def decimal_list(text: str) -> list[int]:
+    """Each comma-separated piece of text, spaces and tabs stripped, by decimal."""
+    return [decimal(piece.strip(" \t")) for piece in text.split(",")]
 
 
 def checked_indices(values) -> tuple[int, ...]:
@@ -123,7 +137,7 @@ def unit_inverses(values, n: int) -> list[int]:
     a_i is the inverse of the prefix up to i times the prefix before i.
     """
     mask = (1 << n) - 1
-    values = [int(a) & mask for a in values]
+    values = [a & mask for a in values]
     prefixes = []
     acc = 1
     for a in values:

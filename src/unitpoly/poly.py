@@ -108,7 +108,7 @@ from typing import Iterable, Sequence
 
 from .census import keller_beta
 from .context import Context, _ladder, checked_index, checked_indices, coeff_widths, unit_inverse
-from .context import max_reduced_degree, two_adic_factorial_valuation, unit_inverses
+from .context import decimal_list, max_reduced_degree, two_adic_factorial_valuation, unit_inverses
 from .errors import InconsistentTable, NotAPermutation
 
 WHOLE_TABLE_ENTRIES = 1 << 14  # most slots of T a row store keeps whole (0.42 MiB at n = 256)
@@ -293,18 +293,12 @@ def _as_coeffs(poly) -> tuple[int, ...]:
 
 
 def parse_poly(text: str) -> IntPoly:
-    """Parse the comma-separated coefficient format, lowest degree first.
+    """Parse comma-separated coefficients (context.decimal_list), lowest degree first.
 
     Negative coefficients are accepted; they are normalized when the
     polynomial enters a modular operation.
     """
-    pieces = [piece.strip() for piece in text.split(",")]
-    if pieces == [""]:
-        raise ValueError("empty polynomial text")
-    try:
-        return IntPoly(tuple(int(piece) for piece in pieces))
-    except ValueError as exc:
-        raise ValueError(f"bad polynomial text {text!r}: {exc}") from None
+    return IntPoly(decimal_list(text))
 
 
 def format_poly(coeffs: Iterable[int]) -> str:

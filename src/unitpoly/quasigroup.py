@@ -30,7 +30,7 @@ import json
 import random
 from enum import Enum
 
-from .context import Context, DEFAULT_MAX_N, checked_budget, checked_index
+from .context import Context, DEFAULT_MAX_N, checked_budget, checked_index, decimal
 from .errors import BudgetExceeded, CarrierError, NotAPermutation
 from .poly import ReducedPoly, _OddEvaluator, induces_permutation_on_units
 from .residue import unit_inverse
@@ -41,11 +41,14 @@ RANDOM_ARITY_BUDGET = 1 << 10  # largest k that QuasigroupSpec.random will draw
 
 
 def _integer(value) -> int:
-    """A document's integer: a JSON integer (not a bool) or a decimal string,
-    an optional minus sign then one or more ASCII digits."""
-    if type(value) is int or (type(value) is str and value.isascii()
-                              and value.removeprefix("-").isdigit()):
-        return int(value)
+    """A document's integer: a JSON integer (not a bool) or a context.decimal string."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        try:
+            return decimal(value)
+        except ValueError:
+            pass
     raise TypeError(f"expected an integer or a decimal string, got {type(value).__name__}")
 
 

@@ -1,6 +1,7 @@
 import os
 import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import settings
@@ -13,6 +14,23 @@ settings.load_profile("unitpoly")
 # tests do through pyproject's pythonpath = ["src"]
 _SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+# Integers as text, one table for every reader of the package (flags, lists,
+# UNITPOLY_MAX_N, parse_poly, spec documents): each reads a key of DECIMALS as
+# its value and refuses each string of NOT_DECIMAL. A decimal integer is an
+# optional "-" then ASCII digits; a number past the interpreter's digit limit
+# (4300 by default, absent before Python 3.10.7) is refused too.
+DECIMALS = {"7": 7, "-7": -7, "007": 7, "-0": 0}
+NOT_DECIMAL = (
+    "+7", " 7", "7 ", "7\n", "7_0", "\u0667", "\u00b2", "\uff17", "0x7", "7.0", "", "-", "--7",
+    "\u0663", "+3", " 3 ", "0_3", "\u0668", " 1_0", "\u30007", "7\u3000", "-\u0663", "7\uff17",
+) + (("1" * 4302,) if hasattr(sys, "get_int_max_str_digits") else ())
+# comma lists: spaces and tabs around a piece are stripped, and nothing else is
+DECIMAL_LISTS = {" 1 , -4 , 0 , 2 ": [1, -4, 0, 2], "\t7\t,-0": [7, 0], "1,0,0,3": [1, 0, 0, 3]}
+NOT_DECIMAL_LISTS = (
+    "1_0,\u0663", "1\u3000,2", "1,\u30002", "1,+1", "1,,2", ",", "1;2", "1 2", "1,2\n",
+)
 
 
 def horner(coeffs, x, n):

@@ -30,6 +30,7 @@ from unitpoly import poly
 from unitpoly import induces_permutation_on_units
 from unitpoly.oracle import EVAL_BUDGET_N, oracle_function_of, oracle_is_latin_square
 from unitpoly.quasigroup import RANDOM_ARITY_BUDGET, _integer
+from conftest import DECIMALS, NOT_DECIMAL
 
 
 def _spec(n, mode, coeff_rows, h_rows=None):
@@ -287,11 +288,10 @@ def test_malformed_documents_rejected(mutate):
         assert str(caught.value).startswith("malformed quasigroup document: ")
 
 
-# the integer language of a spec document: a JSON integer, or an optional minus
-# sign then ASCII digits, and nothing else
-_INTEGERS = {"7": 7, "-7": -7, "007": 7, "-0": 0, 7: 7}
-_NOT_DECIMAL = ("+7", " 7", "7 ", "7\n", "7_0", "\u0667", "\u00b2", "\uff17", "0x7", "7.0", "",
-                "-", "--7")
+# the integer language of a spec document: a JSON integer, or a decimal string as
+# every reader of the package takes it (the shared table of conftest)
+_INTEGERS = {**DECIMALS, 7: 7}
+_NOT_DECIMAL = NOT_DECIMAL
 
 
 def test_document_integers_word_for_word():
