@@ -1,26 +1,19 @@
 """Huge k-ary quasigroups built from permutation polynomials modulo 2**n.
 
-Three combiners are supported. UNIT_PRODUCT multiplies permuted odd
-residues, so the carrier is the odd residues. The two RING modes add
-permutations of the whole ring built piecewise from polynomials on the
-odd residues: RING_ADDITIVE extends each polynomial to even arguments by
-conjugation with x+1, RING_GLUED uses a second polynomial for the even
-half. Adjoint solving never searches, and building, applying or
-serializing a spec inverts nothing.
+A spec is k coordinate permutations σ_1, ..., σ_k of its carrier and one
+group operation ⊙: f(x_1, ..., x_k) = σ_1(x_1) ⊙ ... ⊙ σ_k(x_k), so the
+i-th adjoint is σ_i⁻¹(y ⊙ (⊙_{j≠i} σ_j(x_j))⁻¹) and never searches.
+UNIT_PRODUCT multiplies permuted odd residues, so its carrier is the odd
+residues. The two RING modes add permutations of the whole ring, each
+glued from polynomials on the odd residues: p on odd arguments, and on
+even ones an even half conjugated by x+1, p again in RING_ADDITIVE and a
+second polynomial h in RING_GLUED.
 
-Every apply and adjoint evaluates fixed polynomials at odd points, each
-through its own evaluator (poly._OddEvaluator), which reads the
-polynomial's class heads, deeper in stages as its queries add up
-(poly._stages). An adjoint needs one value of a polynomial's inverse.
-Until that inverse is due, the adjoint lifts its one preimage by Newton
-iteration through the polynomial's own evaluator, checked at full width
-(poly._OddEvaluator.preimage). The inverse is due at the polynomial's
-(d + 1)-th adjoint, d + 1 being its length, the number of preimages one
-inversion lifts: as in ski rental, the lifts so far then cost about what
-one inversion (solve.invert_permutation) does, so the spec inverts once
-and keeps the inverse's evaluator. A spec that answers a few queries, as
-one command line call does, builds no evaluator heads and inverts
-nothing.
+Each polynomial a spec reads has one owner, _Permutation, which reads it
+through its own evaluator (poly._OddEvaluator) and inverts it once due.
+Building, applying or serializing a spec inverts nothing, and a spec that
+answers a few queries, as one command line call does, builds no evaluator
+heads and inverts nothing.
 """
 
 from __future__ import annotations
@@ -78,8 +71,48 @@ def random_permutational_poly(ctx: Context, rng: random.Random) -> ReducedPoly:
             return ReducedPoly(coeffs, ctx.n)
 
 
+class _Permutation:
+    """Everything a spec keeps for one polynomial σ it reads: σ's evaluator
+    (poly._OddEvaluator), made by the first query, σ⁻¹'s, and a count of
+    σ's preimages.
+
+    The due rule: each preimage is lifted through σ's evaluator, checked at
+    full width (poly._OddEvaluator.preimage), until the count reaches σ's
+    length d + 1, the number of preimages one inversion lifts. As in ski
+    rental, the lifts so far then cost about what one inversion does, so that
+    preimage inverts σ (solve.invert_permutation) and every later one reads
+    σ⁻¹'s evaluator. Every fill of a slot computes the same canonical form and
+    class heads, and one preimage alone gets the due count, so σ is inverted
+    at most once and an owner stays safe to share, as a Context is.
+    """
+
+    __slots__ = ("poly", "ctx", "forward", "inverse", "_preimages")
+
+    def __init__(self, poly: ReducedPoly, ctx: Context):
+        self.poly = poly
+        self.ctx = ctx
+        self.forward = self.inverse = None  # σ's evaluator, and σ⁻¹'s once due
+        self._preimages = itertools.count(1)
+
+    def evaluator(self) -> _OddEvaluator:
+        """σ's evaluator, made on first use."""
+        if self.forward is None:
+            self.forward = _OddEvaluator(self.poly.coeffs, self.ctx.n)
+        return self.forward
+
+    def inverse_reader(self):
+        """What reads σ⁻¹ at one more odd point, by the due rule: σ's
+        evaluator's preimage lift, or σ⁻¹'s evaluator once due."""
+        if self.inverse is None:
+            # one query gets the due count, so racing threads invert at most once
+            if next(self._preimages) != self.ctx.d + 1:
+                return self.evaluator().preimage
+            self.inverse = _OddEvaluator(invert_permutation(self.poly, self.ctx).coeffs, self.ctx.n)
+        return self.inverse
+
+
 class QuasigroupSpec:
-    """A k-ary quasigroup given by one permutation polynomial per slot.
+    """A k-ary quasigroup f(x_1, ..., x_k) = σ_1(x_1) ⊙ ... ⊙ σ_k(x_k).
 
     Attributes:
         ctx: the modulus context.
@@ -88,15 +121,8 @@ class QuasigroupSpec:
         p_polys: the k coordinate permutations (canonical forms).
         h_polys: the k even-half permutations, RING_GLUED only.
 
-    A spec holds one evaluator (poly._OddEvaluator) per polynomial it
-    reads: each p and h, made by the first query that evaluates it, and at
-    most one inverse per polynomial (2k for RING_GLUED, k otherwise),
-    computed by the adjoint that brings the polynomial's count of adjoints
-    to its length d + 1; the adjoints before it lift their answers through
-    the polynomial's own evaluator. Filling a slot is idempotent, since
-    every fill computes the same canonical form and the same class heads,
-    and one adjoint alone gets the due count, so a slot is inverted at most
-    once and a spec stays safe to share, as a Context is.
+    The spec holds one _Permutation per polynomial. RING_ADDITIVE reads the
+    same owner for both halves, so they share one count and one inverse.
     """
 
     def __init__(self, ctx: Context, mode, p_polys, h_polys=None):
@@ -119,13 +145,10 @@ class QuasigroupSpec:
             if h_polys is not None:
                 raise ValueError(f"mode {self.mode.value} does not take h polynomials")
             self.h_polys = None
-        # per (odd half, inverse): one evaluator slot per coordinate, filled on first use,
-        # an inverse's once it is due (_value)
-        halves = (True,) if self.h_polys is None else (True, False)
-        self._evaluators = {(odd, inverse): [None] * self.k
-                            for odd in halves for inverse in (False, True)}
-        # per odd half: each coordinate's count of the adjoints that read its inverse
-        self._adjoints = {odd: [itertools.count(1) for _ in range(self.k)] for odd in halves}
+        odd = [_Permutation(p, ctx) for p in self.p_polys]
+        even = odd if self.h_polys is None else [_Permutation(h, ctx) for h in self.h_polys]
+        # per coordinate, the owners of its even and odd halves, indexed by a & 1
+        self._halves = tuple(zip(even, odd))
 
     def _validate_polys(self, polys, label):
         for idx, p in enumerate(polys):
@@ -135,32 +158,6 @@ class QuasigroupSpec:
                 raise ValueError(f"{label}[{idx}] is canonical for n={p.n}, spec has n={self.n}")
             if not induces_permutation_on_units(p):
                 raise NotAPermutation(f"{label}[{idx}] does not permute the odd residues")
-
-    def _evaluator(self, idx: int, odd: bool = True, inverse: bool = False) -> _OddEvaluator:
-        """The evaluator of p[idx] (odd) or of the even half h[idx], or of
-        its inverse, made on first use. The inverse is computed then, the
-        only inversion in this module, and only once it is due (_value)."""
-        slots = self._evaluators[odd, inverse]
-        if slots[idx] is None:
-            poly = (self.p_polys if odd else self.h_polys)[idx]
-            if inverse:
-                poly = invert_permutation(poly, self.ctx)
-            slots[idx] = _OddEvaluator(poly.coeffs, self.n)
-        return slots[idx]
-
-    def _value(self, idx: int, x: int, odd: bool = True, inverse: bool = False) -> int:
-        """The value at the odd x of p[idx] (odd) or of the even half h[idx],
-        or of its inverse. Until the inverse is due, each query lifts its
-        preimage through the polynomial's own evaluator (preimage); the
-        query that brings its count to the polynomial's length d + 1,
-        the number of preimages one inversion lifts, inverts it instead, and
-        every later query reads the inverse's evaluator."""
-        odd = odd or self.h_polys is None  # RING_ADDITIVE is RING_GLUED with h = p
-        if inverse and self._evaluators[odd, True][idx] is None:
-            # one query gets the due count, so racing threads invert a slot at most once
-            if next(self._adjoints[odd][idx]) != self.ctx.d + 1:
-                return self._evaluator(idx, odd).preimage(x)
-        return self._evaluator(idx, odd, inverse)(x)
 
     # -- carrier handling ---------------------------------------------------
 
@@ -181,28 +178,38 @@ class QuasigroupSpec:
                 raise CarrierError(f"{a} is even; this carrier is the odd residues")
         return out
 
-    # -- the operation and its adjoints -------------------------------------
+    # -- the coordinates and the group operation ------------------------------
 
-    def _glued(self, idx: int, a: int, inverse: bool = False) -> int:
-        # the ring permutation acting as p[idx] on odd a and as h[idx],
-        # conjugated by x+1, on even a (RING modes; inverses glue the same way)
-        if a & 1:
-            return self._value(idx, a, True, inverse)
-        return (self._value(idx, a + 1, False, inverse) - 1) & self.ctx.mask
+    def _coordinate(self, idx: int, a: int, inverse: bool = False) -> int:
+        """σ_{idx+1}(a), or σ_{idx+1}⁻¹(a): the odd half at odd a, the even
+        half conjugated by x+1 at even a (an inverse conjugates the same way)."""
+        odd = a & 1
+        owner = self._halves[idx][odd]
+        # a filled forward slot is read directly: no extra frame per coordinate
+        reader = owner.inverse_reader() if inverse else owner.forward or owner.evaluator()
+        y = reader(a | 1)
+        return y if odd else (y - 1) & self.ctx.mask
+
+    def _product(self, values) -> int:
+        """⊙ over values: their product (UNIT_PRODUCT) or sum, modulo 2**n."""
+        mask = self.ctx.mask
+        if self.mode is Mode.UNIT_PRODUCT:
+            out = 1
+            for value in values:
+                out = (out * value) & mask
+            return out
+        return sum(values) & mask
+
+    def _quotient(self, y: int, x: int) -> int:
+        """y ⊙ x⁻¹: y times x's unit inverse (UNIT_PRODUCT) or y - x, modulo 2**n."""
+        if self.mode is Mode.UNIT_PRODUCT:
+            return (y * unit_inverse(x, self.n)) & self.ctx.mask
+        return (y - x) & self.ctx.mask
 
     def apply(self, args) -> int:
         """The quasigroup operation on a full argument tuple."""
         args = self._check_args(args)
-        mask = self.ctx.mask
-        if self.mode is Mode.UNIT_PRODUCT:
-            out = 1
-            for idx, a in enumerate(args):
-                out = (out * self._value(idx, a)) & mask
-            return out
-        total = 0
-        for idx, a in enumerate(args):
-            total = (total + self._glued(idx, a)) & mask
-        return total
+        return self._product(list(map(self._coordinate, range(self.k), args)))
 
     def adjoint(self, i: int, args) -> int:
         """Solve the operation for its i-th argument (1-based).
@@ -215,22 +222,12 @@ class QuasigroupSpec:
             raise ValueError(f"coordinate must be in 1..{self.k}, got {i}")
         args = self._check_args(args)
         idx = i - 1
-        target = args[idx]
-        mask = self.ctx.mask
-        if self.mode is Mode.UNIT_PRODUCT:
-            # the unit group is abelian: divide by the product of the other factors
-            others = 1
-            for j in range(self.k):
-                if j != idx:
-                    others = (others * self._value(j, args[j])) & mask
-            acc = (target * unit_inverse(others, self.n)) & mask
-            return self._value(idx, acc, inverse=True)
-        acc = target
-        for j in range(self.k):
+        others = []
+        for j, a in enumerate(args):
             if j != idx:
-                acc = (acc - self._glued(j, args[j])) & mask
-        # _glued reads only the half that acc falls in, so it counts toward that inverse only
-        return self._glued(idx, acc, inverse=True)
+                others.append(self._coordinate(j, a))
+        # σ_i keeps parity, so only the half the answer falls in counts toward its inverse
+        return self._coordinate(idx, self._quotient(args[idx], self._product(others)), True)
 
     # -- verification --------------------------------------------------------
 
@@ -246,12 +243,14 @@ class QuasigroupSpec:
 
         Raises:
             BudgetExceeded: carrier_size**k exceeds the budget; checked from
-                n alone, before the carrier is touched. The size is a power
+                the carrier's bounds, before it is swept. The size is a power
                 of two, compared and printed by its exponent, so the check
                 and its message stay short at any n.
             ValueError: a negative budget.
         """
-        bits = self.n - 1 if self.mode is Mode.UNIT_PRODUCT else self.n
+        carrier = self.carrier()
+        # its size, 2**bits, from its bounds: len() stops at sys.maxsize
+        bits = ((carrier[-1] - carrier[0]) // carrier.step).bit_length()
         # 2**(k*bits) > budget exactly when k*bits reaches budget's bit length
         if self.k * bits >= checked_budget(budget, "budget").bit_length():
             raise BudgetExceeded(
@@ -294,7 +293,7 @@ class QuasigroupSpec:
             mode = Mode(str(data["mode"]).upper())
             p_rows = _rows(data["p"])
             h_rows = None if data.get("h") is None else _rows(data["h"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed quasigroup document: {exc}") from None
         ctx = Context(n, max_n=max_n)
         p_polys = [ReducedPoly(row, n) for row in p_rows]

@@ -64,6 +64,11 @@ def test_degree_bound_landmarks(n, expected):
     assert max_reduced_degree(n) == expected
 
 
+def test_degree_bound_refuses_a_zero_exponent():
+    with pytest.raises(ValueError, match="^modulus exponent must be positive$"):
+        max_reduced_degree(0)
+
+
 def test_width_cache_is_bounded():
     # one Context per n must not keep one width table per n alive
     tracemalloc.start()
@@ -166,6 +171,11 @@ def test_ring_count_decomposition_n5(rng):
 @pytest.mark.parametrize("j, expected", [(1, 2), (2, 4), (3, 4), (4, 6), (5, 8), (6, 8)])
 def test_keller_beta(j, expected):
     assert keller_beta(j) == expected
+
+
+def test_keller_beta_refuses_zero():
+    with pytest.raises(ValueError, match="^keller_beta needs j >= 1$"):
+        keller_beta(0)
 
 
 def test_keller_beta_definition():

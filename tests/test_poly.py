@@ -76,6 +76,21 @@ def test_intpoly_arithmetic():
     assert IntPoly((1, 0, 2)).shifted(2).coeffs == (0, 0, 1, 0, 2)
 
 
+def test_intpoly_refuses_a_negative_shift():
+    with pytest.raises(ValueError, match="^shift must be non-negative$"):
+        IntPoly((1,)).shifted(-1)
+
+
+def test_an_integer_minus_an_intpoly_is_an_intpoly():
+    # int.__sub__ gives way, so IntPoly.__rsub__ computes 1 - x
+    assert 1 - IntPoly((0, 1)) == IntPoly((1, -1))
+
+
+def test_an_intpoly_plus_text_is_a_type_error():
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        IntPoly((1,)) + "x"
+
+
 def test_parse_and_format_round_trip():
     assert parse_poly("31,3,2").coeffs == (31, 3, 2)
     assert parse_poly(" 1 , -4 , 0 , 2 ").coeffs == (1, -4, 0, 2)
@@ -120,6 +135,11 @@ _SLOT_REFUSALS = {
     (0, 5.5): "5.5 is not an integer",
     (0, "3"): "'3' is not an integer",
 }
+
+
+def test_reduced_poly_refuses_n_below_two():
+    with pytest.raises(ValueError, match="^modulus exponent must be at least 2, got 1$"):
+        ReducedPoly((1,), 1)
 
 
 def test_reduced_poly_slot_bounds():

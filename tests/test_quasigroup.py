@@ -179,6 +179,11 @@ def test_poly_modulus_must_match_context():
         QuasigroupSpec(ctx, Mode.UNIT_PRODUCT, [ReducedPoly((2, 1), 5)])
 
 
+def test_polys_must_be_canonical_forms():
+    with pytest.raises(ValueError, match=r"^p\[0\] must be a canonical polynomial$"):
+        QuasigroupSpec(Context(4), Mode.UNIT_PRODUCT, [(0, 1)])
+
+
 def test_h_polys_only_in_glued_mode():
     ctx = Context(4)
     ident = reduce((0, 1), ctx)
@@ -465,10 +470,8 @@ def test_lifted_adjoints_match_the_oracle_at_every_depth(mode, n, inversions):
     # coefficients, and to every depth an evaluator may keep
     for depth in range(min(poly.KEPT_TREE_DEPTH, n // 2) + 1):
         spec = QuasigroupSpec.random(Context(n), 2, mode, random.Random(n))
-        for odd, inverse in spec._evaluators:
-            for idx in range(spec.k):
-                if not inverse:
-                    spec._evaluator(idx, odd)._deepen(depth)
+        for owner in _owners(spec):
+            owner.evaluator()._deepen(depth)
         maps = _oracle_maps(spec)
         rng = random.Random(depth)
         carrier = list(spec.carrier())
@@ -588,8 +591,13 @@ def _oracle_adjoint(spec, maps, i, probe):
     return _oracle_glued(maps[idx], acc & mask, mask, inverse=True)
 
 
+def _owners(spec):
+    """The spec's polynomial owners, each once (RING_ADDITIVE's halves share theirs)."""
+    return list(dict.fromkeys(owner for halves in spec._halves for owner in halves))
+
+
 def _evaluators(spec):
-    return [e for slots in spec._evaluators.values() for e in slots]
+    return [e for owner in _owners(spec) for e in (owner.forward, owner.inverse)]
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -660,9 +668,8 @@ def test_threads_sharing_a_fresh_spec_past_break_even_agree(mode, head_builds):
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * len(threads)
     # the shared spec read each polynomial four times as often, so no tree of it is shallower
-    for key, slots in reference._evaluators.items():
-        for mine, theirs in zip(slots, shared._evaluators[key]):
-            assert (theirs._state[0] if theirs else 0) >= (mine._state[0] if mine else 0)
+    for mine, theirs in zip(_evaluators(reference), _evaluators(shared)):
+        assert (theirs._state[0] if theirs else 0) >= (mine._state[0] if mine else 0)
 
 
 def _glued_queries(n, k, seed):

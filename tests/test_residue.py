@@ -39,6 +39,27 @@ def test_unit_inverse_exhaustive(n):
         assert (a * inv) % mod == 1
 
 
+def test_unit_inverse_refuses_a_zero_exponent():
+    with pytest.raises(ValueError, match="^modulus exponent must be positive$"):
+        unit_inverse(3, 0)
+
+
+def test_hensel_roots_refuses_a_zero_exponent():
+    with pytest.raises(ValueError, match="^modulus exponent must be positive$"):
+        hensel_roots((1,), 0)
+
+
+def test_hensel_roots_budget_holds_at_bit_zero():
+    # x**2 + x has both 0 and 1 as roots modulo 2, past a branch limit of 1
+    with pytest.raises(BudgetExceeded, match="^root search frontier grew past 1 at bit 0$"):
+        hensel_roots((0, 1, 1), 4, branch_limit=1)
+
+
+def test_unit_group_structure_check_needs_n_of_three():
+    with pytest.raises(ValueError, match="^the structure check needs n >= 3$"):
+        check_unit_group_structure(2)
+
+
 @pytest.mark.parametrize("n", [1, 3, 1000, 4096])
 def test_unit_inverse_large_n(n, rng):
     mod = 1 << n
